@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
@@ -84,16 +86,12 @@ def mono_one(arity: int) -> tuple[int, ...]:
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,20 +113,54 @@ def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class MonomialOrder:
+class _CachedOrder:
+    """Memoized sort keys, shared by the order classes below.
+
+    A key is a flat tuple of ints, so keys compare as plain tuples and the
+    heap key (the negated key, which a min-heap pops largest monomial
+    first) is one tuple operation away.  Both are memoized since the same
+    monomials recur constantly during basis computations.
+    """
+
+    __slots__ = ("_keys", "_heap_keys")
+
+    def __init__(self):
+        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._heap_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        k = self._keys.get(e)
+        if k is None:
+            k = self._keys[e] = self._key(e)
+        return k
+
+    def heap_key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        k = self._heap_keys.get(e)
+        if k is None:
+            k = self._heap_keys[e] = tuple(map(neg, self.key(e)))
+        return k
+
+
+def _grevlex(e: tuple[int, ...], rev_idx: tuple[int, ...]) -> tuple[int, ...]:
+    """Graded, ties broken by the last variable with the *smaller* exponent
+    winning; `rev_idx` lists the variables from lowest to highest."""
+    negs = [-e[i] for i in rev_idx]
+    return (-sum(negs), *negs)
+
+
+class MonomialOrder(_CachedOrder):
     """A total, multiplicative, well-founded order on monomials.
 
     `kind` is 'lex' or 'degrevlex'; `priority` lists the ring variables from
-    highest to lowest.  Orders expose a sort key so that comparisons reduce
-    to tuple comparison; keys are memoized since the same monomials recur
-    constantly during basis computations.
+    highest to lowest.
     """
 
-    __slots__ = ("kind", "ring", "priority", "_perm", "_rev_perm", "_cache")
+    __slots__ = ("kind", "ring", "priority", "_perm", "_rev_perm")
 
     def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
         if kind not in ("lex", "degrevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
+        super().__init__()
         self.kind = kind
         self.ring = ring
         prio = tuple(priority) if priority is not None else ring.names
@@ -137,22 +169,11 @@ class MonomialOrder:
         self.priority = prio
         self._perm = tuple(ring.index(nm) for nm in prio)
         self._rev_perm = tuple(reversed(self._perm))
-        self._cache: dict[tuple[int, ...], tuple] = {}
 
-    def key(self, e: tuple[int, ...]):
-        k = self._cache.get(e)
-        if k is None:
-            if self.kind == "lex":
-                k = tuple(e[i] for i in self._perm)
-            else:
-                # graded, ties broken by the last variable (in priority
-                # order) with the *smaller* exponent winning
-                k = (sum(e), tuple(-e[i] for i in self._rev_perm))
-            self._cache[e] = k
-        return k
-
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
+    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        if self.kind == "lex":
+            return tuple([e[i] for i in self._perm])
+        return _grevlex(e, self._rev_perm)
 
     def restricted(self, subring: VarRing) -> "MonomialOrder":
         """The same order on a ring with a subset of the variables."""
@@ -174,38 +195,29 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind}, {'>'.join(self.priority)})"
 
 
-class EliminationOrder:
+class EliminationOrder(_CachedOrder):
     """Block order: monomials compared first on a dropped variable block.
 
     Any monomial containing a dropped variable is larger than every monomial
     free of them, which is exactly what variable elimination needs.  Both
-    blocks are compared by graded reverse lexicographic keys.
+    blocks are compared by graded reverse lexicographic keys, each in ring
+    order, so on the kept monomials this is the subring's degrevlex order.
     """
 
-    __slots__ = ("ring", "drop", "_drop_idx", "_keep_idx", "_cache")
+    __slots__ = ("ring", "drop", "_drop_rev", "_keep_rev")
 
     def __init__(self, ring: VarRing, drop: Iterable[str]):
+        super().__init__()
         self.ring = ring
         self.drop = frozenset(drop)
         for nm in self.drop:
             ring.index(nm)
-        self._drop_idx = tuple(i for i, nm in enumerate(ring.names) if nm in self.drop)
-        self._keep_idx = tuple(i for i, nm in enumerate(ring.names) if nm not in self.drop)
-        self._cache: dict[tuple[int, ...], tuple] = {}
+        rev = range(ring.arity - 1, -1, -1)
+        self._drop_rev = tuple(i for i in rev if ring.names[i] in self.drop)
+        self._keep_rev = tuple(i for i in rev if ring.names[i] not in self.drop)
 
-    @staticmethod
-    def _grevlex(e: tuple[int, ...], idx: tuple[int, ...]):
-        return (sum(e[i] for i in idx), tuple(-e[i] for i in reversed(idx)))
-
-    def key(self, e: tuple[int, ...]):
-        k = self._cache.get(e)
-        if k is None:
-            k = (self._grevlex(e, self._drop_idx), self._grevlex(e, self._keep_idx))
-            self._cache[e] = k
-        return k
-
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
+    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        return (*_grevlex(e, self._drop_rev), *_grevlex(e, self._keep_rev))
 
 
 class Polynomial:
@@ -629,13 +641,16 @@ def multivariate_divide(
     """Divide p by an ordered list of divisors.
 
     Returns (quotients, remainder) with p == sum(q_i * d_i) + r and no
-    monomial of r divisible by any divisor's leading monomial.
+    monomial of r divisible by any divisor's leading monomial.  The largest
+    remaining term goes first, to the first divisor whose leading monomial
+    divides it.  A heap of negated order keys finds that term; a term
+    cancelled meanwhile has no entry left in `work` and is skipped.
     """
     for d in divisors:
         if d.is_zero():
             raise ValueError("zero divisor")
     ring = p.ring
-    key = order.key
+    heap_key = order.heap_key
     lead = [d.leading_term(order) for d in divisors]
     tails = [
         [(e, c) for e, c in d.terms.items() if e != le]
@@ -644,21 +659,31 @@ def multivariate_divide(
     qterms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in divisors]
     remainder: dict[tuple[int, ...], Fraction] = {}
     work = dict(p.terms)
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for i, (le, lc) in enumerate(lead):
-            if mono_divides(le, e):
-                shift = mono_div(e, le)
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for i, (lm, lc) in enumerate(lead):
+            if all(map(le, lm, e)):
+                shift = tuple(map(sub, e, lm))
                 coef = c / lc
-                qterms[i][shift] = qterms[i].get(shift, 0) + coef
+                q = qterms[i]
+                q[shift] = q.get(shift, 0) + coef
                 for te, tc in tails[i]:
-                    pe = mono_mul(te, shift)
-                    s = work.get(pe, 0) - coef * tc
-                    if s:
-                        work[pe] = s
+                    pe = tuple(map(add, te, shift))
+                    old = work.get(pe)
+                    if old is None:
+                        work[pe] = -coef * tc
+                        heappush(heap, (heap_key(pe), pe))
                     else:
-                        work.pop(pe, None)
+                        s = old - coef * tc
+                        if s:
+                            work[pe] = s
+                        else:
+                            del work[pe]
                 break
         else:
             remainder[e] = c

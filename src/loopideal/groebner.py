@@ -208,7 +208,9 @@ def eliminate(
 
     Uses a block order with the dropped variables in the top block, so the
     generators free of dropped variables form a basis of the intersection
-    with the subring.
+    with the subring.  That basis is already reduced in the block order's
+    keep block, the subring's degrevlex order; any other target order needs
+    another Buchberger run.
     """
     drop = set(drop)
     for nm in drop:
@@ -229,6 +231,8 @@ def eliminate(
         if not (g.variables() & drop)
     ]
     suborder = basis.order.restricted(subring)
+    if suborder.kind == "degrevlex" and suborder.priority == subring.names:
+        return IdealBasis(subring, suborder, tuple(kept), reduced=True)
     return buchberger(kept, suborder, budget)
 
 
@@ -251,7 +255,8 @@ def ideal_intersect(
     t = Polynomial.var(big, aux)
     gens = [t * g.lift(big) for g in a.generators]
     gens += [(Polynomial.const(big, 1) - t) * g.lift(big) for g in b.generators]
-    big_basis = IdealBasis(big, MonomialOrder(a.order.kind, big), tuple(gens))
+    big_order = MonomialOrder(a.order.kind, big, list(a.order.priority) + [aux])
+    big_basis = IdealBasis(big, big_order, tuple(gens))
     out = eliminate(big_basis, {aux}, budget)
     # the surviving subring is exactly the original ring
     gens_back = tuple(g.lift(a.ring) for g in out.generators)

@@ -13,6 +13,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
+from loopideal.algebra import EliminationOrder
 
 
 def test_parse_paper_generator():
@@ -183,6 +184,62 @@ def test_division_contract_fuzzed():
         assert total == p
 
 
+def _reference_divide(p, divisors, order):
+    """Plain division: scan for the largest remaining term at every step."""
+    lead = [d.leading_term(order) for d in divisors]
+    quots = [{} for _ in divisors]
+    rem = {}
+    work = dict(p.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for i, (le, lc) in enumerate(lead):
+            if all(a <= b for a, b in zip(le, e)):
+                shift = tuple(a - b for a, b in zip(e, le))
+                coef = c / lc
+                quots[i][shift] = quots[i].get(shift, 0) + coef
+                for te, tc in divisors[i].terms.items():
+                    if te != le:
+                        pe = tuple(a + b for a, b in zip(te, shift))
+                        work[pe] = work.get(pe, 0) - coef * tc
+                        if not work[pe]:
+                            del work[pe]
+                break
+        else:
+            rem[e] = c
+    return [Polynomial(p.ring, q) for q in quots], Polynomial(p.ring, rem)
+
+
+def test_division_matches_reference_kernel():
+    rng = random.Random(505)
+    ring = VarRing(["x", "y", "z"])
+    orders = [
+        MonomialOrder("lex", ring),
+        MonomialOrder("degrevlex", ring),
+        MonomialOrder("degrevlex", ring, ["z", "x", "y"]),
+        EliminationOrder(ring, {"y"}),
+    ]
+    for order in orders:
+        for _ in range(40):
+            p = _random_poly(rng, ring, max_terms=8)
+            divisors = [
+                d
+                for d in (_random_poly(rng, ring, max_terms=3, max_deg=2) for _ in range(3))
+                if not d.is_zero()
+            ]
+            if not divisors:
+                continue
+            quots, rem = multivariate_divide(p, divisors, order)
+            assert (quots, rem) == _reference_divide(p, divisors, order)
+            leads = [d.leading_term(order)[0] for d in divisors]
+            for e in rem.terms:
+                assert not any(all(a <= b for a, b in zip(le, e)) for le in leads)
+            total = rem
+            for qt, d in zip(quots, divisors):
+                total = total + qt * d
+            assert total == p
+
+
 def test_order_laws_fuzzed():
     rng = random.Random(404)
     ring = VarRing(["x", "y", "z"])
@@ -191,6 +248,7 @@ def test_order_laws_fuzzed():
         MonomialOrder("degrevlex", ring),
         MonomialOrder("lex", ring, ["z", "x", "y"]),
         MonomialOrder("degrevlex", ring, ["y", "z", "x"]),
+        EliminationOrder(ring, {"y"}),
     ]
     monos = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)]
     unit = (0, 0, 0)

@@ -208,3 +208,39 @@ def test_reduced_basis_invariants():
             for j, (le, _) in enumerate(leads):
                 if i != j:
                     assert not all(a <= bb for a, bb in zip(le, e))
+
+
+def test_intersect_keeps_non_default_priority():
+    # lex with y > x: the result must be the reduced basis in that order
+    ring = VarRing(["x", "y"])
+    order = MonomialOrder("lex", ring, ["y", "x"])
+    a = _basis(["x - y^2"], ring, order)
+    b = _basis(["x - 2", "y"], ring, order)
+    inter = ideal_intersect(a, b)
+    assert inter.order == order
+    assert [g.format(order) for g in inter.generators] == [
+        "y^3 - x*y",
+        "x*y^2 - 2*y^2 - x^2 + 2*x",
+    ]
+    assert ideal_member(poly_parse("x*y^2 - 2*y^2 - x^2 + 2*x", ring), inter)
+
+
+def test_eliminate_result_is_reduced_in_target_order_fuzzed():
+    rng = random.Random(66)
+    ring = VarRing(["a", "b", "x", "y"])
+    pool = ["x - a^2", "y - a*b", "a*b - 1", "x*y - b", "b^2 - y", "a + b - x", "x^2 - 2*y"]
+    orders = [
+        MonomialOrder("degrevlex", ring),
+        MonomialOrder("degrevlex", ring, ["y", "b", "x", "a"]),
+        MonomialOrder("lex", ring),
+    ]
+    for _ in range(12):
+        gens = rng.sample(pool, 3)
+        drop = set(rng.sample(["a", "b", "x"], rng.randint(1, 2)))
+        for order in orders:
+            out = eliminate(_basis(gens, ring, order), drop)
+            assert out.reduced
+            assert out.ring.names == tuple(nm for nm in ring.names if nm not in drop)
+            assert out.order == order.restricted(out.ring)
+            again = buchberger(list(out.generators), out.order)
+            assert out.generators == again.generators

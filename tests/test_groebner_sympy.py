@@ -1,0 +1,119 @@
+"""Cross-checks of the Groebner engine against sympy over QQ."""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from loopideal import (
+    MonomialOrder,
+    Polynomial,
+    VarRing,
+    buchberger,
+    eliminate,
+    ideal_intersect,
+)
+
+sympy = pytest.importorskip("sympy")
+
+SYMPY_ORDER = {"lex": "lex", "degrevlex": "grevlex"}
+RING = VarRing(["x", "y", "z"])
+# with the intersection's auxiliary variable t
+BIG = VarRing(["t", *RING.names])
+SYMBOLS = {nm: sympy.Symbol(nm) for nm in BIG.names}
+ORDERS = [
+    MonomialOrder("degrevlex", RING),
+    MonomialOrder("lex", RING),
+    MonomialOrder("degrevlex", RING, ["z", "x", "y"]),
+    MonomialOrder("lex", RING, ["y", "z", "x"]),
+]
+
+
+def _to_sympy(p: Polynomial):
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for nm, k in zip(p.ring.names, e):
+            term *= SYMBOLS[nm] ** k
+        expr += term
+    return expr
+
+
+def _from_sympy(expr, ring: VarRing) -> Polynomial:
+    terms = sympy.Poly(expr, *[SYMBOLS[nm] for nm in ring.names], domain="QQ").terms()
+    return Polynomial(ring, {tuple(e): Q(int(c.p), int(c.q)) for e, c in terms})
+
+
+def _sympy_groebner(polys, priority, order):
+    return sympy.groebner(
+        [_to_sympy(p) for p in polys],
+        *[SYMBOLS[nm] for nm in priority],
+        order=order,
+        domain="QQ",
+    ).exprs
+
+
+def _free_part(polys, drop, ring: VarRing) -> list[Polynomial]:
+    """sympy's elimination: a lex basis with the `drop` variables first,
+    then its members free of them."""
+    priority = list(drop) + [nm for nm in ring.names if nm not in drop]
+    return [
+        _from_sympy(g, ring)
+        for g in _sympy_groebner(polys, priority, "lex")
+        if not g.free_symbols & {SYMBOLS[nm] for nm in drop}
+    ]
+
+
+def _sympy_basis(polys, order: MonomialOrder) -> set:
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return set()
+    gb = _sympy_groebner(polys, order.priority, SYMPY_ORDER[order.kind])
+    return {frozenset(_from_sympy(g, order.ring).terms.items()) for g in gb}
+
+
+def _ours(basis) -> set:
+    return {frozenset(g.terms.items()) for g in basis.generators}
+
+
+def _random_poly(rng, ring, max_terms=3, max_deg=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(ring.arity))
+        terms[e] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_buchberger_matches_sympy(order):
+    rng = random.Random(71)
+    for _ in range(8):
+        gens = [_random_poly(rng, RING) for _ in range(rng.randint(1, 3))]
+        assert _ours(buchberger(gens, order)) == _sympy_basis(gens, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_eliminate_matches_sympy(order):
+    rng = random.Random(72)
+    for _ in range(8):
+        gens = [_random_poly(rng, RING) for _ in range(rng.randint(2, 3))]
+        drop = rng.choice(RING.names)
+        out = eliminate(buchberger(gens, order), {drop})
+        kept = [g.project(out.ring) for g in _free_part(gens, [drop], RING)]
+        assert _ours(out) == _sympy_basis(kept, out.order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_intersect_matches_sympy(order):
+    rng = random.Random(73)
+    for _ in range(6):
+        a = buchberger([_random_poly(rng, RING) for _ in range(2)], order)
+        b = buchberger([_random_poly(rng, RING) for _ in range(2)], order)
+        out = ideal_intersect(a, b)
+        # the intersection is t*a + (1 - t)*b with t eliminated
+        t = Polynomial.var(BIG, "t")
+        gens = [t * g.lift(BIG) for g in a.generators]
+        gens += [(1 - t) * g.lift(BIG) for g in b.generators]
+        kept = [g.project(RING) for g in _free_part(gens, ["t"], BIG)]
+        assert out.order == order
+        assert _ours(out) == _sympy_basis(kept, order)

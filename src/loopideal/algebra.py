@@ -16,8 +16,6 @@ from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
 
-Rational = Fraction
-
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _MOMENT_RE = re.compile(r"E\[[^\[\]]+\]")
 
@@ -28,10 +26,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 class VarRing:
@@ -79,6 +73,13 @@ class VarRing:
         return f"VarRing({', '.join(self.names)})"
 
 
+def fresh_name(name: str, taken) -> str:
+    """`name` with underscores appended until it is not in `taken`."""
+    while name in taken:
+        name += "_"
+    return name
+
+
 # -- monomial helpers (exponent tuples) -------------------------------------
 
 def mono_one(arity: int) -> tuple[int, ...]:
@@ -113,8 +114,19 @@ def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class _CachedOrder:
-    """Memoized sort keys, shared by the order classes below.
+def _grevlex(e: tuple[int, ...], rev_idx: tuple[int, ...]) -> tuple[int, ...]:
+    """Graded, ties broken by the last variable with the *smaller* exponent
+    winning; `rev_idx` lists the variables from lowest to highest."""
+    negs = [-e[i] for i in rev_idx]
+    return (-sum(negs), *negs)
+
+
+class MonomialOrder:
+    """A total, multiplicative, well-founded order on monomials.
+
+    `kind` is 'lex' or 'degrevlex'; `priority` lists the ring variables from
+    highest to lowest.  `eliminating(drop)` gives a block order for variable
+    elimination; `drop` is empty for a plain order.
 
     A key is a flat tuple of ints, so keys compare as plain tuples and the
     heap key (the negated key, which a min-heap pops largest monomial
@@ -122,11 +134,36 @@ class _CachedOrder:
     monomials recur constantly during basis computations.
     """
 
-    __slots__ = ("_keys", "_heap_keys")
+    __slots__ = ("kind", "ring", "priority", "drop", "_top_rev", "_low_idx", "_keys", "_heap_keys")
 
-    def __init__(self):
+    def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
+        if kind not in ("lex", "degrevlex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind = kind
+        self.ring = ring
+        prio = tuple(priority) if priority is not None else ring.names
+        if sorted(prio) != sorted(ring.names):
+            raise ValueError("priority must be a permutation of the ring variables")
+        self.priority = prio
+        self._split(frozenset())
+
+    def _split(self, drop: frozenset) -> None:
+        """Index tuples of the top block `drop` (degrevlex, lowest variable
+        first) and of the rest (lex highest first, degrevlex lowest first)."""
+        idx = [self.ring.index(nm) for nm in self.priority]
+        low = [i for i in idx if self.ring.names[i] not in drop]
+        self.drop = drop
+        self._top_rev = tuple(i for i in reversed(idx) if self.ring.names[i] in drop)
+        self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._heap_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        if self.kind == "lex":
+            low = tuple([e[i] for i in self._low_idx])
+        else:
+            low = _grevlex(e, self._low_idx)
+        return (*_grevlex(e, self._top_rev), *low) if self.drop else low
 
     def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         k = self._keys.get(e)
@@ -140,43 +177,26 @@ class _CachedOrder:
             k = self._heap_keys[e] = tuple(map(neg, self.key(e)))
         return k
 
+    def eliminating(self, drop: Iterable[str]) -> "MonomialOrder":
+        """Block order for eliminating the variables in `drop`.
 
-def _grevlex(e: tuple[int, ...], rev_idx: tuple[int, ...]) -> tuple[int, ...]:
-    """Graded, ties broken by the last variable with the *smaller* exponent
-    winning; `rev_idx` lists the variables from lowest to highest."""
-    negs = [-e[i] for i in rev_idx]
-    return (-sum(negs), *negs)
-
-
-class MonomialOrder(_CachedOrder):
-    """A total, multiplicative, well-founded order on monomials.
-
-    `kind` is 'lex' or 'degrevlex'; `priority` lists the ring variables from
-    highest to lowest.
-    """
-
-    __slots__ = ("kind", "ring", "priority", "_perm", "_rev_perm")
-
-    def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
-        if kind not in ("lex", "degrevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        super().__init__()
-        self.kind = kind
-        self.ring = ring
-        prio = tuple(priority) if priority is not None else ring.names
-        if sorted(prio) != sorted(ring.names):
-            raise ValueError("priority must be a permutation of the ring variables")
-        self.priority = prio
-        self._perm = tuple(ring.index(nm) for nm in prio)
-        self._rev_perm = tuple(reversed(self._perm))
-
-    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        if self.kind == "lex":
-            return tuple([e[i] for i in self._perm])
-        return _grevlex(e, self._rev_perm)
+        The dropped variables form a top block compared by degrevlex in
+        priority order, so any monomial containing one is larger than every
+        monomial free of them.  The rest compare by this order's kind and
+        priority, i.e. exactly as `restricted` to them.
+        """
+        drop = frozenset(drop)
+        for nm in drop:
+            self.ring.index(nm)
+        if drop == self.drop:
+            return self
+        out = MonomialOrder(self.kind, self.ring, self.priority)
+        out._split(drop)
+        return out
 
     def restricted(self, subring: VarRing) -> "MonomialOrder":
-        """The same order on a ring with a subset of the variables."""
+        """The same kind and priority on a ring with a subset of the
+        variables, as a plain order."""
         prio = tuple(nm for nm in self.priority if nm in subring)
         return MonomialOrder(self.kind, subring, prio)
 
@@ -189,35 +209,13 @@ class MonomialOrder(_CachedOrder):
             and self.kind == other.kind
             and self.ring == other.ring
             and self.priority == other.priority
+            and self.drop == other.drop
         )
 
     def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind}, {'>'.join(self.priority)})"
-
-
-class EliminationOrder(_CachedOrder):
-    """Block order: monomials compared first on a dropped variable block.
-
-    Any monomial containing a dropped variable is larger than every monomial
-    free of them, which is exactly what variable elimination needs.  Both
-    blocks are compared by graded reverse lexicographic keys, each in ring
-    order, so on the kept monomials this is the subring's degrevlex order.
-    """
-
-    __slots__ = ("ring", "drop", "_drop_rev", "_keep_rev")
-
-    def __init__(self, ring: VarRing, drop: Iterable[str]):
-        super().__init__()
-        self.ring = ring
-        self.drop = frozenset(drop)
-        for nm in self.drop:
-            ring.index(nm)
-        rev = range(ring.arity - 1, -1, -1)
-        self._drop_rev = tuple(i for i in rev if ring.names[i] in self.drop)
-        self._keep_rev = tuple(i for i in rev if ring.names[i] not in self.drop)
-
-    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        return (*_grevlex(e, self._drop_rev), *_grevlex(e, self._keep_rev))
+        top = [nm for nm in self.priority if nm in self.drop]
+        block = f", eliminating {','.join(top)}" if top else ""
+        return f"MonomialOrder({self.kind}, {'>'.join(self.priority)}{block})"
 
 
 class Polynomial:
@@ -484,11 +482,11 @@ class Polynomial:
             c = self.terms[e]
             mono = mono_str(e, self.ring)
             if mono == "1":
-                body = format_rational(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{format_rational(abs(c))}*{mono}"
+                body = f"{abs(c)}*{mono}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:

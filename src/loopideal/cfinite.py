@@ -258,10 +258,6 @@ class ExpPoly:
         return self.format()
 
 
-def expoly_eval(f: ExpPoly, n: int) -> Fraction:
-    return f.eval(n)
-
-
 def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     """Exact exponential-polynomial closed form of one moment sequence.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import MonomialOrder, VarRing, poly_parse
 from .cfinite import solve_closed_form
-from .errors import ToolkitError
+from .errors import ParseError, ToolkitError
 from .groebner import IdealBasis, buchberger, ideal_member
 from .loops import (
     LoopProgram,
@@ -49,12 +49,19 @@ def _load_loop(path: str) -> LoopProgram:
     return parse_loop(_read(path))
 
 
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: bad JSON: {exc.msg}", exc.pos) from None
+
+
 def _load_lrs(path: str) -> LRSInstance:
-    return LRSInstance.from_json(json.loads(_read(path)))
+    return LRSInstance.from_json(_load_json(path))
 
 
 def _load_basis(path: str) -> IdealBasis:
-    return IdealBasis.from_json(json.loads(_read(path)))
+    return IdealBasis.from_json(_load_json(path))
 
 
 def _order_for(ring: VarRing, args) -> MonomialOrder:

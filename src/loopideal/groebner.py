@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    EliminationOrder,
     MonomialOrder,
     Polynomial,
     VarRing,
+    fresh_name,
     mono_degree,
     mono_divides,
     mono_lcm,
@@ -21,7 +21,7 @@ from .algebra import (
     multivariate_divide,
     poly_parse,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ParseError
 
 DEFAULT_BUDGET = 100_000
 
@@ -54,10 +54,13 @@ class IdealBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "IdealBasis":
-        ring = VarRing(data["ring"])
-        o = data.get("order", {})
-        order = MonomialOrder(o.get("kind", "degrevlex"), ring, o.get("priority"))
-        gens = tuple(poly_parse(s, ring) for s in data["generators"])
+        try:
+            ring = VarRing(data["ring"])
+            o = data.get("order", {})
+            order = MonomialOrder(o.get("kind", "degrevlex"), ring, o.get("priority"))
+            gens = tuple(poly_parse(s, ring) for s in data["generators"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad ideal record: {exc!r}") from None
         return cls(ring, order, gens, reduced=False)
 
 
@@ -204,36 +207,26 @@ def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:
 def eliminate(
     basis: IdealBasis, drop: set[str], budget: int = DEFAULT_BUDGET
 ) -> IdealBasis:
-    """Basis of the elimination ideal in the subring without `drop`.
+    """Reduced basis of the elimination ideal in the subring without `drop`.
 
-    Uses a block order with the dropped variables in the top block, so the
-    generators free of dropped variables form a basis of the intersection
-    with the subring.  That basis is already reduced in the block order's
-    keep block, the subring's degrevlex order; any other target order needs
-    another Buchberger run.
+    One Buchberger run in the block order `basis.order.eliminating(drop)`:
+    a monomial containing a dropped variable is larger than every monomial
+    free of them, and those compare as in the target order, the basis order
+    restricted to the subring.  So the generators free of dropped variables
+    are the reduced basis of the intersection with the subring in the
+    target order (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 3 §1).
     """
     drop = set(drop)
-    for nm in drop:
-        basis.ring.index(nm)
-    if not drop:
-        return basis if basis.reduced else buchberger(
-            list(basis.generators), basis.order, budget
-        )
+    order = basis.order.eliminating(drop)
     if len(drop) == basis.ring.arity:
         raise ValueError("cannot eliminate every ring variable")
-
-    elim_order = EliminationOrder(basis.ring, drop)
-    gb = buchberger(list(basis.generators), elim_order, budget)  # type: ignore[arg-type]
+    gb = buchberger(list(basis.generators), order, budget)
     subring = VarRing([nm for nm in basis.ring.names if nm not in drop])
-    kept = [
-        g.project(subring)
-        for g in gb.generators
-        if not (g.variables() & drop)
-    ]
-    suborder = basis.order.restricted(subring)
-    if suborder.kind == "degrevlex" and suborder.priority == subring.names:
-        return IdealBasis(subring, suborder, tuple(kept), reduced=True)
-    return buchberger(kept, suborder, budget)
+    kept = tuple(
+        g.project(subring) for g in gb.generators if not (g.variables() & drop)
+    )
+    return IdealBasis(subring, basis.order.restricted(subring), kept, reduced=True)
 
 
 def ideal_intersect(
@@ -248,19 +241,14 @@ def ideal_intersect(
         raise ValueError("ideal_intersect requires a common ring")
     if a.is_zero_ideal() or b.is_zero_ideal():
         return IdealBasis(a.ring, a.order, (), reduced=True)
-    aux = "t"
-    while aux in a.ring:
-        aux += "_"
+    aux = fresh_name("t", a.ring)
     big = VarRing(list(a.ring.names) + [aux])
     t = Polynomial.var(big, aux)
     gens = [t * g.lift(big) for g in a.generators]
     gens += [(Polynomial.const(big, 1) - t) * g.lift(big) for g in b.generators]
     big_order = MonomialOrder(a.order.kind, big, list(a.order.priority) + [aux])
-    big_basis = IdealBasis(big, big_order, tuple(gens))
-    out = eliminate(big_basis, {aux}, budget)
     # the surviving subring is exactly the original ring
-    gens_back = tuple(g.lift(a.ring) for g in out.generators)
-    return IdealBasis(a.ring, a.order, gens_back, reduced=True)
+    return eliminate(IdealBasis(big, big_order, tuple(gens)), {aux}, budget)
 
 
 def ideal_equal(a: IdealBasis, b: IdealBasis, budget: int = DEFAULT_BUDGET) -> bool:

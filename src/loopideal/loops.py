@@ -168,7 +168,10 @@ def parse_loop(text: str) -> LoopProgram:
     if not sections["vars"]:
         raise ParseError("missing vars: section")
     names = [nm.strip() for nm in ",".join(sections["vars"]).split(",") if nm.strip()]
-    ring = VarRing(names)
+    try:
+        ring = VarRing(names)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
     init_map: dict[str, Fraction] = {}
     for chunk in ";".join(sections["init"]).split(";"):
@@ -349,11 +352,14 @@ class LRSInstance:
     @classmethod
     def from_json(cls, data) -> "LRSInstance":
         """JSON lists recurrence coefficients most-recent-term first."""
-        if isinstance(data, str):
-            data = json.loads(data)
-        coeffs = [parse_rational(s) for s in data["coeffs"]]
-        init = [parse_rational(s) for s in data["init"]]
-        return cls(tuple(reversed(coeffs)), tuple(init))
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            coeffs = [parse_rational(s) for s in data["coeffs"]]
+            init = [parse_rational(s) for s in data["init"]]
+            return cls(tuple(reversed(coeffs)), tuple(init))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad recurrence record: {exc!r}") from None
 
     def to_json(self) -> dict:
         return {

@@ -34,11 +34,8 @@ def lift_polynomial_expectation(loop: LoopProgram, p: Polynomial) -> Polynomial:
     return p
 
 
-def _symbol_sort_key(ring: VarRing):
-    def key(e: tuple[int, ...]):
-        return (sum(e), tuple(-x for x in e))
-
-    return key
+def _symbol_sort_key(e: tuple[int, ...]):
+    return (sum(e), tuple(-x for x in e))
 
 
 @dataclass
@@ -127,7 +124,7 @@ def moment_closure(
                         "monomial degrees keep growing under lifting"
                     )
 
-    ordered = sorted(symbols, key=_symbol_sort_key(ring))
+    ordered = sorted(symbols, key=_symbol_sort_key)
     assert ordered[0] == unit
     index = {e: i for i, e in enumerate(ordered)}
     matrix = []
@@ -162,5 +159,5 @@ def degree_targets(ring: VarRing, max_degree: int) -> list[tuple[int, ...]]:
         raise ValueError("degree must be at least 1")
     out: list[tuple[int, ...]] = []
     for d in range(1, max_degree + 1):
-        out.extend(sorted(_compositions(d, ring.arity), key=_symbol_sort_key(ring)))
+        out.extend(sorted(_compositions(d, ring.arity), key=_symbol_sort_key))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial, VarRing
+from .algebra import Polynomial, VarRing, fresh_name
 from .cfinite import UniPoly
 from .errors import (
     NotASkolemReduction,
@@ -158,16 +158,6 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
     return WitnessReport(horizon, tuple(violations), first_zero)
 
 
-def _fresh_names(base: list[str], taken) -> list[str]:
-    out = []
-    for nm in base:
-        while nm in taken:
-            nm += "_"
-        out.append(nm)
-        taken = set(taken) | {nm}
-    return out
-
-
 def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
     """Embed a reachability instance into a loop whose strongest invariant
     decides it.
@@ -179,7 +169,8 @@ def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
     old = p2p.system
     if len(old.body) != 1:
         raise ValueError("reachability system must be a single simultaneous update")
-    fname, gname = _fresh_names(["f", "g"], set(old.variables.names))
+    fname = fresh_name("f", old.variables)
+    gname = fresh_name("g", old.variables)
     ring = VarRing(list(old.variables.names) + [fname, gname])
     init = tuple(old.init) + (Fraction(1), Fraction(0))
 

@@ -18,6 +18,7 @@ from .algebra import (
     MonomialOrder,
     Polynomial,
     VarRing,
+    fresh_name,
     mono_one,
     mono_str,
     poly_parse,
@@ -111,12 +112,6 @@ def _names_ring(names) -> VarRing:
     return names.ring if isinstance(names, MomentRing) else names
 
 
-def _fresh(name: str, taken) -> str:
-    while name in taken:
-        name += "_"
-    return name
-
-
 def _point_ideal(ring: VarRing, order: MonomialOrder, values) -> IdealBasis:
     gens = []
     for nm, v in zip(ring.names, values):
@@ -154,14 +149,10 @@ def _tail_ideal(
         reverse=True,
     )
     has_sign = any(neg for acc in reindexed for (_, neg) in acc)
-    taken = set(ring.names)
-    n_name = _fresh("n", taken)
-    taken.add(n_name)
-    t_names = []
-    for i in range(len(mags)):
-        t_names.append(_fresh(f"t{i + 1}", taken))
-        taken.add(t_names[-1])
-    w_name = _fresh("w", taken) if has_sign else None
+    # the stems differ, so each fresh name only has to avoid the ring
+    n_name = fresh_name("n", ring)
+    t_names = [fresh_name(f"t{i + 1}", ring) for i in range(len(mags))]
+    w_name = fresh_name("w", ring) if has_sign else None
     aux = [n_name] + t_names + ([w_name] if w_name else [])
     big = VarRing(aux + list(ring.names))
     big_order = MonomialOrder(order.kind, big, aux + list(order.priority))
@@ -201,9 +192,7 @@ def _tail_ideal(
     if w_name:
         w = Polynomial.var(big, w_name)
         gens.append(w * w - Polynomial.const(big, 1))
-    basis = IdealBasis(big, big_order, tuple(gens))
-    out = eliminate(basis, set(aux), budget)
-    return IdealBasis(ring, order, tuple(g.lift(ring) for g in out.generators), True)
+    return eliminate(IdealBasis(big, big_order, tuple(gens)), set(aux), budget)
 
 
 def relations_ideal(

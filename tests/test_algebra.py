@@ -13,7 +13,6 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import EliminationOrder
 
 
 def test_parse_paper_generator():
@@ -217,7 +216,8 @@ def test_division_matches_reference_kernel():
         MonomialOrder("lex", ring),
         MonomialOrder("degrevlex", ring),
         MonomialOrder("degrevlex", ring, ["z", "x", "y"]),
-        EliminationOrder(ring, {"y"}),
+        MonomialOrder("degrevlex", ring).eliminating({"y"}),
+        MonomialOrder("lex", ring, ["z", "x", "y"]).eliminating({"x"}),
     ]
     for order in orders:
         for _ in range(40):
@@ -248,11 +248,21 @@ def test_order_laws_fuzzed():
         MonomialOrder("degrevlex", ring),
         MonomialOrder("lex", ring, ["z", "x", "y"]),
         MonomialOrder("degrevlex", ring, ["y", "z", "x"]),
-        EliminationOrder(ring, {"y"}),
+        MonomialOrder("degrevlex", ring).eliminating({"y"}),
+        MonomialOrder("lex", ring, ["z", "x", "y"]).eliminating({"x"}),
+        MonomialOrder("degrevlex", ring, ["y", "z", "x"]).eliminating({"z", "x"}),
     ]
     monos = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)]
     unit = (0, 0, 0)
     for order in orders:
+        # off the dropped variables a block order is its restriction
+        keep = [i for i, nm in enumerate(ring.names) if nm not in order.drop]
+        sub = order.restricted(VarRing([ring.names[i] for i in keep]))
+        free = [a for a in monos if all(a[i] == 0 or i in keep for i in range(3))]
+        for a in free:
+            for b in free:
+                sa, sb = (tuple(m[i] for i in keep) for m in (a, b))
+                assert (order.key(a) < order.key(b)) == (sub.key(sa) < sub.key(sb))
         for a in monos:
             for b in monos:
                 ka, kb = order.key(a), order.key(b)
@@ -265,6 +275,21 @@ def test_order_laws_fuzzed():
             # well-foundedness at the bottom: 1 is minimal
             if a != unit:
                 assert order.key(a) > order.key(unit)
+
+
+def test_block_order_is_told_from_plain():
+    ring = VarRing(["x", "y", "z"])
+    plain = MonomialOrder("lex", ring, ["z", "x", "y"])
+    block = plain.eliminating({"x"})
+    assert plain.eliminating(set()) is plain
+    assert block.eliminating({"x"}) is block
+    assert block.eliminating(set()) == plain
+    assert block != plain and repr(block) != repr(plain)
+    assert block == MonomialOrder("lex", ring, ["z", "x", "y"]).eliminating({"x"})
+    # any monomial with x beats every monomial free of it
+    assert block.key((1, 0, 0)) > block.key((0, 0, 9))
+    with pytest.raises(UnknownVariable):
+        plain.eliminating({"w"})
 
 
 def test_degrevlex_classic_comparison():

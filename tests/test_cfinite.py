@@ -8,7 +8,6 @@ from loopideal import (
     NoRecurrenceFound,
     UniPoly,
     degree_targets,
-    expoly_eval,
     minimal_recurrence,
     moment_closure,
     parse_loop,
@@ -139,12 +138,12 @@ def test_irrational_eigenvalue_rejected():
 
 def test_expoly_eval_examples():
     half_n = ExpPoly((), ((Q(1), _upoly(0, Q(1, 2))),))
-    assert expoly_eval(half_n, 4) == 2
+    assert half_n.eval(4) == 2
     two_pow = ExpPoly((), ((Q(1), _upoly(-1)), (Q(2), _upoly(1))))
-    assert expoly_eval(two_pow, 3) == 7
+    assert two_pow.eval(3) == 7
     nilpotent = ExpPoly((Q(5),), ())
-    assert expoly_eval(nilpotent, 0) == 5
-    assert expoly_eval(nilpotent, 1) == 0 and expoly_eval(nilpotent, 9) == 0
+    assert nilpotent.eval(0) == 5
+    assert nilpotent.eval(1) == 0 and nilpotent.eval(9) == 0
 
 
 def test_expoly_validation():

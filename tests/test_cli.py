@@ -242,3 +242,28 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
     code, _, err = _run(capsys, "closed-forms", "--loop", str(path))
     assert code == 1
     assert json.loads(err)["error"] == "IrrationalEigenvalue"
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("groebner", "--ideal", '{"ring": ["x", "y"], "order": {"kind": "lexx"}, "generators": ["x"]}'),
+        ("groebner", "--ideal", '{"ring": ["x", "x"], "generators": ["x"]}'),
+        ("groebner", "--ideal", '{"ring": ["x", "y"], "order": {"priority": ["x", "z"]}, "generators": ["x"]}'),
+        ("groebner", "--ideal", '{"ring": ["x", "y"]}'),
+        ("groebner", "--ideal", '{"ring": ["x", "y"], "generators": ["x"'),
+        ("simulate", "--loop", "vars: 2x\ninit: x = 0\nbody:\n  x = x\n"),
+        ("verify-witness", "--lrs", '{"coeffs": ["0"], "init": ["1"]}'),
+        ("verify-witness", "--lrs", "coeffs: 1"),
+    ],
+    ids=[
+        "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
+        "variable-name", "lrs-a0", "lrs-json",
+    ],
+)
+def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, _, err = _run(capsys, command, flag, str(path))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"

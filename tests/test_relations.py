@@ -68,14 +68,18 @@ def test_multiplicative_lattice_defining_property():
 
 
 def test_relations_reciprocal_pair():
-    names = VarRing(["a", "b"])
-    basis = relations_ideal([_const_form(2), _const_form(Q(1, 2))], names)
-    expected = buchberger([poly_parse("a*b - 1", names)], MonomialOrder("degrevlex", names))
-    assert ideal_equal(basis, expected)
-    for n in range(7):
-        vals = [Q(2) ** n, Q(1, 2) ** n]
-        for g in basis.generators:
-            assert g.eval(vals) == 0
+    # the second ring takes the auxiliary names n and t1, which must move
+    for a, b in (("a", "b"), ("n", "t1")):
+        names = VarRing([a, b])
+        basis = relations_ideal([_const_form(2), _const_form(Q(1, 2))], names)
+        expected = buchberger(
+            [poly_parse(f"{a}*{b} - 1", names)], MonomialOrder("degrevlex", names)
+        )
+        assert basis.ring == names and ideal_equal(basis, expected)
+        for n in range(7):
+            vals = [Q(2) ** n, Q(1, 2) ** n]
+            for g in basis.generators:
+                assert g.eval(vals) == 0
 
 
 def test_relations_two_walk_closed_forms_match_quoted_basis():

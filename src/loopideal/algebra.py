@@ -2,8 +2,12 @@
 
 Values are immutable after construction and all operations are pure, so
 polynomials can be shared freely.  Coefficients are `fractions.Fraction`
-(always in lowest terms, positive denominator); no floating point appears
-anywhere.  Monomials are plain exponent tuples, one entry per ring variable.
+(always in lowest terms, positive denominator) everywhere except inside
+`multivariate_divide`, whose reduction loop runs on Python ints: integer
+numerators over one running denominator, divided by primitive integer
+divisors whose data each polynomial memoizes per order.  No floating point
+appears anywhere.  Monomials are plain exponent tuples, one entry per ring
+variable.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
@@ -134,7 +139,9 @@ class MonomialOrder:
     monomials recur constantly during basis computations.
     """
 
-    __slots__ = ("kind", "ring", "priority", "drop", "_top_rev", "_low_idx", "_keys", "_heap_keys")
+    __slots__ = (
+        "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx", "_keys", "_heap_keys"
+    )
 
     def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
         if kind not in ("lex", "degrevlex"):
@@ -153,6 +160,7 @@ class MonomialOrder:
         idx = [self.ring.index(nm) for nm in self.priority]
         low = [i for i in idx if self.ring.names[i] not in drop]
         self.drop = drop
+        self._hash = hash((self.kind, self.ring, self.priority, drop))
         self._top_rev = tuple(i for i in reversed(idx) if self.ring.names[i] in drop)
         self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -212,6 +220,9 @@ class MonomialOrder:
             and self.drop == other.drop
         )
 
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         top = [nm for nm in self.priority if nm in self.drop]
         block = f", eliminating {','.join(top)}" if top else ""
@@ -222,10 +233,12 @@ class Polynomial:
     """A sparse multivariate polynomial with exact rational coefficients.
 
     `terms` maps exponent tuples to nonzero Fractions; the zero polynomial
-    has an empty term map.  Instances are treated as immutable.
+    has an empty term map.  Instances are treated as immutable, which lets
+    `_division` memoize, per order, the integer form the division kernel
+    uses when the polynomial is a divisor.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_division")
 
     def __init__(self, ring: VarRing, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.ring = ring
@@ -237,6 +250,14 @@ class Polynomial:
                 if c:
                     clean[e] = Fraction(c)
         self.terms = clean
+        self._division = None
+
+    @classmethod
+    def _make(cls, ring: VarRing, terms: dict) -> "Polynomial":
+        """Wrap an already clean term map (nonzero Fractions, right arity)."""
+        out = cls.__new__(cls)
+        out.ring, out.terms, out._division = ring, terms, None
+        return out
 
     # -- constructors --------------------------------------------------
 
@@ -304,18 +325,13 @@ class Polynomial:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return Polynomial._make(self.ring, terms)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._make(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -328,10 +344,8 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            out = Polynomial.__new__(Polynomial)
-            out.ring = self.ring
-            out.terms = {e: k * c for e, k in self.terms.items()} if c else {}
-            return out
+            terms = {e: k * c for e, k in self.terms.items()} if c else {}
+            return Polynomial._make(self.ring, terms)
         self._require_same_ring(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -342,9 +356,7 @@ class Polynomial:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return Polynomial._make(self.ring, terms)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -633,6 +645,41 @@ def poly_parse(text: str, ring: VarRing) -> Polynomial:
     return _Parser(text, ring).parse()
 
 
+# `multivariate_divide` divides the work numerators and denominator by their
+# common content whenever the denominator has grown this many bits since the
+# last such check.
+_CONTENT_BITS = 64
+
+
+def _divisor_data(d: Polynomial, order) -> tuple:
+    """Lead monomial, lead coefficient, tail and scale of d as a divisor.
+
+    The integer form is the primitive part of d with a positive lead
+    coefficient: d == (num / den) * (lc * x^lm + sum(tc * x^te)), where the
+    ints lc > 0 and tc have no common factor and (num, den) is in lowest
+    terms.
+    Memoized on d per order, since Buchberger divides by the same basis
+    elements over and over.
+    """
+    memo = d._division
+    if memo is None:
+        memo = d._division = {}
+    data = memo.get(order)
+    if data is None:
+        if not d.terms:
+            raise ValueError("zero divisor")
+        lm, lead = d.leading_term(order)
+        den = lcm(*(c.denominator for c in d.terms.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in d.terms.items()}
+        content = gcd(*ints.values())
+        if lead < 0:
+            content = -content
+        scale = Fraction(content, den)
+        tail = [(e, c // content) for e, c in ints.items() if e != lm]
+        data = memo[order] = (lm, ints[lm] // content, tail, scale.numerator, scale.denominator)
+    return data
+
+
 def multivariate_divide(
     p: Polynomial, divisors: list[Polynomial], order
 ) -> tuple[list[Polynomial], Polynomial]:
@@ -643,46 +690,67 @@ def multivariate_divide(
     remaining term goes first, to the first divisor whose leading monomial
     divides it.  A heap of negated order keys finds that term; a term
     cancelled meanwhile has no entry left in `work` and is skipped.
+
+    The loop runs on ints.  The work polynomial is `work / den`, integer
+    numerators over one running denominator, and each divisor is its
+    primitive integer form from `_divisor_data`.  Cancelling a term w
+    against lead coefficient lc scales `work` and `den` by lc / gcd(w, lc)
+    when that is not 1, then subtracts integer multiples of the tail; the
+    common content of `work` and `den` is divided out as `den` grows.  Each
+    remainder and quotient term keeps its own (numerator, denominator) and
+    becomes a Fraction only on the way out.
     """
-    for d in divisors:
-        if d.is_zero():
-            raise ValueError("zero divisor")
-    ring = p.ring
+    data = [_divisor_data(d, order) for d in divisors]
     heap_key = order.heap_key
-    lead = [d.leading_term(order) for d in divisors]
-    tails = [
-        [(e, c) for e, c in d.terms.items() if e != le]
-        for d, (le, _) in zip(divisors, lead)
-    ]
-    qterms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in divisors]
-    remainder: dict[tuple[int, ...], Fraction] = {}
-    work = dict(p.terms)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    content_at = den.bit_length() + _CONTENT_BITS
+    qterms: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in divisors]
+    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
     heap = [(heap_key(e), e) for e in work]
     heapify(heap)
     while heap:
         e = heappop(heap)[1]
-        c = work.pop(e, None)
-        if c is None:
+        w = work.pop(e, None)
+        if w is None:
             continue
-        for i, (lm, lc) in enumerate(lead):
+        for (lm, lc, tail, num, dnm), q in zip(data, qterms):
             if all(map(le, lm, e)):
                 shift = tuple(map(sub, e, lm))
-                coef = c / lc
-                q = qterms[i]
-                q[shift] = q.get(shift, 0) + coef
-                for te, tc in tails[i]:
+                m = 1
+                if lc != 1:
+                    g = gcd(w, lc)
+                    m = lc // g
+                    w //= g
+                # each monomial leaves the heap once, so each shift is new
+                q[shift] = (w * dnm, den * m * num)
+                if m != 1:
+                    den *= m
+                    work = {k: v * m for k, v in work.items()}
+                for te, tc in tail:
                     pe = tuple(map(add, te, shift))
                     old = work.get(pe)
                     if old is None:
-                        work[pe] = -coef * tc
+                        work[pe] = -w * tc
                         heappush(heap, (heap_key(pe), pe))
                     else:
-                        s = old - coef * tc
+                        s = old - w * tc
                         if s:
                             work[pe] = s
                         else:
                             del work[pe]
+                if den.bit_length() > content_at:
+                    g = gcd(den, *work.values())
+                    if g != 1:
+                        den //= g
+                        work = {k: v // g for k, v in work.items()}
+                    content_at = den.bit_length() + _CONTENT_BITS
                 break
         else:
-            remainder[e] = c
-    return [Polynomial(ring, q) for q in qterms], Polynomial(ring, remainder)
+            remainder[e] = (w, den)
+    ring = p.ring
+    quotients = [
+        Polynomial._make(ring, {e: Fraction(n, d) for e, (n, d) in q.items()}) for q in qterms
+    ]
+    rem = Polynomial._make(ring, {e: Fraction(n, d) for e, (n, d) in remainder.items()})
+    return quotients, rem

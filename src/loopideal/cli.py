@@ -42,7 +42,10 @@ from .relations import (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", exc.start) from None
 
 
 def _load_loop(path: str) -> LoopProgram:

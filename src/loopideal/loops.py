@@ -206,6 +206,8 @@ def parse_loop(text: str) -> LoopProgram:
             if not lhs.endswith(")"):
                 raise ParseError(f"bad tuple target {lhs!r}")
             targets = tuple(nm.strip() for nm in lhs[1:-1].split(","))
+            if len(set(targets)) != len(targets):
+                raise ParseError(f"repeated tuple target {lhs!r}")
         else:
             targets = (lhs,)
         for nm in targets:

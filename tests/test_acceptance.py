@@ -279,11 +279,11 @@ def test_criterion_6_oracle_equivalence():
         loop = _fuzz_affine_loop(rng)
         mring = moment_ring(loop.variables, 2)
         system = moment_closure(loop, list(mring.symbols))
+        dists = [enumerate_distribution(loop, n) for n in range(11)]
 
         # matrix-power predictions against the exact enumeration oracle
         for n in range(9):
-            dist = enumerate_distribution(loop, n)
-            oracle = _moments_from_distribution(dist, system.symbols)
+            oracle = _moments_from_distribution(dists[n], system.symbols)
             assert system.vector_at(n) == oracle, (trial, n)
         # the standalone oracle entry point agrees too
         probe = mring.symbols[0]
@@ -294,8 +294,7 @@ def test_criterion_6_oracle_equivalence():
         # every generator of the order-2 ideal vanishes at oracle moments
         basis = moment_invariant_ideal(loop, 2)
         for n in range(11):
-            dist = enumerate_distribution(loop, n)
-            values = _moments_from_distribution(dist, mring.symbols)
+            values = _moments_from_distribution(dists[n], mring.symbols)
             for g in basis.generators:
                 assert g.eval(values) == 0, (trial, n)
     elapsed = time.time() - start

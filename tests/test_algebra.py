@@ -209,6 +209,28 @@ def _reference_divide(p, divisors, order):
     return [Polynomial(p.ring, q) for q in quots], Polynomial(p.ring, rem)
 
 
+def _assert_division_matches_reference(p, divisors, order):
+    quots, rem = multivariate_divide(p, divisors, order)
+    assert (quots, rem) == _reference_divide(p, divisors, order)
+    leads = [d.leading_term(order)[0] for d in divisors]
+    for e in rem.terms:
+        assert not any(all(a <= b for a, b in zip(le, e)) for le in leads)
+    total = rem
+    for qt, d in zip(quots, divisors):
+        total = total + qt * d
+    assert total == p
+
+
+def _big_poly(rng, ring, max_terms, max_deg):
+    """Coefficients with numerator and denominator between 2^70 and 2^72."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(ring.arity))
+        num = rng.randint(2**70, 2**72) * rng.choice([-1, 1])
+        terms[e] = Q(num, rng.randint(2**70, 2**72))
+    return Polynomial(ring, terms)
+
+
 def test_division_matches_reference_kernel():
     rng = random.Random(505)
     ring = VarRing(["x", "y", "z"])
@@ -227,17 +249,41 @@ def test_division_matches_reference_kernel():
                 for d in (_random_poly(rng, ring, max_terms=3, max_deg=2) for _ in range(3))
                 if not d.is_zero()
             ]
-            if not divisors:
-                continue
-            quots, rem = multivariate_divide(p, divisors, order)
-            assert (quots, rem) == _reference_divide(p, divisors, order)
-            leads = [d.leading_term(order)[0] for d in divisors]
-            for e in rem.terms:
-                assert not any(all(a <= b for a, b in zip(le, e)) for le in leads)
-            total = rem
-            for qt, d in zip(quots, divisors):
-                total = total + qt * d
-            assert total == p
+            if divisors:
+                _assert_division_matches_reference(p, divisors, order)
+
+    # non-monic divisors: negative lead coefficients, and none of them +-1
+    leads = set()
+    for order in orders:
+        for _ in range(20):
+            p = _random_poly(rng, ring, max_terms=8)
+            divisors = []
+            for _ in range(3):
+                d = _random_poly(rng, ring, max_terms=3, max_deg=2)
+                if not d.is_zero():
+                    lead = rng.choice([-3, Q(-7, 2), Q(-2, 9), 5, Q(6, 5)])
+                    divisors.append(d * (lead / d.leading_term(order)[1]))
+                    leads.add(lead)
+            if divisors:
+                _assert_division_matches_reference(p, divisors, order)
+    assert min(leads) < -1 and len(leads) == 5
+
+    # coefficients above 2^70 run the kernel's content removal
+    for order in orders:
+        for _ in range(6):
+            p = _big_poly(rng, ring, max_terms=6, max_deg=3)
+            divisors = [_big_poly(rng, ring, max_terms=3, max_deg=2) for _ in range(2)]
+            _assert_division_matches_reference(p, divisors, order)
+
+    # one polynomial as a divisor under several orders: whatever it keeps
+    # per order must not leak into another order's division
+    lex, grevlex = MonomialOrder("lex", ring), MonomialOrder("degrevlex", ring)
+    d = poly_parse("x + y^2 - 2*z^3", ring)
+    assert d.leading_term(lex)[0] != d.leading_term(grevlex)[0]
+    for _ in range(10):
+        p = _random_poly(rng, ring, max_terms=8)
+        for order in (lex, grevlex, MonomialOrder("lex", ring), grevlex.eliminating({"x"})):
+            _assert_division_matches_reference(p, [d, poly_parse("y*z - 3", ring)], order)
 
 
 def test_order_laws_fuzzed():

@@ -255,15 +255,17 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         ("simulate", "--loop", "vars: 2x\ninit: x = 0\nbody:\n  x = x\n"),
         ("verify-witness", "--lrs", '{"coeffs": ["0"], "init": ["1"]}'),
         ("verify-witness", "--lrs", "coeffs: 1"),
+        ("simulate", "--loop", "vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, x) = (x, y)\n"),
+        ("simulate", "--loop", b"vars: x\ninit: x = 0\nbody:\n  x = x \xff\n"),
     ],
     ids=[
         "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
-        "variable-name", "lrs-a0", "lrs-json",
+        "variable-name", "lrs-a0", "lrs-json", "repeated-target", "not-utf8",
     ],
 )
 def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):
     path = tmp_path / "input"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, _, err = _run(capsys, command, flag, str(path))
     assert code == 1
     assert json.loads(err)["error"] == "ParseError"

@@ -117,3 +117,18 @@ def test_intersect_matches_sympy(order):
         kept = [g.project(RING) for g in _free_part(gens, ["t"], BIG)]
         assert out.order == order
         assert _ours(out) == _sympy_basis(kept, order)
+
+
+@pytest.mark.parametrize("order", ORDERS[:2], ids=repr)
+def test_buchberger_matches_sympy_large_height(order):
+    rng = random.Random(74)
+    for _ in range(4):
+        gens = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(3):
+                e = tuple(rng.randint(0, 2) for _ in range(RING.arity))
+                num = rng.randint(2**69, 2**71) * rng.choice([-1, 1])
+                terms[e] = Q(num, rng.randint(2**69, 2**71))
+            gens.append(Polynomial(RING, terms))
+        assert _ours(buchberger(gens, order)) == _sympy_basis(gens, order)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import IrrationalEigenvalue, NoRecurrenceFound, ParseError
@@ -119,29 +120,47 @@ class UniPoly:
 def minimal_recurrence(terms: list[Fraction], max_order: int) -> UniPoly:
     """Monic annihilator of least degree fitting every supplied term.
 
-    Searches degrees 0..max_order; each candidate is determined (and at the
-    same time verified) by the full linear system over all windows of the
-    term list.  Raises NoRecurrenceFound when nothing fits.
+    The terms are rationals (Fractions or ints).  One Berlekamp-Massey pass (Massey, "Shift-register synthesis and BCH
+    decoding", 1969) over the terms finds their linear complexity L and a
+    connection polynomial C with C(0) = 1; the annihilator is its
+    reciprocal x^L * C(1/x), so a root 0 of multiplicity L - deg C marks a
+    transient.  With at least 2*max_order + 2 terms an annihilator of degree
+    <= max_order is unique.  Raises NoRecurrenceFound as soon as L exceeds
+    max_order.
+
+    The pass runs in ints: the terms are scaled by the lcm of their
+    denominators, and C is kept as a primitive integer multiple, updated
+    fraction-free as b*C - d*x^m*B instead of C - (d/b)*x^m*B.
     """
     if len(terms) < 2 * max_order + 2:
         raise ValueError("need at least 2*max_order + 2 terms")
-    terms = [Fraction(t) for t in terms]
-    for d in range(max_order + 1):
-        if d == 0:
-            if all(t == 0 for t in terms):
-                return UniPoly([1])
+    seq = _integer_form(terms)
+    conn = [1]  # connection polynomial C, constant term first
+    prev = [1]  # C before the last length change
+    length, shift, prev_disc = 0, 1, 1
+    for n in range(len(seq)):
+        disc = sum(map(mul, conn, seq[n::-1]))
+        if not disc:
+            shift += 1
             continue
-        rows = []
-        rhs = []
-        for n in range(len(terms) - d):
-            rows.append(terms[n : n + d])
-            rhs.append(terms[n + d])
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            return UniPoly([-c for c in sol] + [Fraction(1)])
-    raise NoRecurrenceFound(
-        f"no linear recurrence of order <= {max_order} fits the terms"
-    )
+        updated = [prev_disc * c for c in conn]
+        updated += [0] * (shift + len(prev) - len(conn))
+        for i, c in enumerate(prev):
+            updated[shift + i] -= disc * c
+        if 2 * length <= n:
+            length, prev, prev_disc, shift = n + 1 - length, conn, disc, 1
+            if length > max_order:
+                raise NoRecurrenceFound(
+                    f"no linear recurrence of order <= {max_order} fits the terms"
+                )
+        else:
+            shift += 1
+        while updated[-1] == 0:
+            updated.pop()
+        content = gcd(*updated)
+        conn = [c // content for c in updated]
+    conn += [0] * (length + 1 - len(conn))
+    return UniPoly(Fraction(c, conn[0]) for c in reversed(conn))
 
 
 def _divisors(n: int) -> list[int]:
@@ -154,6 +173,24 @@ def _divisors(n: int) -> list[int]:
             out.add(n // d)
         d += 1
     return sorted(out)
+
+
+def _integer_form(values) -> list[int]:
+    """The rationals `values` times the lcm of their denominators."""
+    lcm = 1
+    for c in values:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    return [c.numerator * (lcm // c.denominator) for c in values]
+
+
+def _vanishes_at(ip: list[int], num: int, den: int) -> bool:
+    """Whether den^d * ip(num/den) == 0, by homogeneous Horner in ints."""
+    acc = ip[-1]
+    power = 1
+    for c in reversed(ip[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return acc == 0
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
@@ -170,24 +207,24 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
         roots.append((Fraction(0), mult0))
     if p.degree >= 1:
         # clear denominators, then apply the rational root theorem
-        lcm = 1
-        for c in p.coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ip = [int(c * lcm) for c in p.coeffs]
-        candidates = set()
-        for num in _divisors(ip[0]):
-            for den in _divisors(ip[-1]):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-        for r in sorted(candidates):
+        ip = _integer_form(p.coeffs)
+        candidates = (
+            (sign * num, den)
+            for num in _divisors(ip[0])
+            for den in _divisors(ip[-1])
+            if gcd(num, den) == 1
+            for sign in (1, -1)
+        )
+        for num, den in candidates:
             if p.degree < 1:
                 break
             mult = 0
-            while p.degree >= 1 and p(r) == 0:
-                p = p.deflate_root(r)
+            while p.degree >= 1 and _vanishes_at(ip, num, den):
+                p = p.deflate_root(Fraction(num, den))
+                ip = _integer_form(p.coeffs)
                 mult += 1
             if mult:
-                roots.append((r, mult))
+                roots.append((Fraction(num, den), mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, p
 

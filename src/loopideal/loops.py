@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Polynomial, VarRing, parse_rational, poly_parse
 from .errors import (
@@ -281,12 +283,13 @@ def simulate(loop: LoopProgram, n: int) -> list[State]:
     return states
 
 
-def enumerate_distribution(
-    loop: LoopProgram, n: int, support_cap: int = DEFAULT_SUPPORT_CAP
-) -> dict[State, Fraction]:
-    """Exact state distribution after n iterations."""
+def distributions(
+    loop: LoopProgram, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> Iterator[dict[State, Fraction]]:
+    """Exact state distributions after 0, 1, 2, ... iterations."""
     dist: dict[State, Fraction] = {loop.init: Fraction(1)}
-    for _ in range(n):
+    while True:
+        yield dist
         for stmt in loop.body:
             new: dict[State, Fraction] = {}
             for state, mass in dist.items():
@@ -298,7 +301,13 @@ def enumerate_distribution(
                     f"distribution support exceeded {support_cap} states"
                 )
             dist = new
-    return dist
+
+
+def enumerate_distribution(
+    loop: LoopProgram, n: int, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> dict[State, Fraction]:
+    """Exact state distribution after n iterations (the initial one if n < 0)."""
+    return next(islice(distributions(loop, support_cap), max(n, 0), None))
 
 
 def expected_moment(

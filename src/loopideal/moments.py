@@ -51,6 +51,13 @@ class MomentSystem:
     transition: list[list[Fraction]]
     initial: list[Fraction]
     _cache: list[list[Fraction]] = field(default_factory=list, repr=False)
+    _sparse: list[list[tuple[int, Fraction]]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the nonzero (column, coefficient) pairs of each transition row
+        self._sparse = [
+            [(j, a) for j, a in enumerate(row) if a] for row in self.transition
+        ]
 
     @property
     def size(self) -> int:
@@ -60,14 +67,14 @@ class MomentSystem:
         return self.symbols.index(tuple(symbol))
 
     def vector_at(self, n: int) -> list[Fraction]:
-        """Moment vector after n iterations (cached power iteration)."""
+        """Moment vector after n iterations (cached sparse power iteration)."""
         if not self._cache:
             self._cache.append(list(self.initial))
         while len(self._cache) <= n:
             prev = self._cache[-1]
             nxt = [
-                sum((a * x for a, x in zip(row, prev)), Fraction(0))
-                for row in self.transition
+                sum((a * prev[j] for j, a in row), Fraction(0))
+                for row in self._sparse
             ]
             self._cache.append(nxt)
         return self._cache[n]

@@ -230,21 +230,26 @@ def detect_eventual_zero(basis: IdealBasis) -> int | None:
     """Least N with f*g*(g-1)*...*(g-N+1) in the basis, or None.
 
     The basis must be reduced with respect to a lexicographic order whose
-    two smallest variables are f above g; such a basis element exists
-    exactly when the flag variable f eventually vanishes, i.e. when the
-    embedded reachability instance is positive.
+    two smallest variables are the flag f above the counter g, under the
+    names `p2p_to_spinv` gives them (`f` and `g`, with underscores appended
+    on a clash); such a basis element exists exactly when the flag
+    eventually vanishes, i.e. when the embedded reachability instance is
+    positive.
     """
     if not basis.reduced:
         raise OrderMismatch("detect_eventual_zero requires a reduced basis")
     order = basis.order
     if order.kind != "lex":
         raise OrderMismatch("a lexicographic order is required")
-    if "f" not in basis.ring or "g" not in basis.ring:
-        raise OrderMismatch("ring must contain the flag f and counter g")
-    if len(order.priority) < 2 or order.priority[-1] != "g" or order.priority[-2] != "f":
-        raise OrderMismatch("variable order must place g lowest, then f")
-    fi = basis.ring.index("f")
-    gi = basis.ring.index("g")
+    if len(order.priority) < 2:
+        raise OrderMismatch("ring must contain the flag and the counter")
+    flag, counter = order.priority[-2:]
+    if flag.rstrip("_") != "f" or counter.rstrip("_") != "g":
+        raise OrderMismatch(
+            "variable order must place the counter g lowest, then the flag f"
+        )
+    fi = basis.ring.index(flag)
+    gi = basis.ring.index(counter)
 
     candidates = []
     for gen in basis.generators:

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
+from loopideal import linalg
 from loopideal import (
     ExpPoly,
     IrrationalEigenvalue,
@@ -61,6 +64,98 @@ def test_minimal_recurrence_is_minimal():
     assert minimal_recurrence(terms, 4) == _upoly(-2, 1)
 
 
+def _reference_minimal_recurrence(terms, max_order):
+    """The per-order search: one linear system over all windows per order."""
+    if len(terms) < 2 * max_order + 2:
+        raise ValueError("need at least 2*max_order + 2 terms")
+    terms = [Q(t) for t in terms]
+    if all(t == 0 for t in terms):
+        return UniPoly([1])
+    for d in range(1, max_order + 1):
+        rows = [terms[n : n + d] for n in range(len(terms) - d)]
+        rhs = [terms[n + d] for n in range(len(terms) - d)]
+        sol = linalg.solve(rows, rhs)
+        if sol is not None:
+            return UniPoly([-c for c in sol] + [Q(1)])
+    raise NoRecurrenceFound("no fit")
+
+
+def _assert_recurrence_matches_reference(terms, max_order):
+    try:
+        want = _reference_minimal_recurrence(terms, max_order)
+    except (ValueError, NoRecurrenceFound) as exc:
+        with pytest.raises(type(exc)):
+            minimal_recurrence(terms, max_order)
+        return type(exc)
+    assert minimal_recurrence(terms, max_order) == want, (terms, max_order)
+    return want
+
+
+def _unroll(ann, init, count):
+    """`count` terms of the sequence with monic annihilator `ann`."""
+    terms = list(init)
+    d = ann.degree
+    while len(terms) < count:
+        terms.append(-sum(c * t for c, t in zip(ann.coeffs[:d], terms[-d:])))
+    return terms[:count]
+
+
+_ROOTS = [Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(1, 2), Q(-1, 3), Q(2, 3), Q(5, 4), Q(0)]
+
+
+def _random_annihilator(rng, degree):
+    ann = _upoly(1)
+    while ann.degree < degree:
+        r = rng.choice(_ROOTS)
+        for _ in range(min(rng.choice([1, 1, 2, 3]), degree - ann.degree)):
+            ann = ann * _upoly(-r, 1)
+    return ann
+
+
+def test_minimal_recurrence_matches_reference_search():
+    rng = random.Random(1969)
+    values = [Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(7, 3)]
+    seen = set()
+    for _ in range(150):
+        degree = rng.randint(1, 6)
+        ann = _random_annihilator(rng, degree)
+        init = [rng.choice(values) for _ in range(degree)]
+        max_order = rng.choice([degree, degree, degree + 1, degree + 3, max(degree - 1, 0)])
+        count = 2 * max_order + 2 + rng.choice([0, 0, 1, 3])
+        seen.add(_assert_recurrence_matches_reference(_unroll(ann, init, count), max_order))
+
+    # transients: root 0 with multiplicity, so a prefix sits before the tail
+    for k in range(1, 4):
+        ann = _upoly(1)
+        for _ in range(k):
+            ann = ann * _upoly(0, 1)
+        ann = ann * _upoly(-2, 1) * _upoly(Q(-1, 2), 1)
+        init = [Q(5), Q(-1), Q(3, 2), Q(0), Q(4)][: ann.degree]
+        terms = _unroll(ann, init, 2 * ann.degree + 2)
+        assert _assert_recurrence_matches_reference(terms, ann.degree) == ann
+    # repeated fractional root: (L - 2/3)^3
+    cube = _upoly(Q(-2, 3), 1) * _upoly(Q(-2, 3), 1) * _upoly(Q(-2, 3), 1)
+    terms = _unroll(cube, [Q(1), Q(0), Q(0)], 12)
+    assert _assert_recurrence_matches_reference(terms, 5) == cube
+    # all zero, and a zero prefix before a geometric tail
+    assert _assert_recurrence_matches_reference([Q(0)] * 10, 4) == _upoly(1)
+    prefix = [Q(0)] * 4 + [Q(3) ** n for n in range(8)]
+    assert _assert_recurrence_matches_reference(prefix, 5) == _upoly(0, 0, 0, 0, -3, 1)
+    assert _assert_recurrence_matches_reference(prefix, 4) is NoRecurrenceFound
+    # a single nonzero term last: linear complexity equal to the length
+    lone = [Q(0)] * 9 + [Q(1)]
+    assert _assert_recurrence_matches_reference(lone, 4) is NoRecurrenceFound
+    # linear complexity exactly max_order, with the fewest terms allowed
+    quartic = _upoly(-1, 0, 0, 0, 1) * _upoly(Q(-1, 2), 1)
+    terms = _unroll(quartic, [Q(1), Q(2), Q(0), Q(-1), Q(3)], 12)
+    assert _assert_recurrence_matches_reference(terms, 5) == quartic
+    assert _assert_recurrence_matches_reference(terms[:11], 5) is ValueError
+    # random terms fit no recurrence up to max_order
+    noise = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(14)]
+    assert _assert_recurrence_matches_reference(noise, 6) is NoRecurrenceFound
+    assert NoRecurrenceFound in seen and len(seen) > 50
+
+
 def test_rational_roots_composed():
     p = _upoly(1, -2, 1) * _upoly(-3, 1)  # (L-1)^2 (L-3)
     roots, cofactor = rational_roots(p)
@@ -85,6 +180,66 @@ def test_rational_roots_fractional():
     roots, cofactor = rational_roots(p)
     assert set(r for r, _ in roots) == {Q(1, 2), Q(3, 2)}
     assert cofactor.degree == 0
+
+
+def _reference_rational_roots(p):
+    """Rational root theorem with every candidate evaluated as a Fraction."""
+    roots = []
+    mult0 = 0
+    while p.degree >= 1 and p.coeffs[0] == 0:
+        p = UniPoly(p.coeffs[1:])
+        mult0 += 1
+    if mult0:
+        roots.append((Q(0), mult0))
+    if p.degree >= 1:
+        lcm = 1
+        for c in p.coeffs:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+        ip = [int(c * lcm) for c in p.coeffs]
+        divisors = [
+            [d for d in range(1, abs(c) + 1) if c % d == 0] for c in (ip[0], ip[-1])
+        ]
+        candidates = {Q(s * a, b) for a in divisors[0] for b in divisors[1] for s in (1, -1)}
+        for r in sorted(candidates):
+            mult = 0
+            while p.degree >= 1 and p(r) == 0:
+                p = p.deflate_root(r)
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, p
+
+
+def test_rational_roots_match_fraction_reference():
+    rng = random.Random(1983)
+    quadratics = [
+        _upoly(1, 0, 1),  # L^2 + 1
+        _upoly(-2, 0, 1),  # L^2 - 2
+        _upoly(5, 3, 2),  # 2L^2 + 3L + 5
+        _upoly(Q(-3, 2), 0, 4),  # 4L^2 - 3/2
+        _upoly(1, 1, 1),  # L^2 + L + 1
+    ]
+    roots_pool = [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3), Q(3, 4), Q(5, 2), Q(-6)]
+    for _ in range(80):
+        p = _upoly(rng.choice([1, -2, Q(3, 5), Q(-7, 4)]))
+        want_roots = {}
+        for _ in range(rng.randint(0, 4)):
+            r = rng.choice(roots_pool)
+            m = rng.choice([1, 1, 2, 3])
+            want_roots[r] = want_roots.get(r, 0) + m
+            for _ in range(m):
+                p = p * _upoly(-r, 1)
+        quad = rng.choice(quadratics + [None])
+        if quad is not None:
+            p = p * quad
+        if p.degree < 1:
+            continue
+        got = rational_roots(p)
+        assert got == _reference_rational_roots(p), p
+        roots, cofactor = got
+        assert roots == sorted(want_roots.items())
+        assert cofactor.degree == (2 if quad is not None else 0)
 
 
 def test_solve_closed_forms_two_walks(two_walks):

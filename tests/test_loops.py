@@ -10,6 +10,7 @@ from loopideal import (
     ParseError,
     ProbabilitySumError,
     SupportBudgetExceeded,
+    distributions,
     enumerate_distribution,
     expected_moment,
     format_loop,
@@ -151,6 +152,19 @@ def test_support_budget():
     loop = parse_loop("vars: x\ninit: x = 0\nbody:\n  x = x + 1 [1/2] 2*x - 1\n")
     with pytest.raises(SupportBudgetExceeded):
         enumerate_distribution(loop, 10, support_cap=10)
+    steps = distributions(loop, support_cap=10)
+    for n in range(4):
+        assert next(steps) == enumerate_distribution(loop, n, support_cap=10)
+    with pytest.raises(SupportBudgetExceeded):
+        for _ in range(10):
+            next(steps)
+
+
+def test_distributions_step_by_step(two_walks):
+    steps = distributions(two_walks)
+    for n in range(6):
+        assert next(steps) == enumerate_distribution(two_walks, n)
+    assert enumerate_distribution(two_walks, -1) == {(Q(0), Q(0)): Q(1)}
 
 
 def test_sequential_semantics_matches_composed_map():

@@ -10,12 +10,14 @@ from loopideal import (
     enumerate_distribution,
     lift_polynomial_expectation,
     moment_closure,
+    moment_ring,
     p2p_to_spinv,
     parse_loop,
     poly_parse,
     simulate,
 )
 from loopideal.algebra import mono_str
+from test_acceptance import _fuzz_affine_loop
 
 
 def test_lift_examples(two_walks):
@@ -103,6 +105,18 @@ def test_matrix_powers_match_oracle_fuzzed():
             vec = system.vector_at(n)
             for j, sym in enumerate(system.symbols):
                 assert vec[j] == _oracle_moment(loop, dist, sym)
+
+
+def test_vector_at_matches_dense_iteration():
+    # the 50 criterion-6 systems, against a dense product over every entry
+    rng = random.Random(42)
+    for trial in range(50):
+        loop = _fuzz_affine_loop(rng)
+        system = moment_closure(loop, list(moment_ring(loop.variables, 2).symbols))
+        vec = list(system.initial)
+        for n in range(13):
+            assert system.vector_at(n) == vec, (trial, n)
+            vec = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in system.transition]
 
 
 def test_deterministic_degeneration(xy_system):

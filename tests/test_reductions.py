@@ -220,6 +220,21 @@ def test_detect_eventual_zero_rejects_wrong_order():
         detect_eventual_zero(basis2)
 
 
+def test_detect_eventual_zero_renamed_flag():
+    # the system already uses f, so the flag is f_ while the counter stays g
+    sysloop = parse_loop("vars: f, y\ninit: f = 0; y = 0\nbody:\n  (f, y) = (f + 1, y + 2)\n")
+    loop = p2p_to_spinv(P2PInstance(sysloop, (Q(2), Q(4))))
+    assert loop.variables.names == ("f", "y", "f_", "g")
+    states = simulate(loop, 12)
+    table = [[st[j] for st in states] for j in range(loop.variables.arity)]
+    emp = empirical_relations(table, loop.variables, 3)
+    order = MonomialOrder("lex", loop.variables, ["f", "y", "f_", "g"])
+    assert detect_eventual_zero(buchberger(list(emp.generators), order)) == 2
+    swapped = MonomialOrder("lex", loop.variables, ["f", "y", "g", "f_"])
+    with pytest.raises(OrderMismatch):
+        detect_eventual_zero(buchberger(list(emp.generators), swapped))
+
+
 def test_detect_ignores_non_factorial_shapes():
     ring = VarRing(["f", "g"])
     order = MonomialOrder("lex", ring, ["f", "g"])

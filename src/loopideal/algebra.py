@@ -119,6 +119,33 @@ def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def mono_value(e: tuple[int, ...], point) -> Fraction:
+    """The monomial e evaluated at `point`, one value per ring variable."""
+    v = Fraction(1)
+    for x, k in zip(point, e):
+        if k:
+            v *= x**k
+    return v
+
+
+def format_terms(pairs) -> str:
+    """Render (monomial text, nonzero coefficient) pairs, highest first, as
+    e.g. '2*x^2 - y + 1'; the unit monomial is '1', and no pairs give '0'."""
+    pieces = []
+    for mono, c in pairs:
+        if mono == "1":
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
+
+
 def _grevlex(e: tuple[int, ...], rev_idx: tuple[int, ...]) -> tuple[int, ...]:
     """Graded, ties broken by the last variable with the *smaller* exponent
     winning; `rev_idx` lists the variables from lowest to highest."""
@@ -288,9 +315,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_degree(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(mono_one(self.ring.arity), Fraction(0))
-
     def total_degree(self) -> int:
         return max((mono_degree(e) for e in self.terms), default=0)
 
@@ -327,15 +351,12 @@ class Polynomial:
                 terms.pop(e, None)
         return Polynomial._make(self.ring, terms)
 
-    def __radd__(self, other) -> "Polynomial":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._make(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -358,8 +379,7 @@ class Polynomial:
                     terms.pop(e, None)
         return Polynomial._make(self.ring, terms)
 
-    def __rmul__(self, other) -> "Polynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -400,6 +420,7 @@ class Polynomial:
                 f"point arity {len(point)} != ring arity {self.ring.arity}"
             )
         total = Fraction(0)
+        # `mono_value` inlined: a call per term makes enumeration ~30% slower
         for e, c in self.terms.items():
             v = c
             for x, k in zip(point, e):
@@ -449,27 +470,16 @@ class Polynomial:
             result = result + term
         return result
 
-    def lift(self, superring: VarRing) -> "Polynomial":
+    def lift(self, ring: VarRing) -> "Polynomial":
         """Re-express the polynomial in a ring containing all its variables."""
-        if superring == self.ring:
-            return self
-        idx = [superring.index(nm) for nm in self.ring.names]
-        terms = {}
-        for e, c in self.terms.items():
-            new = [0] * superring.arity
-            for i, k in enumerate(e):
-                new[idx[i]] = k
-            terms[tuple(new)] = c
-        return Polynomial(superring, terms)
+        return self if ring == self.ring else self.project(ring)
 
-    def project(self, subring: VarRing) -> "Polynomial":
-        """Re-express in a smaller ring; fails if a dropped variable occurs."""
-        idx = []
-        for nm in self.ring.names:
-            idx.append(subring.index(nm) if nm in subring else None)
+    def project(self, ring: VarRing) -> "Polynomial":
+        """Re-express in another ring; fails if an occurring variable is not there."""
+        idx = [ring.index(nm) if nm in ring else None for nm in self.ring.names]
         terms = {}
         for e, c in self.terms.items():
-            new = [0] * subring.arity
+            new = [0] * ring.arity
             for i, k in enumerate(e):
                 if not k:
                     continue
@@ -479,31 +489,18 @@ class Polynomial:
                     )
                 new[idx[i]] = k
             terms[tuple(new)] = c
-        return Polynomial(subring, terms)
+        return Polynomial(ring, terms)
 
     # -- formatting ------------------------------------------------------
 
     def format(self, order: MonomialOrder | None = None) -> str:
         """Canonical text: terms descending in the given (default ring) order."""
-        if not self.terms:
-            return "0"
         if order is None:
             order = MonomialOrder("degrevlex", self.ring)
-        pieces = []
-        for e in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[e]
-            mono = mono_str(e, self.ring)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(pieces)
+        return format_terms(
+            (mono_str(e, self.ring), self.terms[e])
+            for e in sorted(self.terms, key=order.key, reverse=True)
+        )
 
     def __str__(self) -> str:
         return self.format()

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
+from .algebra import format_terms
 from .errors import IrrationalEigenvalue, NoRecurrenceFound, ParseError
 from .moments import MomentSystem
 
@@ -93,25 +94,11 @@ class UniPoly:
         return acc
 
     def format(self, var: str = "n") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+        return format_terms(
+            ("1" if k == 0 else var if k == 1 else f"{var}^{k}", self.coeffs[k])
+            for k in range(self.degree, -1, -1)
+            if self.coeffs[k]
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()})"
@@ -177,10 +164,8 @@ def _divisors(n: int) -> list[int]:
 
 def _integer_form(values) -> list[int]:
     """The rationals `values` times the lcm of their denominators."""
-    lcm = 1
-    for c in values:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [c.numerator * (lcm // c.denominator) for c in values]
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values]
 
 
 def _vanishes_at(ip: list[int], num: int, den: int) -> bool:
@@ -260,9 +245,6 @@ class ExpPoly:
             total += coeff(n) * base**n
         return total
 
-    def is_identically_zero(self) -> bool:
-        return not self.tail and all(v == 0 for v in self.transient)
-
     def format(self) -> str:
         tail = " + ".join(f"({c.format()})*{b}^n" for b, c in self.tail) or "0"
         if self.transient:
@@ -332,13 +314,11 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise NoRecurrenceFound("coefficient ansatz is inconsistent")
-        by_base: dict[Fraction, list[Fraction]] = {}
-        for (r, j), c in zip(cols, sol):
-            by_base.setdefault(r, [Fraction(0)] * next(
-                m for rr, m in nonzero if rr == r
-            ))[j] = c
-        for r in sorted(by_base):
-            coeff = UniPoly(by_base[r])
+        # `cols` runs along `nonzero`, which is sorted by base
+        start = 0
+        for r, m in nonzero:
+            coeff = UniPoly(sol[start : start + m])
+            start += m
             if not coeff.is_zero():
                 tail.append((r, coeff))
 

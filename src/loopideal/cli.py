@@ -67,12 +67,24 @@ def _load_basis(path: str) -> IdealBasis:
     return IdealBasis.from_json(_load_json(path))
 
 
-def _order_for(ring: VarRing, args) -> MonomialOrder:
+def _order_for(ring: VarRing, args) -> MonomialOrder | None:
+    """The order the flags ask for (degrevlex if only --var-order), or None."""
+    kind, var_order = getattr(args, "order", None), getattr(args, "var_order", None)
+    if kind is None and not var_order:
+        return None
     priority = None
-    if getattr(args, "var_order", None):
-        low_to_high = [nm.strip() for nm in args.var_order.split("<")]
+    if var_order:
+        low_to_high = [nm.strip() for nm in var_order.split("<")]
         priority = list(reversed(low_to_high))
-    return MonomialOrder(args.order, ring, priority)
+    return MonomialOrder(kind or "degrevlex", ring, priority)
+
+
+def _reduced(basis: IdealBasis, args) -> IdealBasis:
+    """The reduced basis of `basis` in the flags' order, else in its own."""
+    order = _order_for(basis.ring, args)
+    if order is None and basis.reduced:
+        return basis
+    return buchberger(list(basis.generators), order or basis.order, args.budget)
 
 
 def _emit(args, payload: dict, text: str | None = None) -> int:
@@ -93,12 +105,7 @@ def _basis_text(basis: IdealBasis) -> str:
 
 def _cmd_invariants(args) -> int:
     loop = _load_loop(args.loop)
-    basis = moment_invariant_ideal(loop, args.degree, budget=args.budget)
-    mring = moment_ring(loop.variables, args.degree)
-    if args.order != "degrevlex" or args.var_order:
-        basis = buchberger(
-            list(basis.generators), _order_for(mring.ring, args), args.budget
-        )
+    basis = _reduced(moment_invariant_ideal(loop, args.degree, budget=args.budget), args)
     return _emit(args, basis.to_json(), _basis_text(basis))
 
 
@@ -149,19 +156,12 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_groebner(args) -> int:
-    raw = _load_basis(args.ideal)
-    order = (
-        _order_for(raw.ring, args)
-        if (args.order != "degrevlex" or args.var_order)
-        else raw.order
-    )
-    basis = buchberger(list(raw.generators), order, args.budget)
+    basis = _reduced(_load_basis(args.ideal), args)
     return _emit(args, basis.to_json(), _basis_text(basis))
 
 
 def _cmd_member(args) -> int:
-    raw = _load_basis(args.ideal)
-    basis = buchberger(list(raw.generators), raw.order, args.budget)
+    basis = _reduced(_load_basis(args.ideal), args)
     p = poly_parse(args.poly, basis.ring)
     member = ideal_member(p, basis)
     return _emit(args, {"member": member}, "yes" if member else "no")
@@ -188,9 +188,7 @@ def _cmd_reduce_skolem_spinv(args) -> int:
 
 
 def _cmd_detect_zero(args) -> int:
-    raw = _load_basis(args.ideal)
-    basis = buchberger(list(raw.generators), raw.order, args.budget)
-    hit = detect_eventual_zero(basis)
+    hit = detect_eventual_zero(_reduced(_load_basis(args.ideal), args))
     return _emit(
         args,
         {"eventual_zero_at": hit},
@@ -213,11 +211,7 @@ def _cmd_empirical(args) -> int:
     table = [
         [st[j] for st in states] for j in range(loop.variables.arity)
     ]
-    basis = empirical_relations(table, loop.variables, args.degree, args.budget)
-    if args.order != "degrevlex" or args.var_order:
-        basis = buchberger(
-            list(basis.generators), _order_for(loop.variables, args), args.budget
-        )
+    basis = _reduced(empirical_relations(table, loop.variables, args.degree, args.budget), args)
     return _emit(args, basis.to_json(), _basis_text(basis))
 
 
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "horizon" in flags:
             p.add_argument("--horizon", type=int, default=20)
         if "order" in flags:
-            p.add_argument("--order", choices=("lex", "degrevlex"), default="degrevlex")
+            p.add_argument("--order", choices=("lex", "degrevlex"))
             p.add_argument(
                 "--var-order",
                 help="variable order, lowest first, e.g. 'g<f<y<x'",
@@ -281,6 +275,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _COMMANDS[args.command][0]
     try:
+        for flag, least in (("degree", 1), ("horizon", 0)):
+            if getattr(args, flag, least) < least:
+                raise ParseError(f"--{flag} must be at least {least}")
         return handler(args)
     except ToolkitError as exc:
         print(json.dumps({"error": exc.name, "detail": str(exc)}), file=sys.stderr)

@@ -155,8 +155,7 @@ def buchberger(
     ring = order.ring
     basis: list[Polynomial] = []
     for g in gens:
-        if g.ring != ring:
-            g = g.lift(ring)
+        g = g.lift(ring)
         if not g.is_zero():
             basis.append(g.monic(order))
     if not basis:
@@ -195,8 +194,7 @@ def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:
     """Membership test by division; the basis must be reduced."""
     if not basis.reduced:
         raise ValueError("ideal_member requires a reduced basis")
-    if p.ring != basis.ring:
-        p = p.lift(basis.ring)
+    p = p.lift(basis.ring)
     if p.is_zero():
         return True
     if basis.is_zero_ideal():

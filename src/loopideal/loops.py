@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Polynomial, VarRing, parse_rational, poly_parse
+from .algebra import Polynomial, VarRing, mono_value, parse_rational, poly_parse
 from .errors import (
     ArityMismatch,
     GuardUnsupported,
@@ -267,20 +267,11 @@ def _apply_branch(state: State, stmt: Assignment, exprs, ring: VarRing) -> State
     return tuple(out)
 
 
-def step_deterministic(loop: LoopProgram, state: State) -> State:
-    for stmt in loop.body:
-        state = _apply_branch(state, stmt, stmt.branches[0][1], loop.variables)
-    return state
-
-
 def simulate(loop: LoopProgram, n: int) -> list[State]:
     """States after 0..n iterations of a deterministic loop."""
     if not loop.deterministic:
         raise NotDeterministic("simulate requires a deterministic loop")
-    states = [loop.init]
-    for _ in range(n):
-        states.append(step_deterministic(loop, states[-1]))
-    return states
+    return [next(iter(dist)) for dist in islice(distributions(loop), max(n, 0) + 1)]
 
 
 def distributions(
@@ -314,7 +305,6 @@ def expected_moment(
     loop: LoopProgram,
     monomial: tuple[int, ...],
     n: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Fraction:
     """Exact E[monomial] after n iterations, by full enumeration.
 
@@ -323,14 +313,9 @@ def expected_moment(
     """
     if len(monomial) != loop.variables.arity:
         raise ArityMismatch("monomial arity differs from program arity")
-    dist = enumerate_distribution(loop, n, support_cap)
     total = Fraction(0)
-    for state, mass in dist.items():
-        v = mass
-        for x, k in zip(state, monomial):
-            if k:
-                v *= x**k
-        total += v
+    for state, mass in enumerate_distribution(loop, n).items():
+        total += mass * mono_value(monomial, state)
     return total
 
 

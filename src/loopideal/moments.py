@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, VarRing, mono_one, mono_str
+from .algebra import Polynomial, VarRing, mono_one, mono_str, mono_value
 from .errors import ClosureBudgetExceeded
 from .loops import LoopProgram
 
@@ -106,14 +106,14 @@ def moment_closure(
         raise ValueError("at least one target moment required")
     ring = loop.variables
     unit = mono_one(ring.arity)
-    symbols: set[tuple[int, ...]] = {unit}
-    lifted: dict[tuple[int, ...], Polynomial] = {}
     work = [unit] + [tuple(t) for t in targets]
+    symbols: set[tuple[int, ...]] = set(work)
+    lifted: dict[tuple[int, ...], Polynomial] = {}
     while work:
         sym = work.pop()
         if sym in lifted:
             continue
-        symbols.add(sym)
+        # every discovered symbol waits in `work`, so this sees each growth
         if len(symbols) > budget:
             raise ClosureBudgetExceeded(
                 f"moment closure exceeded {budget} symbols; "
@@ -125,11 +125,6 @@ def moment_closure(
             if e not in symbols:
                 symbols.add(e)
                 work.append(e)
-                if len(symbols) > budget:
-                    raise ClosureBudgetExceeded(
-                        f"moment closure exceeded {budget} symbols; "
-                        "monomial degrees keep growing under lifting"
-                    )
 
     ordered = sorted(symbols, key=_symbol_sort_key)
     assert ordered[0] == unit
@@ -140,13 +135,7 @@ def moment_closure(
         for e, c in lifted[sym].terms.items():
             row[index[e]] = c
         matrix.append(row)
-    initial = []
-    for sym in ordered:
-        v = Fraction(1)
-        for x, k in zip(loop.init, sym):
-            if k:
-                v *= x**k
-        initial.append(v)
+    initial = [mono_value(sym, loop.init) for sym in ordered]
     return MomentSystem(ring, ordered, matrix, initial)
 
 

@@ -44,6 +44,11 @@ def skolem_to_p2p(lrs: LRSInstance) -> P2PInstance:
     Builds k coordinates x0..x{k-1} with x_i following u shifted by i and
     scaled by the accumulated product; the target is the zero vector.
     """
+    return _product_system(lrs, 1)
+
+
+def _product_system(lrs: LRSInstance, factor: int) -> P2PInstance:
+    """`skolem_to_p2p` with each product factor of the last update times `factor`."""
     k = lrs.order
     ring = VarRing([f"x{i}" for i in range(k)])
     init = []
@@ -56,7 +61,7 @@ def skolem_to_p2p(lrs: LRSInstance) -> P2PInstance:
     for i in range(k):
         term = Polynomial.const(ring, lrs.coeffs[i]) * Polynomial.var(ring, f"x{i}")
         for ell in range(i, k):
-            term = term * Polynomial.var(ring, f"x{ell}")
+            term = term * Polynomial.var(ring, f"x{ell}") * factor
         last = last + term
     exprs.append(last)
     body = (Assignment(ring.names, ((Fraction(1), tuple(exprs)),)),)
@@ -94,6 +99,11 @@ class WitnessSystem:
 
 def augment_witness(p2p: P2PInstance) -> WitnessSystem:
     """Adjoin the witness variables with their defining updates."""
+    return _witness(p2p, 1)
+
+
+def _witness(p2p: P2PInstance, factor: int) -> WitnessSystem:
+    """`augment_witness` with the last witness update times `factor`."""
     k = _check_reduction_shape(p2p)
     old = p2p.system
     ring = VarRing([f"x{i}" for i in range(k)] + [f"s{i}" for i in range(k)])
@@ -104,7 +114,9 @@ def augment_witness(p2p: P2PInstance) -> WitnessSystem:
         s0 *= old.init[i]
     x_exprs = [e.lift(ring) for e in old.body[0].branches[0][1]]
     s_exprs = [Polynomial.var(ring, f"s{i + 1}") for i in range(k - 1)]
-    s_exprs.append(Polynomial.var(ring, f"s{k - 1}") * Polynomial.var(ring, f"x{k - 1}"))
+    s_exprs.append(
+        Polynomial.var(ring, f"s{k - 1}") * Polynomial.var(ring, f"x{k - 1}") * factor
+    )
     body = (Assignment(ring.names, ((Fraction(1), tuple(x_exprs + s_exprs)),)),)
     return WitnessSystem(LoopProgram(ring, tuple(init), body), k)
 
@@ -205,25 +217,7 @@ def skolem_to_spinv_direct(lrs: LRSInstance) -> LoopProgram:
         raise NotIntegerInstance(
             "direct reduction needs integer coefficients and initial values"
         )
-    k = lrs.order
-    base = skolem_to_p2p(lrs)
-    wit = augment_witness(base)
-    ring = wit.loop.variables
-
-    exprs = [Polynomial.var(ring, f"x{i + 1}") for i in range(k - 1)]
-    last = Polynomial.zero(ring)
-    for i in range(k):
-        term = Polynomial.const(ring, lrs.coeffs[i]) * Polynomial.var(ring, f"x{i}")
-        for ell in range(i, k):
-            term = term * Polynomial.var(ring, f"x{ell}") * 2
-        last = last + term
-    exprs.append(last)
-    s_exprs = [Polynomial.var(ring, f"s{i + 1}") for i in range(k - 1)]
-    s_exprs.append(
-        Polynomial.var(ring, f"x{k - 1}") * Polynomial.var(ring, f"s{k - 1}") * 2
-    )
-    body = (Assignment(ring.names, ((Fraction(1), tuple(exprs + s_exprs)),)),)
-    return LoopProgram(ring, wit.loop.init, body)
+    return _witness(_product_system(lrs, 2), 2).loop
 
 
 def detect_eventual_zero(basis: IdealBasis) -> int | None:

@@ -21,6 +21,7 @@ from .algebra import (
     fresh_name,
     mono_one,
     mono_str,
+    mono_value,
     poly_parse,
 )
 from .cfinite import ExpPoly, UniPoly, solve_closed_form
@@ -34,7 +35,6 @@ from .groebner import (
 )
 from .loops import LoopProgram
 from .moments import (
-    DEFAULT_CLOSURE_BUDGET,
     degree_targets,
     moment_closure,
 )
@@ -198,7 +198,6 @@ def _tail_ideal(
 def relations_ideal(
     forms: list[ExpPoly],
     names,
-    order: MonomialOrder | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> IdealBasis:
     """Basis of all polynomial relations holding among the forms for n >= 0.
@@ -206,14 +205,14 @@ def relations_ideal(
     `names` is a VarRing (or MomentRing) with one variable per form.  The
     tail relations are computed from the first index past every transient;
     transient indices are covered by intersecting with their point ideals.
+    The basis is in degrevlex order.
     """
     ring = _names_ring(names)
     if len(forms) != ring.arity:
         raise ArityMismatch(
             f"{len(forms)} forms for {ring.arity} names"
         )
-    if order is None:
-        order = MonomialOrder("degrevlex", ring)
+    order = MonomialOrder("degrevlex", ring)
 
     transient_len = max((len(f.transient) for f in forms), default=0)
     result = _tail_ideal(forms, ring, order, transient_len, budget)
@@ -226,7 +225,6 @@ def relations_ideal(
 def moment_invariant_ideal(
     loop: LoopProgram,
     degree: int,
-    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
     budget: int = DEFAULT_BUDGET,
 ) -> IdealBasis:
     """Basis of all invariant relations among moments of order <= degree.
@@ -236,7 +234,7 @@ def moment_invariant_ideal(
     ideal of those closed forms.
     """
     mring = moment_ring(loop.variables, degree)
-    system = moment_closure(loop, list(mring.symbols), closure_budget)
+    system = moment_closure(loop, list(mring.symbols))
     forms = [
         solve_closed_form(system, system.index(sym)) for sym in mring.symbols
     ]
@@ -313,14 +311,8 @@ def empirical_relations(
     monomials = [mono_one(ring.arity)] + degree_targets(ring, degree)
     rows = []
     for n in range(count):
-        row = []
-        for e in monomials:
-            v = Fraction(1)
-            for j, k in enumerate(e):
-                if k:
-                    v *= value_table[j][n] ** k
-            row.append(v)
-        rows.append(row)
+        point = [values[n] for values in value_table]
+        rows.append([mono_value(e, point) for e in monomials])
     kernel = linalg.nullspace(rows)
     order = MonomialOrder("degrevlex", ring)
     gens = []

@@ -269,3 +269,53 @@ def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, te
     code, _, err = _run(capsys, command, flag, str(path))
     assert code == 1
     assert json.loads(err)["error"] == "ParseError"
+
+
+FLAG_IDEAL = {
+    "ring": ["g", "f", "y", "x"],
+    "order": {"kind": "lex", "priority": ["x", "y", "f", "g"]},
+    "generators": ["x - 2*g", "y - 3*g", "g*(g-1)*f"],
+}
+
+
+def test_detect_zero_reads_order_flag(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(FLAG_IDEAL))
+    code, out, err = _run(capsys, "detect-zero", "--ideal", str(path), "--order", "degrevlex")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "OrderMismatch"
+
+
+def test_groebner_explicit_degrevlex(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(FLAG_IDEAL))
+    code, out, _ = _run(capsys, "groebner", "--ideal", str(path), "--order", "degrevlex")
+    assert code == 0
+    blob = json.loads(out)
+    ring = VarRing(FLAG_IDEAL["ring"])
+    order = MonomialOrder("degrevlex", ring)
+    assert blob["order"] == order.to_json()
+    expected = buchberger([poly_parse(t, ring) for t in FLAG_IDEAL["generators"]], order)
+    assert blob["generators"] == expected.to_json()["generators"]
+
+
+@pytest.mark.parametrize(
+    "command, source, flag, value",
+    [
+        ("invariants", "--loop", "--degree", "0"),
+        ("closed-forms", "--loop", "--degree", "0"),
+        ("empirical", "--loop", "--degree", "0"),
+        ("simulate", "--loop", "--horizon", "-3"),
+        ("distribution", "--loop", "--horizon", "-3"),
+        ("empirical", "--loop", "--horizon", "-3"),
+        ("verify-witness", "--lrs", "--horizon", "-3"),
+    ],
+)
+def test_out_of_range_number_is_parse_error(capsys, tmp_path, lrs_file, command, source, flag, value):
+    path = tmp_path / "det.loop"
+    path.write_text("vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, y) = (x + 2, y + 3)\n")
+    code, out, err = _run(
+        capsys, command, source, lrs_file if source == "--lrs" else str(path), flag, value
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"

@@ -50,48 +50,14 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        return UniPoly([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def deflate_root(self, r: Fraction) -> "UniPoly":
-        """Synthetic division by (x - r); assumes r is a root."""
-        out = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-            out.append(acc)
-        assert out[-1] == 0, "not a root"
-        return UniPoly(list(reversed(out[:-1])))
-
-    def compose_affine(self, a, b) -> "UniPoly":
-        """p(a*x + b), expanded."""
-        arg = UniPoly([Fraction(b), Fraction(a)])
-        acc = UniPoly()
-        power = UniPoly([1])
-        for c in self.coeffs:
-            acc = acc + power * c
-            power = power * arg
-        return acc
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        if self.is_zero() or other.is_zero():
+            return UniPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
 
     def format(self, var: str = "n") -> str:
         return format_terms(
@@ -168,14 +134,21 @@ def _integer_form(values) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in values]
 
 
-def _vanishes_at(ip: list[int], num: int, den: int) -> bool:
-    """Whether den^d * ip(num/den) == 0, by homogeneous Horner in ints."""
-    acc = ip[-1]
-    power = 1
+def _deflate(ip: list[int], num: int, den: int) -> list[int] | None:
+    """The integral quotient of `ip` by den*x - num, or None if it has none.
+
+    For num/den in lowest terms, den*x - num is primitive, so by Gauss's
+    lemma it divides the integer polynomial `ip` over the rationals only if
+    every step of the synthetic division is exact in ints.
+    """
+    out = [ip[-1]]
     for c in reversed(ip[:-1]):
-        power *= den
-        acc = acc * num + c * power
-    return acc == 0
+        q, r = divmod(out[-1], den)
+        if r:
+            return None
+        out[-1] = q
+        out.append(c + num * q)
+    return None if out.pop() else out[::-1]
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
@@ -183,16 +156,14 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     if p.is_zero():
         raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
-    # root 0: trailing zero coefficients
-    mult0 = 0
-    while p.degree >= 1 and p.coeffs[0] == 0:
-        p = UniPoly(p.coeffs[1:])
-        mult0 += 1
+    # clear denominators; root 0 is the run of zero low-order coefficients
+    ip = _integer_form(p.coeffs)
+    mult0 = next(i for i, c in enumerate(ip) if c)
+    ip = ip[mult0:]
     if mult0:
         roots.append((Fraction(0), mult0))
-    if p.degree >= 1:
-        # clear denominators, then apply the rational root theorem
-        ip = _integer_form(p.coeffs)
+    if len(ip) > 1:
+        # the rational root theorem
         candidates = (
             (sign * num, den)
             for num in _divisors(ip[0])
@@ -201,17 +172,17 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
             for sign in (1, -1)
         )
         for num, den in candidates:
-            if p.degree < 1:
-                break
             mult = 0
-            while p.degree >= 1 and _vanishes_at(ip, num, den):
-                p = p.deflate_root(Fraction(num, den))
-                ip = _integer_form(p.coeffs)
+            while (quotient := _deflate(ip, num, den)) is not None:
+                ip = quotient
                 mult += 1
             if mult:
                 roots.append((Fraction(num, den), mult))
+            if len(ip) == 1:
+                break
     roots.sort(key=lambda rm: rm[0])
-    return roots, p
+    # the same cofactor as deflating p itself: its lead is p's
+    return roots, UniPoly(c * p.coeffs[-1] / ip[-1] for c in ip)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,10 @@ def _order_for(ring: VarRing, args) -> MonomialOrder | None:
     if var_order:
         low_to_high = [nm.strip() for nm in var_order.split("<")]
         priority = list(reversed(low_to_high))
-    return MonomialOrder(kind or "degrevlex", ring, priority)
+    try:
+        return MonomialOrder(kind or "degrevlex", ring, priority)
+    except ValueError as exc:
+        raise ParseError(f"--var-order: {exc}") from None
 
 
 def _reduced(basis: IdealBasis, args) -> IdealBasis:

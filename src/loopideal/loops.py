@@ -364,13 +364,16 @@ class LRSInstance:
         }
 
 
-def lrs_eval(lrs: LRSInstance, n: int) -> Fraction:
-    """Exact u(n) by unrolling the recurrence."""
-    k = lrs.order
-    if n < k:
-        return lrs.init[n]
+def lrs_terms(lrs: LRSInstance) -> Iterator[Fraction]:
+    """Exact u(0), u(1), ... by unrolling the recurrence once."""
     window = list(lrs.init)
-    for _ in range(n - k + 1):
+    yield from window
+    while True:
         nxt = sum((a * u for a, u in zip(lrs.coeffs, window)), Fraction(0))
         window = window[1:] + [nxt]
-    return window[-1]
+        yield nxt
+
+
+def lrs_eval(lrs: LRSInstance, n: int) -> Fraction:
+    """Exact u(n) by unrolling the recurrence."""
+    return next(islice(lrs_terms(lrs), n, None))

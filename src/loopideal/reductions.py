@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Polynomial, VarRing, fresh_name
 from .cfinite import UniPoly
@@ -21,7 +22,7 @@ from .errors import (
     OrderMismatch,
 )
 from .groebner import IdealBasis
-from .loops import Assignment, LoopProgram, LRSInstance, State, lrs_eval, simulate
+from .loops import Assignment, LoopProgram, LRSInstance, State, lrs_terms, simulate
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
     k = lrs.order
     wit = augment_witness(skolem_to_p2p(lrs))
     states = simulate(wit.loop, horizon)
-    u = [lrs_eval(lrs, n) for n in range(horizon + k + 1)]
+    u = list(islice(lrs_terms(lrs), horizon + k + 1))
     violations = []
     x0_prefix = Fraction(1)
     for n in range(horizon + 1):

@@ -53,16 +53,8 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class BaseLattice:
-    """All integer vectors a with prod(base_i ** a_i) == 1."""
-
-    bases: tuple[Fraction, ...]
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def multiplicative_lattice(bases: list[Fraction]) -> BaseLattice:
-    """Relation lattice of positive rational bases via prime exponents."""
+def multiplicative_lattice(bases: list[Fraction]) -> tuple[tuple[int, ...], ...]:
+    """Basis of the vectors a with prod(base_i ** a_i) == 1, via prime exponents."""
     bases = [Fraction(b) for b in bases]
     if any(b <= 0 for b in bases):
         raise ValueError("bases must be positive")
@@ -80,13 +72,11 @@ def multiplicative_lattice(bases: list[Fraction]) -> BaseLattice:
     matrix = [[vec.get(p, 0) for vec in exps] for p in plist]
     if not plist:
         # every base is 1; the lattice is all of Z^s
-        kernel = [
+        return tuple(
             tuple(1 if j == i else 0 for j in range(len(bases)))
             for i in range(len(bases))
-        ]
-        return BaseLattice(tuple(bases), tuple(kernel))
-    kernel = linalg.integer_kernel(matrix)
-    return BaseLattice(tuple(bases), tuple(tuple(v) for v in kernel))
+        )
+    return tuple(tuple(v) for v in linalg.integer_kernel(matrix))
 
 
 @dataclass(frozen=True)
@@ -123,32 +113,24 @@ def _tail_ideal(
     forms: list[ExpPoly],
     ring: VarRing,
     order: MonomialOrder,
-    n_start: int,
     budget: int,
 ) -> IdealBasis:
-    """Relations holding for all n = n_start + m, m >= 0.
+    """Relations among the tails, each read as it stands, for all n >= 0.
 
-    Adjoins a counter symbol, one symbol per distinct base magnitude, and
-    (when some base is negative) a sign symbol w with w^2 = 1 standing for
-    (-1)^m; dividing out the magnitude lattice plus the sign torsion makes
-    the auxiliary variety exactly the closure of the parametrization, so
-    eliminating the auxiliaries yields every for-all-m relation.
+    Each form gives x_j - sum coeff(n)*t_|b|*w^[b<0] in a counter n, one
+    symbol t per base magnitude |b| != 1 for |b|^n and, when some base is
+    negative, a sign symbol w with w^2 = 1 for (-1)^n.  With the magnitude
+    lattice and the sign torsion divided out, the auxiliary variety is the
+    closure of the parametrization, so eliminating the auxiliaries yields
+    every for-all-n relation.  Past a transient of length T these are the
+    same: n -> n + T, t -> |b|^T*t, w -> (-1)^T*w maps them to the shifted
+    generators and each lattice binomial to a multiple of itself.
     """
-    # split each base into magnitude (a symbol) and sign (a power of w)
-    reindexed: list[dict[tuple[Fraction, bool], UniPoly]] = []
-    for f in forms:
-        acc: dict[tuple[Fraction, bool], UniPoly] = {}
-        for base, coeff in f.tail:
-            key = (abs(base), base < 0)
-            q = coeff.compose_affine(1, n_start) * base**n_start
-            acc[key] = acc.get(key, UniPoly()) + q
-        reindexed.append({k: q for k, q in acc.items() if not q.is_zero()})
-
     mags = sorted(
-        {mag for acc in reindexed for (mag, _) in acc if mag != 1},
+        {abs(base) for f in forms for base, _ in f.tail if abs(base) != 1},
         reverse=True,
     )
-    has_sign = any(neg for acc in reindexed for (_, neg) in acc)
+    has_sign = any(base < 0 for f in forms for base, _ in f.tail)
     # the stems differ, so each fresh name only has to avoid the ring
     n_name = fresh_name("n", ring)
     t_names = [fresh_name(f"t{i + 1}", ring) for i in range(len(mags))]
@@ -168,27 +150,25 @@ def _tail_ideal(
         return acc
 
     gens = []
-    for nm, acc in zip(ring.names, reindexed):
+    for nm, f in zip(ring.names, forms):
         rhs = Polynomial.zero(big)
-        for (mag, neg), q in acc.items():
-            part = upoly_in_n(q)
-            if mag != 1:
-                part = part * t_vars[mag]
-            if neg:
+        for base, coeff in f.tail:
+            part = upoly_in_n(coeff)
+            if abs(base) != 1:
+                part = part * t_vars[abs(base)]
+            if base < 0:
                 part = part * Polynomial.var(big, w_name)
             rhs = rhs + part
         gens.append(Polynomial.var(big, nm) - rhs)
-    if mags:
-        lattice = multiplicative_lattice(mags)
-        for vec in lattice.vectors:
-            pos = Polynomial.const(big, 1)
-            neg = Polynomial.const(big, 1)
-            for a, mag in zip(vec, mags):
-                if a > 0:
-                    pos = pos * t_vars[mag] ** a
-                elif a < 0:
-                    neg = neg * t_vars[mag] ** (-a)
-            gens.append(pos - neg)
+    for vec in multiplicative_lattice(mags):
+        pos = Polynomial.const(big, 1)
+        neg = Polynomial.const(big, 1)
+        for a, mag in zip(vec, mags):
+            if a > 0:
+                pos = pos * t_vars[mag] ** a
+            elif a < 0:
+                neg = neg * t_vars[mag] ** (-a)
+        gens.append(pos - neg)
     if w_name:
         w = Polynomial.var(big, w_name)
         gens.append(w * w - Polynomial.const(big, 1))
@@ -203,9 +183,9 @@ def relations_ideal(
     """Basis of all polynomial relations holding among the forms for n >= 0.
 
     `names` is a VarRing (or MomentRing) with one variable per form.  The
-    tail relations are computed from the first index past every transient;
-    transient indices are covered by intersecting with their point ideals.
-    The basis is in degrevlex order.
+    tail relations come from each tail's own parametrization, read for all
+    n >= 0; the indices before the longest transient are covered by
+    intersecting with their point ideals.  The basis is in degrevlex order.
     """
     ring = _names_ring(names)
     if len(forms) != ring.arity:
@@ -215,7 +195,7 @@ def relations_ideal(
     order = MonomialOrder("degrevlex", ring)
 
     transient_len = max((len(f.transient) for f in forms), default=0)
-    result = _tail_ideal(forms, ring, order, transient_len, budget)
+    result = _tail_ideal(forms, ring, order, budget)
     for n0 in range(transient_len):
         pt = _point_ideal(ring, order, [f.eval(n0) for f in forms])
         result = ideal_intersect(result, pt, budget)

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction as Q
 from itertools import islice
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -342,7 +343,13 @@ def _certified_relations(loop, degree=2):
 def test_certified_relations_lie_in_moment_ideal(two_walks, symmetric_walk, xy_system):
     rng = random.Random(42)
     loops = [_fuzz_affine_loop(rng) for _ in range(10)]
-    for trial, loop in enumerate(loops + [two_walks, symmetric_walk, xy_system]):
+    # a transient of length 1, the negative base -2 and the relation 4 = 2^2
+    transient = parse_loop(
+        (Path(__file__).parent / "golden" / "transient.loop").read_text()
+    )
+    for trial, loop in enumerate(
+        loops + [two_walks, symmetric_walk, xy_system, transient]
+    ):
         basis = moment_invariant_ideal(loop, 2)
         for g in _certified_relations(loop).generators:
             assert ideal_member(g, basis), (trial, g.format())

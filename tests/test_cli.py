@@ -319,3 +319,22 @@ def test_out_of_range_number_is_parse_error(capsys, tmp_path, lrs_file, command,
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("groebner", "--ideal", "IDEAL", "--var-order", "a<b"),
+        ("groebner", "--ideal", "IDEAL", "--order", "lex", "--var-order", "x<y<z"),
+        ("invariants", "--loop", "LOOP", "--degree", "1", "--var-order", "E[x]<E[x]"),
+    ],
+)
+def test_var_order_not_a_permutation_is_parse_error(capsys, tmp_path, argv):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(FLAG_IDEAL))
+    loop = tmp_path / "det.loop"
+    loop.write_text("vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, y) = (x + 2, y + 3)\n")
+    paths = {"IDEAL": str(ideal), "LOOP": str(loop)}
+    code, out, err = _run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"

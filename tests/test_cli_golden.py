@@ -28,6 +28,12 @@ CASES = {
         "empirical", "--loop", "flag.loop", "--degree", "3", "--horizon", "25",
     ),
     "detect-zero": ("detect-zero", "--ideal", "flag_ideal.json"),
+    "invariants-transient": (
+        "invariants", "--loop", "transient.loop", "--degree", "2",
+    ),
+    "closed-forms-transient": (
+        "closed-forms", "--loop", "transient.loop", "--degree", "2",
+    ),
 }
 FORMATS = ("json", "text")
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import islice
 
 import pytest
 
@@ -21,6 +22,7 @@ from loopideal import (
     simulate,
     skolem_to_p2p,
 )
+from loopideal.loops import lrs_terms
 
 
 def test_parse_two_walk_loop(two_walks):
@@ -238,6 +240,19 @@ def test_lrs_eval_examples(lrs_order3):
     assert lrs_eval(lrs_order3, 5) == 0
     for n in range(3):
         assert lrs_eval(lrs_order3, n) == lrs_order3.init[n]
+
+
+def test_lrs_terms_match_lrs_eval(lrs_order3):
+    fib = LRSInstance.from_json({"coeffs": ["1", "1"], "init": ["0", "1"]})
+    halving = LRSInstance((Q(1, 2),), (Q(3),))
+    for lrs in (lrs_order3, fib, halving):
+        # u(n + k) = a_0 u(n) + ... + a_{k-1} u(n + k - 1), unrolled here
+        expected = list(lrs.init)
+        while len(expected) < 40:
+            window = expected[len(expected) - lrs.order:]
+            expected.append(sum(a * u for a, u in zip(lrs.coeffs, window)))
+        assert list(islice(lrs_terms(lrs), 40)) == expected
+        assert [lrs_eval(lrs, n) for n in range(40)] == expected
 
 
 def test_lrs_json_round_trip(lrs_order3):

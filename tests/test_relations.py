@@ -45,22 +45,20 @@ def _const_form(base):
 
 
 def test_multiplicative_lattice_power_relation():
-    lat = multiplicative_lattice([Q(2), Q(4), Q(3)])
-    assert lat.vectors == ((2, -1, 0),)
+    assert multiplicative_lattice([Q(2), Q(4), Q(3)]) == ((2, -1, 0),)
 
 
 def test_multiplicative_lattice_independent():
-    assert multiplicative_lattice([Q(2), Q(3)]).vectors == ()
+    assert multiplicative_lattice([Q(2), Q(3)]) == ()
 
 
 def test_multiplicative_lattice_unit_base():
-    assert multiplicative_lattice([Q(1)]).vectors == ((1,),)
+    assert multiplicative_lattice([Q(1)]) == ((1,),)
 
 
 def test_multiplicative_lattice_defining_property():
     bases = [Q(2), Q(4), Q(3), Q(9, 2)]
-    lat = multiplicative_lattice(bases)
-    for vec in lat.vectors:
+    for vec in multiplicative_lattice(bases):
         prod = Q(1)
         for b, a in zip(bases, vec):
             prod *= b**a

@@ -312,12 +312,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(mono_degree(e) == 0 for e in self.terms)
-
-    def total_degree(self) -> int:
-        return max((mono_degree(e) for e in self.terms), default=0)
-
     def variables(self) -> set[str]:
         used = set()
         for e in self.terms:

@@ -15,7 +15,7 @@ from operator import mul
 
 from . import linalg
 from .algebra import format_terms
-from .errors import IrrationalEigenvalue, NoRecurrenceFound, ParseError
+from .errors import IrrationalEigenvalue, NoRecurrenceFound
 from .moments import MomentSystem
 
 
@@ -232,18 +232,6 @@ class ExpPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ExpPoly":
-        try:
-            transient = tuple(Fraction(v) for v in data.get("transient", []))
-            tail = tuple(
-                (Fraction(t["base"]), UniPoly([Fraction(c) for c in t["coeffs"]]))
-                for t in data.get("tail", [])
-            )
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad closed-form record: {exc}") from None
-        return cls(transient, tail)
-
     def __str__(self) -> str:
         return self.format()
 
@@ -259,7 +247,7 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     """
     order = system.size
     count = 2 * order + 4
-    terms = system.sequence(symbol_index, count)
+    terms = [system.vector_at(n)[symbol_index] for n in range(count)]
     ann = minimal_recurrence(terms, order)
     roots, cofactor = rational_roots(ann)
     if cofactor.degree >= 1:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .algebra import MonomialOrder, VarRing, poly_parse
+from .algebra import MonomialOrder, VarRing, parse_rational, poly_parse
 from .cfinite import solve_closed_form
 from .errors import ParseError, ToolkitError
 from .groebner import IdealBasis, buchberger, ideal_member
@@ -178,7 +177,7 @@ def _cmd_reduce_skolem_p2p(args) -> int:
 
 def _cmd_reduce_p2p_spinv(args) -> int:
     system = _load_loop(args.loop)
-    target = tuple(Fraction(v.strip()) for v in args.target.split(","))
+    target = tuple(parse_rational(v) for v in args.target.split(","))
     loop = p2p_to_spinv(P2PInstance(system, target))
     sys.stdout.write(format_loop(loop))
     return 0

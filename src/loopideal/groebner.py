@@ -33,17 +33,8 @@ class IdealBasis:
     generators: tuple[Polynomial, ...]
     reduced: bool = False
 
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
     def is_zero_ideal(self) -> bool:
         return not self.generators
-
-    def is_unit_ideal(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
     def to_json(self) -> dict:
         return {
@@ -194,12 +185,7 @@ def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:
     """Membership test by division; the basis must be reduced."""
     if not basis.reduced:
         raise ValueError("ideal_member requires a reduced basis")
-    p = p.lift(basis.ring)
-    if p.is_zero():
-        return True
-    if basis.is_zero_ideal():
-        return False
-    return _reduce_full(p, list(basis.generators), basis.order).is_zero()
+    return _reduce_full(p.lift(basis.ring), list(basis.generators), basis.order).is_zero()
 
 
 def eliminate(
@@ -270,10 +256,6 @@ def variety_is_finite(basis: IdealBasis) -> bool:
     """
     if not basis.reduced:
         raise ValueError("variety_is_finite requires a reduced basis")
-    if basis.is_unit_ideal():
-        return True
-    if basis.is_zero_ideal():
-        return basis.ring.arity == 0
     leads = [g.leading_term(basis.order)[0] for g in basis.generators]
     for i in range(basis.ring.arity):
         if not any(

@@ -376,4 +376,6 @@ def lrs_terms(lrs: LRSInstance) -> Iterator[Fraction]:
 
 def lrs_eval(lrs: LRSInstance, n: int) -> Fraction:
     """Exact u(n) by unrolling the recurrence."""
+    if n < 0:
+        raise ValueError("u(n) is defined for n >= 0")
     return next(islice(lrs_terms(lrs), n, None))

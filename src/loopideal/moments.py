@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, VarRing, mono_one, mono_str, mono_value
+from .algebra import Polynomial, VarRing, mono_one, mono_value
 from .errors import ClosureBudgetExceeded
 from .loops import LoopProgram
 
@@ -52,19 +52,21 @@ class MomentSystem:
     initial: list[Fraction]
     _cache: list[list[Fraction]] = field(default_factory=list, repr=False)
     _sparse: list[list[tuple[int, Fraction]]] = field(init=False, repr=False)
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self):
         # the nonzero (column, coefficient) pairs of each transition row
         self._sparse = [
             [(j, a) for j, a in enumerate(row) if a] for row in self.transition
         ]
+        self._index = {e: i for i, e in enumerate(self.symbols)}
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
     def index(self, symbol: tuple[int, ...]) -> int:
-        return self.symbols.index(tuple(symbol))
+        return self._index[tuple(symbol)]
 
     def vector_at(self, n: int) -> list[Fraction]:
         """Moment vector after n iterations (cached sparse power iteration)."""
@@ -78,17 +80,6 @@ class MomentSystem:
             ]
             self._cache.append(nxt)
         return self._cache[n]
-
-    def sequence(self, symbol_index: int, count: int) -> list[Fraction]:
-        return [self.vector_at(n)[symbol_index] for n in range(count)]
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.ring.names),
-            "symbols": [mono_str(e, self.ring) for e in self.symbols],
-            "transition": [[str(q) for q in row] for row in self.transition],
-            "initial": [str(q) for q in self.initial],
-        }
 
 
 def moment_closure(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Polynomial, VarRing, fresh_name
-from .cfinite import UniPoly
+from .algebra import Polynomial, VarRing
 from .errors import (
+    ArityMismatch,
     NotASkolemReduction,
+    NotDeterministic,
     NotIntegerInstance,
     OrderMismatch,
 )
@@ -34,9 +35,13 @@ class P2PInstance:
 
     def __post_init__(self):
         if not self.system.deterministic:
-            raise ValueError("point-to-point reachability needs a deterministic system")
+            raise NotDeterministic(
+                "point-to-point reachability needs a deterministic system"
+            )
         if len(self.target) != self.system.variables.arity:
-            raise ValueError("target arity differs from system arity")
+            raise ArityMismatch(
+                f"{len(self.target)} target values for {self.system.variables.arity} variables"
+            )
 
 
 def skolem_to_p2p(lrs: LRSInstance) -> P2PInstance:
@@ -90,20 +95,12 @@ def _check_reduction_shape(p2p: P2PInstance) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class WitnessSystem:
-    """The reduction system extended with its product witnesses s0..s{k-1}."""
-
-    loop: LoopProgram
-    order: int
-
-
-def augment_witness(p2p: P2PInstance) -> WitnessSystem:
-    """Adjoin the witness variables with their defining updates."""
+def augment_witness(p2p: P2PInstance) -> LoopProgram:
+    """The reduction system with its product witnesses s0..s{k-1} adjoined."""
     return _witness(p2p, 1)
 
 
-def _witness(p2p: P2PInstance, factor: int) -> WitnessSystem:
+def _witness(p2p: P2PInstance, factor: int) -> LoopProgram:
     """`augment_witness` with the last witness update times `factor`."""
     k = _check_reduction_shape(p2p)
     old = p2p.system
@@ -119,7 +116,7 @@ def _witness(p2p: P2PInstance, factor: int) -> WitnessSystem:
         Polynomial.var(ring, f"s{k - 1}") * Polynomial.var(ring, f"x{k - 1}") * factor
     )
     body = (Assignment(ring.names, ((Fraction(1), tuple(x_exprs + s_exprs)),)),)
-    return WitnessSystem(LoopProgram(ring, tuple(init), body), k)
+    return LoopProgram(ring, tuple(init), body)
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,7 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
       s_i(n) == prod_{l<n} x0(l) * prod_{l<i} x_l(n)
     """
     k = lrs.order
-    wit = augment_witness(skolem_to_p2p(lrs))
-    states = simulate(wit.loop, horizon)
+    states = simulate(augment_witness(skolem_to_p2p(lrs)), horizon)
     u = list(islice(lrs_terms(lrs), horizon + k + 1))
     violations = []
     x0_prefix = Fraction(1)
@@ -171,29 +167,40 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
     return WitnessReport(horizon, tuple(violations), first_zero)
 
 
+def _longest(stem: str, names) -> str | None:
+    """The longest of `stem`, `stem_`, `stem__`, ... among `names`, or None."""
+    return max((nm for nm in names if nm.rstrip("_") == stem), key=len, default=None)
+
+
 def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
     """Embed a reachability instance into a loop whose strongest invariant
     decides it.
 
-    Appends a flag f that multiplies by the squared distance to the target
-    each iteration (reading the just-updated coordinates) and a counter g;
-    f becomes and stays 0 exactly when the target is hit.
+    After the system's own statements, appends a flag f that multiplies by
+    the squared distance to the target each iteration (reading the
+    just-updated coordinates) and a counter g; f becomes and stays 0
+    exactly when the target is hit.  The flag and the counter take one
+    underscore more than the longest of `f`, `f_`, ... (`g`, `g_`, ...) in
+    the system, so they are the longest such names of the new ring.
     """
     old = p2p.system
-    if len(old.body) != 1:
-        raise ValueError("reachability system must be a single simultaneous update")
-    fname = fresh_name("f", old.variables)
-    gname = fresh_name("g", old.variables)
-    ring = VarRing(list(old.variables.names) + [fname, gname])
+    names = old.variables.names
+    fname, gname = (
+        stem if (last := _longest(stem, names)) is None else last + "_"
+        for stem in ("f", "g")
+    )
+    ring = VarRing(list(names) + [fname, gname])
     init = tuple(old.init) + (Fraction(1), Fraction(0))
-
-    x_stmt = Assignment(
-        old.body[0].targets,
-        ((Fraction(1), tuple(e.lift(ring) for e in old.body[0].branches[0][1])),),
+    lifted = tuple(
+        Assignment(
+            stmt.targets,
+            ((Fraction(1), tuple(e.lift(ring) for e in stmt.branches[0][1])),),
+        )
+        for stmt in old.body
     )
 
     dist = Polynomial.zero(ring)
-    for nm, t in zip(old.variables.names, p2p.target):
+    for nm, t in zip(names, p2p.target):
         delta = Polynomial.var(ring, nm) - Polynomial.const(ring, t)
         dist = dist + delta * delta
     f_stmt = Assignment(
@@ -203,7 +210,7 @@ def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
         (gname,),
         ((Fraction(1), (Polynomial.var(ring, gname) + Polynomial.const(ring, 1),)),),
     )
-    return LoopProgram(ring, init, (x_stmt, f_stmt, g_stmt))
+    return LoopProgram(ring, init, lifted + (f_stmt, g_stmt))
 
 
 def skolem_to_spinv_direct(lrs: LRSInstance) -> LoopProgram:
@@ -218,30 +225,29 @@ def skolem_to_spinv_direct(lrs: LRSInstance) -> LoopProgram:
         raise NotIntegerInstance(
             "direct reduction needs integer coefficients and initial values"
         )
-    return _witness(_product_system(lrs, 2), 2).loop
+    return _witness(_product_system(lrs, 2), 2)
 
 
 def detect_eventual_zero(basis: IdealBasis) -> int | None:
     """Least N with f*g*(g-1)*...*(g-N+1) in the basis, or None.
 
     The basis must be reduced with respect to a lexicographic order whose
-    two smallest variables are the flag f above the counter g, under the
-    names `p2p_to_spinv` gives them (`f` and `g`, with underscores appended
-    on a clash); such a basis element exists exactly when the flag
-    eventually vanishes, i.e. when the embedded reachability instance is
-    positive.
+    two smallest variables are the flag above the counter, named as
+    `p2p_to_spinv` names them: the ring's longest of `f`, `f_`, ... and its
+    longest of `g`, `g_`, ...  Such a basis element exists exactly when the
+    flag eventually vanishes, i.e. when the embedded reachability instance
+    is positive.
     """
     if not basis.reduced:
         raise OrderMismatch("detect_eventual_zero requires a reduced basis")
     order = basis.order
     if order.kind != "lex":
         raise OrderMismatch("a lexicographic order is required")
-    if len(order.priority) < 2:
-        raise OrderMismatch("ring must contain the flag and the counter")
-    flag, counter = order.priority[-2:]
-    if flag.rstrip("_") != "f" or counter.rstrip("_") != "g":
+    flag, counter = (_longest(stem, basis.ring.names) for stem in ("f", "g"))
+    if order.priority[-2:] != (flag, counter):
         raise OrderMismatch(
-            "variable order must place the counter g lowest, then the flag f"
+            "variable order must place the counter (the longest of g, g_, ...) "
+            "lowest, then the flag (the longest of f, f_, ...)"
         )
     fi = basis.ring.index(flag)
     gi = basis.ring.index(counter)
@@ -260,7 +266,6 @@ def detect_eventual_zero(basis: IdealBasis) -> int | None:
         if not shape_ok or not cofactor:
             continue
         n = max(cofactor)
-        poly = UniPoly([cofactor.get(j, Fraction(0)) for j in range(n + 1)])
-        if all(poly(j) == 0 for j in range(n)):
+        if all(sum(c * j**k for k, c in cofactor.items()) == 0 for j in range(n)):
             candidates.append(n)
     return min(candidates) if candidates else None

@@ -98,10 +98,6 @@ def moment_ring(base_ring: VarRing, max_degree: int) -> MomentRing:
     return MomentRing(VarRing(names), base_ring, symbols)
 
 
-def _names_ring(names) -> VarRing:
-    return names.ring if isinstance(names, MomentRing) else names
-
-
 def _point_ideal(ring: VarRing, order: MonomialOrder, values) -> IdealBasis:
     gens = []
     for nm, v in zip(ring.names, values):
@@ -177,17 +173,16 @@ def _tail_ideal(
 
 def relations_ideal(
     forms: list[ExpPoly],
-    names,
+    ring: VarRing,
     budget: int = DEFAULT_BUDGET,
 ) -> IdealBasis:
     """Basis of all polynomial relations holding among the forms for n >= 0.
 
-    `names` is a VarRing (or MomentRing) with one variable per form.  The
-    tail relations come from each tail's own parametrization, read for all
-    n >= 0; the indices before the longest transient are covered by
-    intersecting with their point ideals.  The basis is in degrevlex order.
+    `ring` has one variable per form.  The tail relations come from each
+    tail's own parametrization, read for all n >= 0; the indices before the
+    longest transient are covered by intersecting with their point ideals.
+    The basis is in degrevlex order.
     """
-    ring = _names_ring(names)
     if len(forms) != ring.arity:
         raise ArityMismatch(
             f"{len(forms)} forms for {ring.arity} names"
@@ -218,7 +213,7 @@ def moment_invariant_ideal(
     forms = [
         solve_closed_form(system, system.index(sym)) for sym in mring.symbols
     ]
-    return relations_ideal(forms, mring, budget=budget)
+    return relations_ideal(forms, mring.ring, budget=budget)
 
 
 def _symbol_of_name(name: str, base_ring: VarRing) -> tuple[int, ...]:
@@ -272,17 +267,16 @@ def restrict_to_order_one(
 
 def empirical_relations(
     value_table: list[list[Fraction]],
-    names,
+    ring: VarRing,
     degree: int,
     budget: int = DEFAULT_BUDGET,
 ) -> IdealBasis:
     """Kernel of evaluating all monomials of degree <= `degree` on samples.
 
-    `value_table[j][n]` is the value of name j at index n.  Every returned
-    polynomial vanishes on all sampled indices; soundness beyond the
-    sampled horizon is empirical, not certified.
+    `value_table[j][n]` is the value of ring variable j at index n.  Every
+    returned polynomial vanishes on all sampled indices; soundness beyond
+    the sampled horizon is empirical, not certified.
     """
-    ring = _names_ring(names)
     if len(value_table) != ring.arity:
         raise ArityMismatch(f"{len(value_table)} value rows for {ring.arity} names")
     count = len(value_table[0])

@@ -217,7 +217,7 @@ def test_criterion_4_witness_identities():
 
     from loopideal import augment_witness, skolem_to_p2p
 
-    states = simulate(augment_witness(skolem_to_p2p(lrs)).loop, 15)
+    states = simulate(augment_witness(skolem_to_p2p(lrs)), 15)
     for n in range(5, 16):
         assert states[n][0] == 0
     for n in range(5):
@@ -337,7 +337,7 @@ def _certified_relations(loop, degree=2):
         [system.vector_at(n)[system.index(sym)] for n in range(count)]
         for sym in mring.symbols
     ]
-    return empirical_relations(table, mring, 2)
+    return empirical_relations(table, mring.ring, 2)
 
 
 def test_certified_relations_lie_in_moment_ideal(two_walks, symmetric_walk, xy_system):

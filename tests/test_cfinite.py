@@ -318,5 +318,10 @@ def test_expoly_validation():
 def test_expoly_format_and_json():
     form = ExpPoly((Q(5),), ((Q(1), _upoly(0, Q(1, 2))), (Q(3), _upoly(1))))
     assert form.format() == "transient=[5]; (1/2*n)*1^n + (1)*3^n"
-    again = ExpPoly.from_json(form.to_json())
-    assert again == form
+    assert form.to_json() == {
+        "transient": ["5"],
+        "tail": [
+            {"base": "1", "coeffs": ["0", "1/2"]},
+            {"base": "3", "coeffs": ["1"]},
+        ],
+    }

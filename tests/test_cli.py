@@ -10,6 +10,7 @@ from loopideal import (
     ideal_equal,
     parse_loop,
     poly_parse,
+    simulate,
 )
 from loopideal.cli import main
 
@@ -338,3 +339,31 @@ def test_var_order_not_a_permutation_is_parse_error(capsys, tmp_path, argv):
     code, out, err = _run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "system, target, error",
+    [
+        ("(x, y) = (x + 2, y + 3)", "a,b", "ParseError"),
+        ("(x, y) = (x + 2, y + 3)", "1/0,2", "ParseError"),
+        ("(x, y) = (x + 2, y + 3)", "4", "ArityMismatch"),
+        ("(x, y) = (x + 2, y + 3)", "4,6,8", "ArityMismatch"),
+        ("x = x + 2 [1/2] x - 1\n  y = y + 3", "4,6", "NotDeterministic"),
+    ],
+    ids=["letters", "zero-denominator", "short-target", "long-target", "probabilistic"],
+)
+def test_reduce_p2p_spinv_bad_input_is_typed_error(capsys, tmp_path, system, target, error):
+    path = tmp_path / "sys.loop"
+    path.write_text(f"vars: x, y\ninit: x = 0; y = 0\nbody:\n  {system}\n")
+    code, out, err = _run(capsys, "reduce-p2p-spinv", "--loop", str(path), "--target", target)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_reduce_p2p_spinv_two_statements(capsys, tmp_path):
+    path = tmp_path / "sys.loop"
+    path.write_text("vars: x, y\ninit: x = 0; y = 0\nbody:\n  x = x + 2\n  y = y + x\n")
+    code, out, _ = _run(capsys, "reduce-p2p-spinv", "--loop", str(path), "--target", "4,6")
+    assert code == 0
+    flags = [st[2] for st in simulate(parse_loop(out), 6)]
+    assert flags == [1, 20, 0, 0, 0, 0, 0]

@@ -34,13 +34,19 @@ CASES = {
     "closed-forms-transient": (
         "closed-forms", "--loop", "transient.loop", "--degree", "2",
     ),
+    "reduce-skolem-p2p": ("reduce-skolem-p2p", "--lrs", "rec.json"),
+    "reduce-skolem-spinv": ("reduce-skolem-spinv", "--lrs", "rec.json"),
+    "reduce-p2p-spinv": (
+        "reduce-p2p-spinv", "--loop", "system.loop", "--target", "4,6",
+    ),
+    "verify-witness": ("verify-witness", "--lrs", "rec.json", "--horizon", "15"),
 }
 FORMATS = ("json", "text")
 
 
 def _argv(case: str, fmt: str) -> list[str]:
     argv = list(CASES[case])
-    for flag in ("--loop", "--ideal"):
+    for flag in ("--loop", "--ideal", "--lrs"):
         if flag in argv:
             i = argv.index(flag) + 1
             argv[i] = str(GOLDEN / argv[i])

@@ -148,7 +148,7 @@ def test_intersect_members_fuzzed():
     for _ in range(12):
         a = _basis(rng.sample(pool, 2), ring, order)
         b = _basis(rng.sample(pool, 2), ring, order)
-        if a.is_unit_ideal() or b.is_unit_ideal():
+        if 1 in a.generators + b.generators:
             continue
         inter = ideal_intersect(a, b)
         for g in inter.generators:

@@ -255,6 +255,11 @@ def test_lrs_terms_match_lrs_eval(lrs_order3):
         assert [lrs_eval(lrs, n) for n in range(40)] == expected
 
 
+def test_lrs_eval_rejects_negative_index(lrs_order3):
+    with pytest.raises(ValueError, match="n >= 0"):
+        lrs_eval(lrs_order3, -1)
+
+
 def test_lrs_json_round_trip(lrs_order3):
     again = LRSInstance.from_json(lrs_order3.to_json())
     assert again == lrs_order3

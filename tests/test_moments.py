@@ -138,9 +138,3 @@ def test_degree_targets_order():
     ring = VarRing(["x", "y"])
     assert degree_targets(ring, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
-
-def test_system_json(two_walks):
-    system = moment_closure(two_walks, degree_targets(two_walks.variables, 1))
-    blob = system.to_json()
-    assert blob["symbols"] == ["1", "x", "y"]
-    assert blob["transition"][1] == ["1/2", "1", "0"]

@@ -49,22 +49,21 @@ def test_skolem_to_p2p_order1():
 
 def test_augment_witness_initials(lrs_order3):
     wit = augment_witness(skolem_to_p2p(lrs_order3))
-    assert wit.loop.variables.names == ("x0", "x1", "x2", "s0", "s1", "s2")
-    assert wit.loop.init[3:] == (Q(1), Q(2), Q(-12))
-    assert wit.order == 3
+    assert wit.variables.names == ("x0", "x1", "x2", "s0", "s1", "s2")
+    assert wit.init[3:] == (Q(1), Q(2), Q(-12))
 
 
 def test_augment_witness_order1():
     lrs = LRSInstance((Q(3),), (Q(2),))
     wit = augment_witness(skolem_to_p2p(lrs))
-    assert wit.loop.init == (Q(2), Q(1))
-    update = wit.loop.body[0].branches[0][1][1]
-    assert update == poly_parse("s0*x0", wit.loop.variables)
+    assert wit.init == (Q(2), Q(1))
+    update = wit.body[0].branches[0][1][1]
+    assert update == poly_parse("s0*x0", wit.variables)
 
 
 def test_augment_witness_arity(lrs_order3):
     wit = augment_witness(skolem_to_p2p(lrs_order3))
-    assert wit.loop.variables.arity == 2 * lrs_order3.order
+    assert wit.variables.arity == 2 * lrs_order3.order
 
 
 def test_augment_witness_rejects_foreign_system(xy_system):
@@ -77,7 +76,7 @@ def test_witness_identities_order3(lrs_order3):
     assert report.violations == ()
     assert report.first_zero == 5
     # x0 vanishes from the first recurrence zero onward
-    states = simulate(augment_witness(skolem_to_p2p(lrs_order3)).loop, 15)
+    states = simulate(augment_witness(skolem_to_p2p(lrs_order3)), 15)
     for n in range(16):
         if n >= 5:
             assert states[n][0] == 0
@@ -89,7 +88,7 @@ def test_witness_identities_no_zero_instance():
     lrs = LRSInstance((Q(2),), (Q(1),))  # u(n) = 2^n, never zero
     report = verify_witness_identities(lrs, 20)
     assert report.violations == () and report.first_zero is None
-    states = simulate(augment_witness(skolem_to_p2p(lrs)).loop, 20)
+    states = simulate(augment_witness(skolem_to_p2p(lrs)), 20)
     for st in states:
         assert all(v != 0 for v in st[:1])
 
@@ -98,7 +97,7 @@ def test_witness_identities_zero_at_start():
     lrs = LRSInstance((Q(3),), (Q(0),))
     report = verify_witness_identities(lrs, 5)
     assert report.first_zero == 0
-    states = simulate(augment_witness(skolem_to_p2p(lrs)).loop, 5)
+    states = simulate(augment_witness(skolem_to_p2p(lrs)), 5)
     assert states[0][0] == 0
 
 
@@ -113,7 +112,7 @@ def test_witness_identities_fuzzed():
         report = verify_witness_identities(lrs, 20)
         assert report.violations == ()
         # zero correspondence at the tested horizon
-        states = simulate(augment_witness(skolem_to_p2p(lrs)).loop, 20)
+        states = simulate(augment_witness(skolem_to_p2p(lrs)), 20)
         if report.first_zero is not None:
             for n in range(report.first_zero + 1, 21):
                 assert all(v == 0 for v in states[n][: k])
@@ -153,6 +152,21 @@ def test_p2p_to_spinv_name_collision():
     sysloop = parse_loop("vars: f, g\ninit: f = 0; g = 0\nbody:\n  (f, g) = (f + 1, g + 1)\n")
     loop = p2p_to_spinv(P2PInstance(sysloop, (Q(1), Q(1))))
     assert loop.variables.names == ("f", "g", "f_", "g_")
+
+
+def test_p2p_to_spinv_keeps_every_statement():
+    # y reads the x just updated, so (4, 6) is reached at iteration 2
+    sysloop = parse_loop("vars: x, y\ninit: x = 0; y = 0\nbody:\n  x = x + 2\n  y = y + x\n")
+    loop = p2p_to_spinv(P2PInstance(sysloop, (Q(4), Q(6))))
+    assert loop.variables.names == ("x", "y", "f", "g")
+    assert len(loop.body) == 4
+    states = simulate(loop, 10)
+    assert [st[:2] for st in states] == simulate(sysloop, 10)
+    assert [n for n, st in enumerate(states) if st[2] == 0] == list(range(2, 11))
+    table = [[st[j] for st in states] for j in range(loop.variables.arity)]
+    emp = empirical_relations(table, loop.variables, 3)
+    basis = buchberger(list(emp.generators), _lex_flag_order(loop.variables))
+    assert detect_eventual_zero(basis) == 2
 
 
 def test_direct_reduction_updates(lrs_order3):
@@ -233,6 +247,24 @@ def test_detect_eventual_zero_renamed_flag():
     swapped = MonomialOrder("lex", loop.variables, ["f", "y", "g", "f_"])
     with pytest.raises(OrderMismatch):
         detect_eventual_zero(buchberger(list(emp.generators), swapped))
+    # the system's own f second lowest is not the flag
+    own_f = MonomialOrder("lex", loop.variables, ["y", "f_", "f", "g"])
+    with pytest.raises(OrderMismatch):
+        detect_eventual_zero(buchberger(list(emp.generators), own_f))
+
+
+def test_flag_name_past_a_gap():
+    # f and f__ are taken; the flag is one underscore past the longest
+    sysloop = parse_loop(
+        "vars: f, f__\ninit: f = 0; f__ = 5\nbody:\n  (f, f__) = (f + 1, f__ - 1)\n"
+    )
+    loop = p2p_to_spinv(P2PInstance(sysloop, (Q(3), Q(2))))
+    assert loop.variables.names == ("f", "f__", "f___", "g")
+    states = simulate(loop, 12)
+    table = [[st[j] for st in states] for j in range(loop.variables.arity)]
+    emp = empirical_relations(table, loop.variables, 3)
+    order = MonomialOrder("lex", loop.variables, ["f", "f__", "f___", "g"])
+    assert detect_eventual_zero(buchberger(list(emp.generators), order)) == 3
 
 
 def test_detect_ignores_non_factorial_shapes():

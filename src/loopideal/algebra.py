@@ -21,33 +21,38 @@ from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 _MOMENT_RE = re.compile(r"E\[[^\[\]]+\]")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+    """Parse an optionally signed 'p' or 'p/q' into an exact rational."""
+    parser = _Parser(text)
+    q = parser.sign() * parser.rational()
+    parser.end()
+    return q
 
 
 class VarRing:
     """An ordered tuple of distinct variable names.
 
-    Names are plain identifiers or rendered moment symbols `E[...]`.
+    Names are plain identifiers or rendered moment symbols `E[...]`;
+    `bracketed` says whether any name is a moment symbol.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "bracketed", "_index")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if not names:
             raise ValueError("ring needs at least one variable")
         seen = set()
+        self.bracketed = False
         for nm in names:
-            if not (_NAME_RE.fullmatch(nm) or _MOMENT_RE.fullmatch(nm)):
+            if _MOMENT_RE.fullmatch(nm):
+                self.bracketed = True
+            elif not _NAME_RE.fullmatch(nm):
                 raise ValueError(f"bad variable name {nm!r}")
             if nm in seen:
                 raise ValueError(f"duplicate variable {nm!r}")
@@ -102,10 +107,6 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(e: tuple[int, ...]) -> int:
-    return sum(e)
 
 
 def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
@@ -407,20 +408,29 @@ class Polynomial:
 
     # -- evaluation & substitution ----------------------------------------
 
-    def eval(self, point: Iterable[Fraction]) -> Fraction:
+    def eval(self, point) -> "Fraction | Polynomial":
+        """The value at `point`, one value per ring variable.
+
+        The values may be numbers or polynomials of one ring; each power
+        `point[i] ** k` is computed once per call.
+        """
         point = tuple(point)
         if len(point) != self.ring.arity:
             raise ArityMismatch(
                 f"point arity {len(point)} != ring arity {self.ring.arity}"
             )
         total = Fraction(0)
+        powers = {}
         # `mono_value` inlined: a call per term makes enumeration ~30% slower
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
+            for i, k in enumerate(e):
                 if k:
-                    v *= Fraction(x) ** k
-            total += v
+                    x = powers.get((i, k))
+                    if x is None:
+                        x = powers[i, k] = point[i] ** k
+                    v = v * x
+            total = total + v
         return total
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -439,30 +449,11 @@ class Polynomial:
             elif q.ring != target:
                 raise ArityMismatch("substitution images live in different rings")
         assert target is not None
-        images = []
-        for nm in self.ring.names:
-            if nm in mapping:
-                images.append(mapping[nm])
-            else:
-                images.append(Polynomial.var(target, nm))
-
-        result = Polynomial.zero(target)
-        cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            got = cache.get((i, k))
-            if got is None:
-                got = images[i] ** k
-                cache[(i, k)] = got
-            return got
-
-        for e, c in self.terms.items():
-            term = Polynomial.const(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+        images = [
+            mapping[nm] if nm in mapping else Polynomial.var(target, nm)
+            for nm in self.ring.names
+        ]
+        return Polynomial.zero(target) + self.eval(images)
 
     def lift(self, ring: VarRing) -> "Polynomial":
         """Re-express the polynomial in a ring containing all its variables."""
@@ -505,21 +496,21 @@ class Polynomial:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<num>\d+)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*(?:\[[^\[\]]+\])?)
-      | (?P<op>[-+*^/()])
-    )""",
-    re.VERBOSE,
-)
+def _token_re(name: str) -> re.Pattern:
+    return re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{name})|(?P<op>[-+*^/()\[\],]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+# Over a ring with moment symbols `E[...]` such a symbol is one name token;
+# elsewhere `[` opens a branch probability.
+_TOKEN_RES = {False: _token_re(_NAME), True: _token_re(_NAME + r"(?:\[[^\[\]]+\])?")}
+
+
+def _tokenize(text: str, bracketed: bool) -> list[tuple[str, str, int]]:
+    token_re = _TOKEN_RES[bracketed]
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if not m or m.end() == pos:
             while pos < len(text) and text[pos].isspace():
                 pos += 1
@@ -534,16 +525,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
+    """Recursive-descent parser for polynomials, rationals and loop branches.
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := primary ('^' nat)?
-    primary:= nat ('/' nat)? | name | '(' expr ')' | '-' factor
+    expr     := sign term (('+'|'-') term)*
+    sign     := ('+'|'-')?
+    term     := factor ('*' factor)*
+    factor   := primary ('^' nat)?
+    primary  := rational | name | '(' expr ')' | '-' factor
+    rational := nat ('/' nat)?
+    branch(k):= expr  (k == 1)  |  '(' expr (',' expr)* ')'  (k expressions)
+    branches(k) := branch(k) ('[' rational ']' branch(k))* end
     """
 
-    def __init__(self, text: str, ring: VarRing):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, ring: VarRing | None = None):
+        self.tokens = _tokenize(text, ring is not None and ring.bracketed)
         self.i = 0
         self.ring = ring
 
@@ -555,85 +550,134 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+    def accept(self, op: str) -> bool:
+        kind, val, _ = self.tokens[self.i]
+        if kind == "op" and val == op:
+            self.i += 1
+            return True
+        return False
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
+    def expect(self, op: str):
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
+
+    def end(self):
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
+
+    def nat(self, what: str) -> int:
+        kind, val, pos = self.next()
+        if kind != "num":
+            raise ParseError(what, pos)
+        try:
+            return int(val)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ParseError(f"number of {len(val)} digits is too long", pos) from None
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        self.end()
         return p
 
+    def sign(self) -> int:
+        if self.accept("-"):
+            return -1
+        self.accept("+")
+        return 1
+
     def expr(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
+        sign = self.sign()
         p = self.term() * sign
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+            if self.accept("+"):
+                p = p + self.term()
+            elif self.accept("-"):
+                p = p - self.term()
             else:
                 return p
 
     def term(self) -> Polynomial:
         p = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                p = p * self.factor()
-            else:
-                return p
+        while self.accept("*"):
+            p = p * self.factor()
+        return p
 
     def factor(self) -> Polynomial:
         p = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "num":
-                raise ParseError("exponent must be a positive integer", pos)
-            p = p ** int(val)
+        if self.accept("^"):
+            p = p ** self.nat("exponent must be a positive integer")
         return p
 
     def primary(self) -> Polynomial:
-        kind, val, pos = self.next()
+        kind, val, pos = self.peek()
         if kind == "num":
-            num = int(val)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.next()
-                k3, v3, p3 = self.next()
-                if k3 != "num":
-                    raise ParseError("denominator must be an integer", p3)
-                if int(v3) == 0:
-                    raise ParseError("zero denominator", p3)
-                return Polynomial.const(self.ring, Fraction(num, int(v3)))
-            return Polynomial.const(self.ring, num)
+            return Polynomial.const(self.ring, self.rational())
+        self.next()
         if kind == "name":
             if val not in self.ring:
                 raise UnknownVariable(f"unknown variable {val!r}")
             return Polynomial.var(self.ring, val)
-        if kind == "op" and val == "(":
+        if val == "(":
             p = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return p
-        if kind == "op" and val == "-":
+        if val == "-":
             return -self.factor()
         raise ParseError(f"unexpected token {val!r}", pos)
+
+    def rational(self) -> Fraction:
+        num = self.nat("expected a number")
+        if not self.accept("/"):
+            return Fraction(num)
+        pos = self.peek()[2]
+        den = self.nat("denominator must be an integer")
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        return Fraction(num, den)
+
+    def branch(self, arity: int) -> tuple[Polynomial, ...]:
+        if arity == 1:
+            exprs = [self.expr()]
+        else:
+            if not self.accept("("):
+                pos = self.peek()[2]
+                raise ParseError("tuple assignment branch must be parenthesized", pos)
+            exprs = [self.expr()]
+            while self.accept(","):
+                exprs.append(self.expr())
+            self.expect(")")
+        # the branch must end before its expressions are counted, so that
+        # `(x + 1), y` is malformed text rather than one expression too few
+        kind, val, pos = self.peek()
+        if kind != "end" and val != "[":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        if len(exprs) != arity:
+            raise ArityMismatch(f"branch has {len(exprs)} expressions for {arity} targets")
+        return tuple(exprs)
+
+    def branches(self, arity: int):
+        """The branches' expression tuples and the explicit probabilities
+        between them."""
+        exprs, probs = [self.branch(arity)], []
+        while self.accept("["):
+            probs.append(self.rational())
+            self.expect("]")
+            exprs.append(self.branch(arity))
+        return exprs, probs
 
 
 def poly_parse(text: str, ring: VarRing) -> Polynomial:
     """Parse polynomial text over the given ring (see the grammar above)."""
     return _Parser(text, ring).parse()
+
+
+def parse_branches(
+    text: str, ring: VarRing, arity: int
+) -> tuple[list[tuple[Polynomial, ...]], list[Fraction]]:
+    """Parse an assignment's right-hand side, `branches(arity)` above, into
+    its branches' expression tuples and the explicit probabilities."""
+    return _Parser(text, ring).branches(arity)
 
 
 # `multivariate_divide` divides the work numerators and denominator by their

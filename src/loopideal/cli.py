@@ -1,8 +1,8 @@
 """Batch command-line front end: files in, JSON or text out.
 
-All rationals are printed exactly (never as decimals); results go to
-stdout, diagnostics to stderr.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+All rationals are printed exactly, never as decimals, and integers in
+full at any length; results go to stdout, diagnostics to stderr.  Exit
+codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -276,6 +276,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _COMMANDS[args.command][0]
+    # exact results are printed in full, however many digits they have;
+    # Python 3.10.0-3.10.6 has no digit limit to lift
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         for flag, least in (("degree", 1), ("horizon", 0)):
             if getattr(args, flag, least) < least:
@@ -287,6 +292,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .algebra import (
     Polynomial,
     VarRing,
     fresh_name,
-    mono_degree,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -258,8 +257,6 @@ def variety_is_finite(basis: IdealBasis) -> bool:
         raise ValueError("variety_is_finite requires a reduced basis")
     leads = [g.leading_term(basis.order)[0] for g in basis.generators]
     for i in range(basis.ring.arity):
-        if not any(
-            e[i] == mono_degree(e) for e in leads
-        ):
+        if not any(e[i] == sum(e) for e in leads):
             return False
     return True

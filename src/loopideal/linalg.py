@@ -65,13 +65,6 @@ def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def _vec_gcd(v: list[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {a in Z^n : rows * a = 0} via column reduction.
 
@@ -123,7 +116,7 @@ def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     for j in range(ncols):
         if all(a[i][j] == 0 for i in range(nrows)):
             v = [t[i][j] for i in range(ncols)]
-            g = _vec_gcd(v)
+            g = gcd(*v)
             if g > 1:
                 v = [x // g for x in v]
             # normalize sign: first nonzero entry positive

@@ -8,14 +8,13 @@ assignment draws its branch independently.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Polynomial, VarRing, mono_value, parse_rational, poly_parse
+from .algebra import Polynomial, VarRing, mono_value, parse_branches, parse_rational
 from .errors import (
     ArityMismatch,
     GuardUnsupported,
@@ -82,65 +81,10 @@ class LoopProgram:
 # -- DSL ----------------------------------------------------------------------
 
 _GUARD_TOKENS = re.compile(r"==|!=|<=|>=|[<>!?]|\b(if|then|else|elif|while|switch)\b")
-_PROB_SPLIT = re.compile(r"\[\s*(\d+(?:\s*/\s*\d+)?)\s*\]")
 
 
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
-
-
-def _split_top_commas(text: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def _split_branches(rhs: str) -> tuple[list[str], list[Fraction]]:
-    """Split 'e1 [p1] e2 [p2] e3' into expressions and explicit probabilities."""
-    exprs, probs = [], []
-    pos = 0
-    depth = 0
-    i = 0
-    while i < len(rhs):
-        ch = rhs[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "[" and depth == 0:
-            m = _PROB_SPLIT.match(rhs, i)
-            if not m:
-                raise ParseError(f"malformed probability annotation in {rhs!r}", i)
-            exprs.append(rhs[pos : i])
-            probs.append(parse_rational(m.group(1)))
-            i = m.end()
-            pos = i
-            continue
-        i += 1
-    exprs.append(rhs[pos:])
-    return exprs, probs
-
-
-def _parse_branch_exprs(text: str, targets: tuple[str, ...], ring: VarRing):
-    text = text.strip()
-    if len(targets) == 1:
-        return (poly_parse(text, ring),)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"tuple assignment branch must be parenthesized: {text!r}")
-    inner = _split_top_commas(text[1:-1])
-    if len(inner) != len(targets):
-        raise ArityMismatch(
-            f"branch has {len(inner)} expressions for {len(targets)} targets"
-        )
-    return tuple(poly_parse(part, ring) for part in inner)
 
 
 def parse_loop(text: str) -> LoopProgram:
@@ -156,8 +100,8 @@ def parse_loop(text: str) -> LoopProgram:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        head = line.split(":", 1)[0].strip().lower()
-        if head in sections and line.split(":", 1)[0].strip() == head:
+        head = line.split(":", 1)[0].strip()
+        if head in sections:
             current = head
             rest = line.split(":", 1)[1].strip()
             if rest:
@@ -174,6 +118,8 @@ def parse_loop(text: str) -> LoopProgram:
         ring = VarRing(names)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if ring.bracketed:
+        raise ParseError(f"loop variables must be identifiers: {', '.join(names)}")
 
     init_map: dict[str, Fraction] = {}
     for chunk in ";".join(sections["init"]).split(";"):
@@ -214,18 +160,14 @@ def parse_loop(text: str) -> LoopProgram:
             targets = (lhs,)
         for nm in targets:
             ring.index(nm)
-        branch_texts, explicit = _split_branches(rhs)
+        branch_exprs, explicit = parse_branches(rhs, ring, len(targets))
         remainder = Fraction(1) - sum(explicit, Fraction(0))
         if remainder <= 0:
             raise ProbabilitySumError(
                 f"explicit probabilities sum to {sum(explicit, Fraction(0))}"
             )
         probs = list(explicit) + [remainder]
-        branches = tuple(
-            (pr, _parse_branch_exprs(txt, targets, ring))
-            for pr, txt in zip(probs, branch_texts)
-        )
-        body.append(Assignment(targets, branches))
+        body.append(Assignment(targets, tuple(zip(probs, branch_exprs))))
 
     return LoopProgram(ring, init, tuple(body))
 
@@ -349,8 +291,6 @@ class LRSInstance:
     def from_json(cls, data) -> "LRSInstance":
         """JSON lists recurrence coefficients most-recent-term first."""
         try:
-            if isinstance(data, str):
-                data = json.loads(data)
             coeffs = [parse_rational(s) for s in data["coeffs"]]
             init = [parse_rational(s) for s in data["init"]]
             return cls(tuple(reversed(coeffs)), tuple(init))

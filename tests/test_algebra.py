@@ -13,6 +13,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
+from loopideal.algebra import parse_rational
 
 
 def test_parse_paper_generator():
@@ -66,6 +67,35 @@ def test_parse_errors_report_position():
         poly_parse("x /", ring)
 
 
+def test_over_long_literal_is_parse_error():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as err:
+        poly_parse(f"{digits}*x", VarRing(["x"]))
+    assert err.value.position == 0
+    with pytest.raises(ParseError):
+        parse_rational(f"1/{digits}")
+
+
+@pytest.mark.parametrize(
+    "text, value", [("3", Q(3)), (" -1/2 ", Q(-1, 2)), ("+4/6", Q(2, 3)), ("0/5", Q(0))]
+)
+def test_parse_rational(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e5", "2.5", "1_000", "1/0", "--1", "1/2/3", "(1)", "x", ""])
+def test_parse_rational_rejects(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+def test_brackets_are_name_tokens_only_in_moment_rings():
+    with pytest.raises(ParseError):
+        poly_parse("x[1]", VarRing(["x"]))
+    with pytest.raises(UnknownVariable):
+        poly_parse("x[1]", VarRing(["E[x]", "x"]))
+
+
 def test_eval_examples():
     ring = VarRing(["g", "x"])
     p = poly_parse("x - 2*g", ring)
@@ -105,6 +135,15 @@ def test_substitute_into_super_ring():
     p = poly_parse("x^2 + 1", small)
     q = p.substitute({"x": poly_parse("x*t", big)})
     assert q == poly_parse("x^2*t^2 + 1", big)
+
+
+def test_substitute_is_eval_at_polynomial_points():
+    ring = VarRing(["x", "y"])
+    p = poly_parse("x^2*y - 3*x + 1/2", ring)
+    images = [poly_parse("y + 1", ring), poly_parse("2*x", ring)]
+    assert p.substitute(dict(zip(ring.names, images))) == p.eval(images)
+    const = poly_parse("5", ring).substitute({"x": images[1]})
+    assert isinstance(const, Polynomial) and const == 5
 
 
 def test_substitute_unknown_variable():

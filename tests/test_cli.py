@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -258,10 +259,13 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         ("verify-witness", "--lrs", "coeffs: 1"),
         ("simulate", "--loop", "vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, x) = (x, y)\n"),
         ("simulate", "--loop", b"vars: x\ninit: x = 0\nbody:\n  x = x \xff\n"),
+        ("invariants", "--loop", "vars: E[x], y\ninit: E[x] = 0; y = 0\nbody:\n  y = y + 1\n"),
+        ("simulate", "--loop", "vars: x\ninit: x = 1e5000\nbody:\n  x = x\n"),
     ],
     ids=[
         "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
         "variable-name", "lrs-a0", "lrs-json", "repeated-target", "not-utf8",
+        "moment-variable", "exponent-literal",
     ],
 )
 def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):
@@ -367,3 +371,14 @@ def test_reduce_p2p_spinv_two_statements(capsys, tmp_path):
     assert code == 0
     flags = [st[2] for st in simulate(parse_loop(out), 6)]
     assert flags == [1, 20, 0, 0, 0, 0, 0]
+
+
+def test_integers_print_in_full(capsys, tmp_path):
+    path = tmp_path / "square.loop"
+    path.write_text("vars: x\ninit: x = 10\nbody:\n  x = x*x\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, _ = _run(capsys, "simulate", "--loop", str(path), "--horizon", "13")
+    assert code == 0
+    assert len(json.loads(out)["states"][-1][0]) == 8193
+    assert limit() == before

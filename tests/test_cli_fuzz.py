@@ -1,4 +1,4 @@
-"""Random reduction-command inputs end in exit 0 or a typed JSON error.
+"""Random CLI inputs end in exit 0 or a typed JSON error.
 
 Each example runs `cli.main` in process; exit 1 must come with a JSON
 `{"error": ..., "detail": ...}` on stderr that names a `ToolkitError`
@@ -29,14 +29,15 @@ ERRORS = {
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
-# exponent notation is left out: "--target=1e5000,0" still ends in a raw
-# ValueError when the loop's numbers are printed (ROADMAP item 6)
-FIELD = st.sampled_from(["0", "4", "6", " -1", "3/2", "1/0", "a", ""])
+LONG = "7" * 5000  # past Python's default int-to-string digit limit
+FIELD = st.sampled_from(["0", "4", "6", " -1", "3/2", "1/0", "a", "", "1e5000", "2.5", LONG])
 TARGET = st.one_of(
     st.lists(FIELD, max_size=3).map(",".join),
     st.text(alphabet="0123456789/-+ ,.ab", max_size=12),
 )
-RATIONAL = st.sampled_from(["0", "1", "-1", "2", "-2", "3", "1/2", "-3/2", "2.5", "x", "", "1/0"])
+RATIONAL = st.sampled_from(
+    ["0", "1", "-1", "2", "-2", "3", "1/2", "-3/2", "2.5", "x", "", "1/0", "1e5000", LONG]
+)
 RECURRENCE = st.one_of(
     st.integers(1, 3).flatmap(
         lambda k: st.fixed_dictionaries(
@@ -83,3 +84,63 @@ def test_recurrence_commands(record, command, horizon):
         if command == "verify-witness":
             argv += ["--horizon", str(horizon)]
         _exit_code(argv)
+
+
+# Loop files assembled from fragments.  Long literals stay away from
+# `closed-forms` and `invariants`, whose trial division by the divisors of
+# a recurrence's coefficients would not finish on them.
+NAME = st.sampled_from(["x", "y", "E[x]", "x1", "2x", ""])
+VALUE = st.one_of(
+    st.sampled_from(["0", "-1", "1/2", "-3/2", LONG]),
+    st.sampled_from(["1e5000", "2.5", "x", "1/0", ""]),
+)
+TARGET_TEXT = st.sampled_from(["x = ", "y = ", "(x, y) = ", ""])
+BODY_TOKEN = st.sampled_from(["(", ")", "[", "]", ",", "^", "/", "=", "+", "*", "1/2", "x", "y"])
+BODY_LINE = st.one_of(
+    st.tuples(TARGET_TEXT, st.sampled_from(["", " "]), st.lists(BODY_TOKEN, max_size=8)).map(
+        lambda t: t[0] + t[1].join(t[2])
+    ),
+    st.sampled_from(
+        ["x = x*x", "y = y + 1/2 [1/2] x*y", "(x, y) = (y, x) [1/2] (x + y, 1/2)", "y = y^2"]
+    ),
+)
+
+
+@st.composite
+def loop_text(draw):
+    names = draw(st.one_of(st.just(["x", "y"]), st.lists(NAME, min_size=1, max_size=2)))
+    inits = "; ".join(f"{nm} = {draw(VALUE)}" for nm in names)
+    lines = "".join(f"  {line}\n" for line in draw(st.lists(BODY_LINE, max_size=2)))
+    return f"vars: {', '.join(names)}\ninit: {inits}\nbody:\n{lines}"
+
+
+@FUZZ
+@given(loop_text(), st.sampled_from(["simulate", "distribution"]), st.integers(0, 2))
+def test_loop_commands(text, command, horizon):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.loop"
+        path.write_text(text)
+        _exit_code([command, "--loop", str(path), "--horizon", str(horizon)])
+
+
+MONOMIAL = st.sampled_from(["1", "x", "y", "x^2", "x*y", "y^2"])
+COEFF = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-5/3"])
+POLY = st.one_of(
+    st.lists(st.tuples(COEFF, MONOMIAL), min_size=1, max_size=4).map(
+        lambda terms: " + ".join(f"{c}*{m}" for c, m in terms)
+    ),
+    st.sampled_from(["x, y", "x[1]", "2.5*x", "1e5000*y", f"{LONG}*x - y", "x^-1", ""]),
+)
+ORDER = st.sampled_from(
+    [{}, {"kind": "lex"}, {"kind": "lex", "priority": ["y", "x"]}, {"kind": "degrevlex"}]
+)
+
+
+@FUZZ
+@given(st.lists(POLY, min_size=1, max_size=2), ORDER, POLY)
+def test_ideal_commands(generators, order, poly):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ideal.json"
+        path.write_text(json.dumps({"ring": ["x", "y"], "order": order, "generators": generators}))
+        _exit_code(["groebner", "--ideal", str(path)])
+        _exit_code(["member", "--ideal", str(path), f"--poly={poly}"])

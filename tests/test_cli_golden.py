@@ -40,6 +40,15 @@ CASES = {
         "reduce-p2p-spinv", "--loop", "system.loop", "--target", "4,6",
     ),
     "verify-witness": ("verify-witness", "--lrs", "rec.json", "--horizon", "15"),
+    "distribution-branches": (
+        "distribution", "--loop", "branches.loop", "--horizon", "2",
+    ),
+    "closed-forms-branches": (
+        "closed-forms", "--loop", "branches.loop", "--degree", "1",
+    ),
+    "invariants-branches": (
+        "invariants", "--loop", "branches.loop", "--degree", "1",
+    ),
 }
 FORMATS = ("json", "text")
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as Q
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from loopideal import (
+    ArityMismatch,
     GuardUnsupported,
     LRSInstance,
     NotDeterministic,
@@ -75,9 +77,57 @@ def test_three_branch_probabilities():
     assert [pr for pr, _ in loop.body[0].branches] == [Q(1, 2), Q(1, 3), Q(1, 6)]
 
 
-def test_format_parse_round_trip(two_walks, xy_system):
-    for loop in (two_walks, xy_system):
+BRANCHES = Path(__file__).parent / "golden" / "branches.loop"
+
+
+def test_format_parse_round_trip(two_walks, xy_system, symmetric_walk):
+    branches = parse_loop(BRANCHES.read_text())
+    for loop in (two_walks, xy_system, symmetric_walk, branches):
         assert parse_loop(format_loop(loop)) == loop
+
+
+def test_branch_positions_index_the_right_hand_side():
+    rhs = " (x, y) [1/2] (y, x [1/2]"
+    with pytest.raises(ParseError) as err:
+        parse_loop(f"vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, y) ={rhs}\n")
+    assert err.value.position == rhs.rindex("[")
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("x = (x + 1", ParseError),
+        ("x = x + 1)", ParseError),
+        ("x = x + 1 [1/2]", ParseError),
+        ("x = [1/2] x", ParseError),
+        ("x = x [0] y", ProbabilitySumError),
+        ("x = x [1/2] y [2/3] x", ProbabilitySumError),
+        ("x = x [1/0] y", ParseError),
+        ("x = x [-1/2] y", ParseError),
+        ("x = x [0.5] y", ParseError),
+        ("x = x^-1", ParseError),
+        ("x = (x, y)", ParseError),
+        ("(x, y) = x, y", ParseError),
+        ("(x, y) = (x, y", ParseError),
+        ("(x, y) = (x + 1), y", ParseError),
+        ("(x, y) = (x, y) [1/2] (y)", ArityMismatch),
+        ("(x, y) = (x, y, x)", ArityMismatch),
+    ],
+)
+def test_malformed_branches_keep_their_error_types(body, error):
+    with pytest.raises(error):
+        parse_loop(f"vars: x, y\ninit: x = 0; y = 0\nbody:\n  {body}\n")
+
+
+@pytest.mark.parametrize("value", ["1e5", "2.5", "1_000", "--1", "1/2/3", "x", ""])
+def test_init_value_is_a_signed_integer_or_fraction(value):
+    with pytest.raises(ParseError):
+        parse_loop(f"vars: x\ninit: x = {value}\nbody:\n")
+
+
+def test_loop_variables_are_identifiers():
+    with pytest.raises(ParseError):
+        parse_loop("vars: E[x], y\ninit: y = 0\nbody:\n")
 
 
 def test_comments_and_blank_lines():

@@ -5,7 +5,9 @@ polynomials can be shared freely.  Coefficients are `fractions.Fraction`
 (always in lowest terms, positive denominator) everywhere except inside
 `multivariate_divide`, whose reduction loop runs on Python ints: integer
 numerators over one running denominator, divided by primitive integer
-divisors whose data each polynomial memoizes per order.  No floating point
+divisors whose data each polynomial memoizes per order.  The division
+tells most non-dividing leads from a term by an AND of two-bit-per-variable
+divisibility masks before it compares exponents.  No floating point
 appears anywhere.  Monomials are plain exponent tuples, one entry per ring
 variable.
 """
@@ -163,12 +165,14 @@ class MonomialOrder:
 
     A key is a flat tuple of ints, so keys compare as plain tuples and the
     heap key (the negated key, which a min-heap pops largest monomial
-    first) is one tuple operation away.  Both are memoized since the same
-    monomials recur constantly during basis computations.
+    first) is one tuple operation away.  Keys, heap keys and divisibility
+    masks are memoized since the same monomials recur constantly during
+    basis computations.
     """
 
     __slots__ = (
-        "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx", "_keys", "_heap_keys"
+        "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx",
+        "_keys", "_heap_keys", "_masks",
     )
 
     def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
@@ -193,6 +197,7 @@ class MonomialOrder:
         self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._heap_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._masks: dict[tuple[int, ...], int] = {}
 
     def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         if self.kind == "lex":
@@ -212,6 +217,18 @@ class MonomialOrder:
         if k is None:
             k = self._heap_keys[e] = tuple(map(neg, self.key(e)))
         return k
+
+    def mask(self, e: tuple[int, ...]) -> int:
+        """Divisibility mask of e: bit 2i is set when e[i] >= 1 and bit
+        2i + 1 when e[i] >= 2.  If a divides b, mask(a) & ~mask(b) == 0."""
+        m = self._masks.get(e)
+        if m is None:
+            m = 0
+            for i, k in enumerate(e):
+                if k:
+                    m |= (1 if k == 1 else 3) << 2 * i
+            self._masks[e] = m
+        return m
 
     def eliminating(self, drop: Iterable[str]) -> "MonomialOrder":
         """Block order for eliminating the variables in `drop`.
@@ -687,7 +704,8 @@ _CONTENT_BITS = 64
 
 
 def _divisor_data(d: Polynomial, order) -> tuple:
-    """Lead monomial, lead coefficient, tail and scale of d as a divisor.
+    """Lead monomial and its mask, lead coefficient, tail and scale of d
+    as a divisor.
 
     The integer form is the primitive part of d with a positive lead
     coefficient: d == (num / den) * (lc * x^lm + sum(tc * x^te)), where the
@@ -711,7 +729,9 @@ def _divisor_data(d: Polynomial, order) -> tuple:
             content = -content
         scale = Fraction(content, den)
         tail = [(e, c // content) for e, c in ints.items() if e != lm]
-        data = memo[order] = (lm, ints[lm] // content, tail, scale.numerator, scale.denominator)
+        data = memo[order] = (
+            lm, order.mask(lm), ints[lm] // content, tail, scale.numerator, scale.denominator
+        )
     return data
 
 
@@ -724,7 +744,10 @@ def multivariate_divide(
     monomial of r divisible by any divisor's leading monomial.  The largest
     remaining term goes first, to the first divisor whose leading monomial
     divides it.  A heap of negated order keys finds that term; a term
-    cancelled meanwhile has no entry left in `work` and is skipped.
+    cancelled meanwhile has no entry left in `work` and is skipped.  A
+    divisor whose lead mask (`MonomialOrder.mask`) has a bit the term's
+    mask lacks cannot divide it and is passed over with one integer AND;
+    the exponent comparison runs only on the rest.
 
     The loop runs on ints.  The work polynomial is `work / den`, integer
     numerators over one running denominator, and each divisor is its
@@ -737,6 +760,7 @@ def multivariate_divide(
     """
     data = [_divisor_data(d, order) for d in divisors]
     heap_key = order.heap_key
+    mask = order.mask
     den = lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
     content_at = den.bit_length() + _CONTENT_BITS
@@ -749,8 +773,9 @@ def multivariate_divide(
         w = work.pop(e, None)
         if w is None:
             continue
-        for (lm, lc, tail, num, dnm), q in zip(data, qterms):
-            if all(map(le, lm, e)):
+        off = ~mask(e)
+        for (lm, lmask, lc, tail, num, dnm), q in zip(data, qterms):
+            if not lmask & off and all(map(le, lm, e)):
                 shift = tuple(map(sub, e, lm))
                 m = 1
                 if lc != 1:

@@ -8,6 +8,7 @@ monomial), which makes ideal equality and serialization canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .algebra import (
     MonomialOrder,
@@ -90,45 +91,71 @@ def _interreduce(basis: list[Polynomial], order) -> list[Polynomial]:
 
 def _add_pairs(
     leads: list,
+    sugars: list[int],
+    live: list[int],
     pairs: dict,
-    new: int,
     order,
+    degree,
 ) -> None:
-    """Gebauer-Moeller pair update for the generator at index `new`.
+    """Gebauer-Moeller update for the newest generator, `leads[-1]`.
 
-    Discards old pairs made redundant by the new leading monomial and keeps
-    only a minimal, non-coprime set of new pairs.
+    `live` lists the generators whose leading monomial no later
+    generator's leading monomial divides.  An old pair is dropped when the
+    new leading monomial t divides its lcm and differs from it in both
+    lcms with t (criterion B).  New pairs are formed with live generators
+    only and grouped by lcm; a class whose lcm another class's lcm
+    properly divides is dropped (criterion M), a class holding a coprime
+    pair is dropped whole (its members reduce to zero, criterion F), and
+    each other class queues one pair.  `pairs` maps (sugar, order key of l,
+    i, j) to l for each queued pair (i, j) with lcm l, whose sugar is
+    max(sugar_i + deg l - deg lead_i, sugar_j + deg l - deg lead_j) for
+    the grading `degree`.  Finally `live` drops the generators whose
+    leading monomial t divides and takes the new one.
     """
+    new = len(leads) - 1
     t = leads[new]
-    lcm_with = [mono_lcm(leads[i], t) for i in range(new)]
-
-    # prune old pairs strictly covered by the new generator
-    for (i, j) in list(pairs):
-        lcm_ij = pairs[(i, j)]
+    for pair, lcm_ij in list(pairs.items()):
         if (
             mono_divides(t, lcm_ij)
-            and lcm_with[i] != lcm_ij
-            and lcm_with[j] != lcm_ij
+            and mono_lcm(leads[pair[2]], t) != lcm_ij
+            and mono_lcm(leads[pair[3]], t) != lcm_ij
         ):
-            del pairs[(i, j)]
+            del pairs[pair]
 
-    # keep only lcm-minimal new pairs, one representative per lcm value
-    candidates = sorted(range(new), key=lambda i: order.key(lcm_with[i]))
-    kept: list[int] = []
-    for i in candidates:
-        li = lcm_with[i]
-        covered = False
-        for j in kept:
-            lj = lcm_with[j]
-            if mono_divides(lj, li):
-                covered = True
-                break
-        if not covered:
-            kept.append(i)
-    for i in kept:
-        # coprime leading monomials reduce to zero; never enqueue them
-        if lcm_with[i] != mono_mul(leads[i], t):
-            pairs[(i, new)] = lcm_with[i]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i in live:
+        classes.setdefault(mono_lcm(leads[i], t), []).append(i)
+    for lcm_ in classes:
+        if any(m != lcm_ and mono_divides(m, lcm_) for m in classes):
+            continue
+        members = classes[lcm_]
+        if any(lcm_ == mono_mul(leads[i], t) for i in members):
+            continue
+        sugar, i = min((sugars[i] - degree(leads[i]), i) for i in members)
+        sugar = max(sugar, sugars[new] - degree(t)) + degree(lcm_)
+        pairs[(sugar, order.key(lcm_), i, new)] = lcm_
+    live[:] = [i for i in live if not mono_divides(t, leads[i])]
+    live.append(new)
+
+
+def _no_degree(e: tuple[int, ...]) -> int:
+    return 0
+
+
+def _spoly(f: Polynomial, g: Polynomial, lf, lg, lcm_) -> Polynomial:
+    """S-polynomial (lcm/lf)*f - (lcm/lg)*g of monic f and g with leading
+    monomials lf and lg, by shifting their term maps."""
+    sf = tuple(map(sub, lcm_, lf))
+    sg = tuple(map(sub, lcm_, lg))
+    terms = {tuple(map(add, e, sf)): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        e = tuple(map(add, e, sg))
+        s = terms.get(e, 0) - c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return Polynomial._make(f.ring, terms)
 
 
 def buchberger(
@@ -138,9 +165,23 @@ def buchberger(
 ) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    S-pairs are selected by smallest leading-monomial lcm (normal strategy)
-    with Gebauer-Moeller pruning.  Raises BudgetExceeded after `budget`
-    S-pair reductions.
+    Pairs are kept by the Gebauer-Moeller update (`_add_pairs`) and
+    selected by the sugar strategy (Giovini et al., "One sugar cube,
+    please", ISSAC 1991): the pair with the smallest (sugar, order key of
+    its lcm, index pair) goes first.  An input generator's sugar is its
+    degree; a remainder keeps its pair's sugar, or its own degree if
+    larger.  The degree is the total degree under a degrevlex order or a
+    block order over one.  Under lex it is 0, so pairs go by lcm alone (the
+    normal strategy): lex follows no degree, and sugar there can wander far
+    from the basis (fuzzed lex intersections that the normal strategy
+    finishes in under 3 s ran past 20 s).
+
+    S-polynomials are reduced by every generator found so far, oldest
+    first.  A dead generator's lead is divisible by a live one's, so the
+    remainder is reduced either way, and the older reducers tend to be the
+    smaller ones (reducing by the live generators alone was slower on
+    fuzzed lex intersections).  Raises BudgetExceeded, saying how far the
+    run got, after `budget` S-pair reductions.
     """
     ring = order.ring
     basis: list[Polynomial] = []
@@ -151,31 +192,36 @@ def buchberger(
     if not basis:
         return IdealBasis(ring, order, (), reduced=True)
 
-    leads = [g.leading_term(order)[0] for g in basis]
-    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for n in range(1, len(basis)):
-        _add_pairs(leads[: n + 1], pairs, n, order)
+    leads: list[tuple[int, ...]] = []
+    sugars: list[int] = []
+    live: list[int] = []
+    pairs: dict[tuple, tuple[int, ...]] = {}
+    degree = sum if order.kind == "degrevlex" else _no_degree
+    for g in basis:
+        leads.append(g.leading_term(order)[0])
+        sugars.append(max(map(degree, g.terms)))
+        _add_pairs(leads, sugars, live, pairs, order, degree)
     steps = 0
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (order.key(pairs[ij]), ij))
-        lcm = pairs.pop((i, j))
-        steps += 1
-        if steps > budget:
+        if steps >= budget:
             raise BudgetExceeded(
-                f"Groebner computation exceeded {budget} S-pair reductions"
+                f"Groebner computation stopped at its budget of {budget} S-pair "
+                f"reductions: {steps} S-pairs reduced, basis of {len(basis)} "
+                f"generators ({len(live)} live), {len(pairs)} S-pairs queued"
             )
-        gi, gj = basis[i], basis[j]
-        spoly = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, leads[i]))) * gi
-        spoly = spoly - Polynomial.monomial(
-            ring, tuple(a - b for a, b in zip(lcm, leads[j]))
-        ) * gj
+        pair = min(pairs)
+        lcm_ = pairs.pop(pair)
+        sugar, _, i, j = pair
+        steps += 1
+        spoly = _spoly(basis[i], basis[j], leads[i], leads[j], lcm_)
         rem = _reduce_full(spoly, basis, order)
         if rem.is_zero():
             continue
         basis.append(rem.monic(order))
         leads.append(rem.leading_term(order)[0])
-        _add_pairs(leads, pairs, len(basis) - 1, order)
+        sugars.append(max(sugar, max(map(degree, rem.terms))))
+        _add_pairs(leads, sugars, live, pairs, order, degree)
 
     return IdealBasis(ring, order, tuple(_interreduce(basis, order)), reduced=True)
 

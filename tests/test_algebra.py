@@ -362,6 +362,21 @@ def test_order_laws_fuzzed():
                 assert order.key(a) > order.key(unit)
 
 
+def test_divisibility_mask_never_rejects_a_divisor():
+    rng = random.Random(405)
+    order = MonomialOrder("degrevlex", VarRing(["x", "y", "z"]))
+    monos = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)]
+    rejected = 0
+    for a in monos:
+        for b in monos:
+            if order.mask(a) & ~order.mask(b):
+                assert not all(i <= j for i, j in zip(a, b))
+                rejected += 1
+    # and it rejects most non-divisors
+    assert rejected > len(monos) ** 2 // 2
+    assert order.mask((0, 1, 2)) == 0b110100
+
+
 def test_block_order_is_told_from_plain():
     ring = VarRing(["x", "y", "z"])
     plain = MonomialOrder("lex", ring, ["z", "x", "y"])

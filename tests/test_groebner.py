@@ -180,8 +180,14 @@ def test_budget_exceeded_is_typed():
     ring = VarRing(["x", "y"])
     lex = MonomialOrder("lex", ring, ["x", "y"])
     gens = [poly_parse("x^4*y + y^3 - 1", ring), poly_parse("x^2*y^2 - x - 1", ring)]
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         buchberger(gens, lex, budget=1)
+    # how far it got: one S-pair reduced, whose remainder joined the two
+    # inputs, and the pairs that remainder formed still queued
+    message = str(info.value)
+    assert "1 S-pairs reduced" in message
+    assert "basis of 3 generators (2 live)" in message
+    assert "2 S-pairs queued" in message
 
 
 def test_json_round_trip():

@@ -12,7 +12,10 @@ from loopideal import (
     buchberger,
     eliminate,
     ideal_intersect,
+    multivariate_divide,
+    poly_parse,
 )
+from loopideal.algebra import mono_divides, mono_lcm
 
 sympy = pytest.importorskip("sympy")
 
@@ -76,6 +79,20 @@ def _ours(basis) -> set:
     return {frozenset(g.terms.items()) for g in basis.generators}
 
 
+def _assert_s_pairs_reduce_to_zero(basis) -> None:
+    """Buchberger's criterion, which needs no oracle: every S-polynomial of
+    two generators leaves remainder 0 on division by the basis."""
+    order, gens = basis.order, list(basis.generators)
+    leads = [g.leading_term(order) for g in gens]
+    for i, (f, (lf, cf)) in enumerate(zip(gens, leads)):
+        for g, (lg, cg) in zip(gens[i + 1 :], leads[i + 1 :]):
+            lcm = mono_lcm(lf, lg)
+            s = Polynomial.monomial(basis.ring, tuple(a - b for a, b in zip(lcm, lf)), 1 / cf) * f
+            s -= Polynomial.monomial(basis.ring, tuple(a - b for a, b in zip(lcm, lg)), 1 / cg) * g
+            _, rem = multivariate_divide(s, gens, order)
+            assert rem.is_zero(), (f, g, rem)
+
+
 def _random_poly(rng, ring, max_terms=3, max_deg=2):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -89,7 +106,9 @@ def test_buchberger_matches_sympy(order):
     rng = random.Random(71)
     for _ in range(8):
         gens = [_random_poly(rng, RING) for _ in range(rng.randint(1, 3))]
-        assert _ours(buchberger(gens, order)) == _sympy_basis(gens, order)
+        out = buchberger(gens, order)
+        assert _ours(out) == _sympy_basis(gens, order)
+        _assert_s_pairs_reduce_to_zero(out)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=repr)
@@ -101,6 +120,7 @@ def test_eliminate_matches_sympy(order):
         out = eliminate(buchberger(gens, order), {drop})
         kept = [g.project(out.ring) for g in _free_part(gens, [drop], RING)]
         assert _ours(out) == _sympy_basis(kept, out.order)
+        _assert_s_pairs_reduce_to_zero(out)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=repr)
@@ -117,6 +137,7 @@ def test_intersect_matches_sympy(order):
         kept = [g.project(RING) for g in _free_part(gens, ["t"], BIG)]
         assert out.order == order
         assert _ours(out) == _sympy_basis(kept, order)
+        _assert_s_pairs_reduce_to_zero(out)
 
 
 @pytest.mark.parametrize("order", ORDERS[:2], ids=repr)
@@ -131,4 +152,50 @@ def test_buchberger_matches_sympy_large_height(order):
                 num = rng.randint(2**69, 2**71) * rng.choice([-1, 1])
                 terms[e] = Q(num, rng.randint(2**69, 2**71))
             gens.append(Polynomial(RING, terms))
-        assert _ours(buchberger(gens, order)) == _sympy_basis(gens, order)
+        out = buchberger(gens, order)
+        assert _ours(out) == _sympy_basis(gens, order)
+        _assert_s_pairs_reduce_to_zero(out)
+
+
+def test_remainder_lead_divides_earlier_lead():
+    # y*(x^2*y - 1) - x*(x*y^2 - x) = x^2 - y, whose leading monomial x^2
+    # properly divides the first input's x^2*y: the pair update must retire
+    # that input from the live generators and its pending pairs
+    order = MonomialOrder("degrevlex", RING)
+    gens = [poly_parse(t, RING) for t in ("x^2*y - 1", "x*y^2 - x", "y*z^2 - x*z")]
+    out = buchberger(gens, order)
+    assert _ours(out) == _sympy_basis(gens, order)
+    lead = gens[0].leading_term(order)[0]
+    assert any(
+        mono_divides(g.leading_term(order)[0], lead) and g.leading_term(order)[0] != lead
+        for g in out.generators
+    )
+    _assert_s_pairs_reduce_to_zero(out)
+
+
+def test_lcm_class_with_coprime_and_non_coprime_pair():
+    # the leads y^2, x*y^2 and x: the third input's pairs with the first
+    # (coprime) and the second (not coprime) share the lcm x*y^2, so the
+    # whole class is dropped
+    order = MonomialOrder("degrevlex", RING)
+    gens = [poly_parse(t, RING) for t in ("y^2 + z", "x*y^2 + y*z - 1", "x + y - z")]
+    leads = [g.leading_term(order)[0] for g in gens]
+    assert leads == [(0, 2, 0), (1, 2, 0), (1, 0, 0)]
+    assert mono_lcm(leads[0], leads[2]) == mono_lcm(leads[1], leads[2])
+    out = buchberger(gens, order)
+    assert _ours(out) == _sympy_basis(gens, order)
+    _assert_s_pairs_reduce_to_zero(out)
+
+
+def test_eliminate_in_lex_block_order():
+    # implicit equations of the curve t -> (t, t^2, t^3 - t)
+    ring = VarRing(["t", "x", "y", "z"])
+    order = MonomialOrder("lex", ring, ["x", "y", "z", "t"])
+    gens = [poly_parse(p, ring) for p in ("x - t", "y - t^2", "z - t^3 + t")]
+    out = eliminate(buchberger(gens, order), {"t"})
+    assert out.order == MonomialOrder("lex", RING, ["x", "y", "z"])
+    kept = [g.project(RING) for g in _free_part(gens, ["t"], ring)]
+    assert _ours(out) == _sympy_basis(kept, out.order)
+    # z^2 = x^2 * (x^2 - 1)^2 = y * (y - 1)^2
+    assert poly_parse("y^3 - 2*y^2 + y - z^2", RING) in out.generators
+    _assert_s_pairs_reduce_to_zero(out)

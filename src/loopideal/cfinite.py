@@ -37,8 +37,8 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+    def __call__(self, x):
+        """The value at x by Horner's rule; x may be a number or a polynomial."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -12,9 +12,8 @@ import json
 import sys
 
 from .algebra import MonomialOrder, VarRing, parse_rational, poly_parse
-from .cfinite import solve_closed_form
 from .errors import ParseError, ToolkitError
-from .groebner import IdealBasis, buchberger, ideal_member
+from .groebner import DEFAULT_BUDGET, IdealBasis, buchberger, ideal_member
 from .loops import (
     LoopProgram,
     LRSInstance,
@@ -23,7 +22,6 @@ from .loops import (
     parse_loop,
     simulate,
 )
-from .moments import moment_closure
 from .reductions import (
     P2PInstance,
     detect_eventual_zero,
@@ -32,11 +30,7 @@ from .reductions import (
     skolem_to_spinv_direct,
     verify_witness_identities,
 )
-from .relations import (
-    empirical_relations,
-    moment_invariant_ideal,
-    moment_ring,
-)
+from .relations import closed_forms, empirical_relations, moment_invariant_ideal
 
 
 def _read(path: str) -> str:
@@ -112,13 +106,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_closed_forms(args) -> int:
-    loop = _load_loop(args.loop)
-    mring = moment_ring(loop.variables, args.degree)
-    system = moment_closure(loop, list(mring.symbols))
+    mring, forms = closed_forms(_load_loop(args.loop), args.degree)
     payload = {"forms": []}
     lines = []
-    for sym in mring.symbols:
-        form = solve_closed_form(system, system.index(sym))
+    for sym, form in zip(mring.symbols, forms):
         name = mring.name_of(sym)
         payload["forms"].append({"symbol": name, **form.to_json()})
         lines.append(f"{name} = {form.format()}")
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="variable order, lowest first, e.g. 'g<f<y<x'",
             )
         if "budget" in flags:
-            p.add_argument("--budget", type=int, default=100_000)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -282,7 +273,7 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        for flag, least in (("degree", 1), ("horizon", 0)):
+        for flag, least in (("degree", 1), ("horizon", 0), ("budget", 0)):
             if getattr(args, flag, least) < least:
                 raise ParseError(f"--{flag} must be at least {least}")
         return handler(args)

@@ -42,23 +42,19 @@ def _symbol_sort_key(e: tuple[int, ...]):
 class MomentSystem:
     """v(n+1) = transition * v(n) over E[symbol] coordinates.
 
+    `transition[i]` lists the nonzero (column, coefficient) pairs of row i.
     Symbol 0 is the constant moment E[1], whose row is the unit row; the
     initial vector holds each symbol evaluated at the init state.
     """
 
-    ring: VarRing
     symbols: list[tuple[int, ...]]
-    transition: list[list[Fraction]]
+    transition: list[list[tuple[int, Fraction]]]
     initial: list[Fraction]
-    _cache: list[list[Fraction]] = field(default_factory=list, repr=False)
-    _sparse: list[list[tuple[int, Fraction]]] = field(init=False, repr=False)
+    _cache: list[list[Fraction]] = field(init=False, repr=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the nonzero (column, coefficient) pairs of each transition row
-        self._sparse = [
-            [(j, a) for j, a in enumerate(row) if a] for row in self.transition
-        ]
+        self._cache = [list(self.initial)]
         self._index = {e: i for i, e in enumerate(self.symbols)}
 
     @property
@@ -70,13 +66,11 @@ class MomentSystem:
 
     def vector_at(self, n: int) -> list[Fraction]:
         """Moment vector after n iterations (cached sparse power iteration)."""
-        if not self._cache:
-            self._cache.append(list(self.initial))
         while len(self._cache) <= n:
             prev = self._cache[-1]
             nxt = [
                 sum((a * prev[j] for j, a in row), Fraction(0))
-                for row in self._sparse
+                for row in self.transition
             ]
             self._cache.append(nxt)
         return self._cache[n]
@@ -120,14 +114,11 @@ def moment_closure(
     ordered = sorted(symbols, key=_symbol_sort_key)
     assert ordered[0] == unit
     index = {e: i for i, e in enumerate(ordered)}
-    matrix = []
-    for sym in ordered:
-        row = [Fraction(0)] * len(ordered)
-        for e, c in lifted[sym].terms.items():
-            row[index[e]] = c
-        matrix.append(row)
+    transition = [
+        [(index[e], c) for e, c in lifted[sym].terms.items()] for sym in ordered
+    ]
     initial = [mono_value(sym, loop.init) for sym in ordered]
-    return MomentSystem(ring, ordered, matrix, initial)
+    return MomentSystem(ordered, transition, initial)
 
 
 def _compositions(total: int, parts: int):

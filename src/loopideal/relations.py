@@ -24,7 +24,7 @@ from .algebra import (
     mono_value,
     poly_parse,
 )
-from .cfinite import ExpPoly, UniPoly, solve_closed_form
+from .cfinite import ExpPoly, solve_closed_form
 from .errors import ArityMismatch
 from .groebner import (
     DEFAULT_BUDGET,
@@ -137,19 +137,11 @@ def _tail_ideal(
     n_var = Polynomial.var(big, n_name)
     t_vars = {mag: Polynomial.var(big, t_names[i]) for i, mag in enumerate(mags)}
 
-    def upoly_in_n(q: UniPoly) -> Polynomial:
-        acc = Polynomial.zero(big)
-        power = Polynomial.const(big, 1)
-        for c in q.coeffs:
-            acc = acc + power * c
-            power = power * n_var
-        return acc
-
     gens = []
     for nm, f in zip(ring.names, forms):
         rhs = Polynomial.zero(big)
         for base, coeff in f.tail:
-            part = upoly_in_n(coeff)
+            part = coeff(n_var)
             if abs(base) != 1:
                 part = part * t_vars[abs(base)]
             if base < 0:
@@ -197,6 +189,13 @@ def relations_ideal(
     return result
 
 
+def closed_forms(loop: LoopProgram, degree: int) -> tuple[MomentRing, list[ExpPoly]]:
+    """The moment ring of order <= degree and each of its symbols' closed form."""
+    mring = moment_ring(loop.variables, degree)
+    system = moment_closure(loop, list(mring.symbols))
+    return mring, [solve_closed_form(system, system.index(sym)) for sym in mring.symbols]
+
+
 def moment_invariant_ideal(
     loop: LoopProgram,
     degree: int,
@@ -208,11 +207,7 @@ def moment_invariant_ideal(
     target moment to an exponential polynomial, then compute the relations
     ideal of those closed forms.
     """
-    mring = moment_ring(loop.variables, degree)
-    system = moment_closure(loop, list(mring.symbols))
-    forms = [
-        solve_closed_form(system, system.index(sym)) for sym in mring.symbols
-    ]
+    mring, forms = closed_forms(loop, degree)
     return relations_ideal(forms, mring.ring, budget=budget)
 
 
@@ -230,20 +225,14 @@ def _symbol_of_name(name: str, base_ring: VarRing) -> tuple[int, ...]:
 
 
 def psi_map(p: Polynomial, base_ring: VarRing) -> Polynomial:
-    """Ring homomorphism sending each E[M] to the monomial M, expanded."""
-    symbol_of = [
-        _symbol_of_name(nm, base_ring) for nm in p.ring.names
-    ]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
-        target = mono_one(base_ring.arity)
-        for i, k in enumerate(e):
-            if k:
-                target = tuple(
-                    a + k * b for a, b in zip(target, symbol_of[i])
-                )
-        out[target] = out.get(target, Fraction(0)) + c
-    return Polynomial(base_ring, out)
+    """Ring homomorphism sending each E[M] to the monomial M: `p` evaluated
+    at the point of those monomials."""
+    return p.substitute(
+        {
+            nm: Polynomial.monomial(base_ring, _symbol_of_name(nm, base_ring))
+            for nm in p.ring.names
+        }
+    )
 
 
 def restrict_to_order_one(

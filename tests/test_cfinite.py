@@ -9,11 +9,14 @@ from loopideal import (
     ExpPoly,
     IrrationalEigenvalue,
     NoRecurrenceFound,
+    Polynomial,
     UniPoly,
+    VarRing,
     degree_targets,
     minimal_recurrence,
     moment_closure,
     parse_loop,
+    poly_parse,
     rational_roots,
     solve_closed_form,
 )
@@ -325,3 +328,11 @@ def test_expoly_format_and_json():
             {"base": "3", "coeffs": ["1"]},
         ],
     }
+
+
+def test_upoly_evaluates_at_numbers_and_polynomials():
+    ring = VarRing(["n", "t"])
+    p = UniPoly([1, 2, 3])
+    assert p(Polynomial.var(ring, "n")) == poly_parse("3*n^2 + 2*n + 1", ring)
+    assert p(2) == 17 and p(Q(1, 3)) == 2
+    assert UniPoly([5])(Polynomial.var(ring, "t")) == poly_parse("5", ring)

@@ -314,6 +314,8 @@ def test_groebner_explicit_degrevlex(capsys, tmp_path):
         ("distribution", "--loop", "--horizon", "-3"),
         ("empirical", "--loop", "--horizon", "-3"),
         ("verify-witness", "--lrs", "--horizon", "-3"),
+        ("invariants", "--loop", "--budget", "-3"),
+        ("empirical", "--loop", "--budget", "-1"),
     ],
 )
 def test_out_of_range_number_is_parse_error(capsys, tmp_path, lrs_file, command, source, flag, value):

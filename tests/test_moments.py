@@ -6,6 +6,7 @@ import pytest
 from loopideal import (
     ClosureBudgetExceeded,
     P2PInstance,
+    Polynomial,
     degree_targets,
     enumerate_distribution,
     lift_polynomial_expectation,
@@ -42,9 +43,8 @@ def test_closure_degree_one(two_walks):
     names = [mono_str(e, two_walks.variables) for e in system.symbols]
     assert names == ["1", "x", "y"]
     # unit row for E[1], then E[x]' = E[x] + 1/2, E[y]' = E[y] - 1/2
-    assert system.transition[0] == [Q(1), Q(0), Q(0)]
-    assert system.transition[1] == [Q(1, 2), Q(1), Q(0)]
-    assert system.transition[2] == [Q(-1, 2), Q(0), Q(1)]
+    rows = [dict(row) for row in system.transition]
+    assert rows == [{0: Q(1)}, {0: Q(1, 2), 1: Q(1)}, {0: Q(-1, 2), 2: Q(1)}]
     assert system.initial == [Q(1), Q(0), Q(0)]
 
 
@@ -113,10 +113,27 @@ def test_vector_at_matches_dense_iteration():
     for trial in range(50):
         loop = _fuzz_affine_loop(rng)
         system = moment_closure(loop, list(moment_ring(loop.variables, 2).symbols))
+        dense = [[Q(0)] * system.size for _ in range(system.size)]
+        for i, row in enumerate(system.transition):
+            for j, a in row:
+                dense[i][j] = a
         vec = list(system.initial)
         for n in range(13):
             assert system.vector_at(n) == vec, (trial, n)
-            vec = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in system.transition]
+            vec = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in dense]
+
+
+def test_transition_rows_are_the_lifted_terms():
+    # row i holds lift(symbol i) with each monomial mapped to its index
+    rng = random.Random(42)
+    for trial in range(50):
+        loop = _fuzz_affine_loop(rng)
+        system = moment_closure(loop, list(moment_ring(loop.variables, 2).symbols))
+        for sym, row in zip(system.symbols, system.transition):
+            lifted = lift_polynomial_expectation(loop, Polynomial.monomial(loop.variables, sym))
+            assert all(a for _, a in row), (trial, sym)
+            assert len(dict(row)) == len(row)
+            assert dict(row) == {system.index(e): c for e, c in lifted.terms.items()}, (trial, sym)
 
 
 def test_deterministic_degeneration(xy_system):

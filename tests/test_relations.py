@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as Q
 
 from loopideal import (
     ExpPoly,
     MonomialOrder,
+    Polynomial,
     UniPoly,
     VarRing,
     buchberger,
@@ -20,6 +22,7 @@ from loopideal import (
     restrict_to_order_one,
     simulate,
 )
+from loopideal.algebra import mono_value
 
 PAPER_BASIS_TEXTS = [
     "E[x^2] - E[y^2]",
@@ -182,6 +185,22 @@ def test_psi_map_examples(two_walks):
     assert psi_map(const, two_walks.variables) == poly_parse("7/2", two_walks.variables)
     lin = poly_parse("E[x] - 2*E[y]", names)
     assert psi_map(lin, two_walks.variables) == poly_parse("x - 2*y", two_walks.variables)
+
+
+def test_psi_map_is_evaluation_at_the_moment_monomials():
+    # psi(p)(v) is p at the point of each symbol's monomial value at v
+    rng = random.Random(7)
+    base = VarRing(["x", "y", "z"])
+    mring = moment_ring(base, 2)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(rng.randint(0, 2) for _ in mring.symbols)
+            terms[e] = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        p = Polynomial(mring.ring, terms)
+        v = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(base.arity)]
+        point = [mono_value(sym, v) for sym in mring.symbols]
+        assert psi_map(p, base).eval(v) == p.eval(point)
 
 
 def test_psi_generalization_on_deterministic_loop(xy_system):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
@@ -26,6 +26,9 @@ from .errors import ArityMismatch, ParseError, UnknownVariable
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 _MOMENT_RE = re.compile(r"E\[[^\[\]]+\]")
+# p^k for a p of T > 1 terms has up to C(T - 1 + k, k) terms, with coefficients
+# growing in k; no power whose term bound times k is over this is expanded.
+MAX_POWER_COST = 50_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -622,9 +625,15 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         p = self.primary()
-        if self.accept("^"):
-            p = p ** self.nat("exponent must be a positive integer")
-        return p
+        if not self.accept("^"):
+            return p
+        pos = self.peek()[2]
+        k = self.nat("exponent must be a positive integer")
+        t = len(p.terms)
+        # k is checked first, so that comb never runs on a huge k
+        if t > 1 and (k > MAX_POWER_COST or comb(t - 1 + k, k) * k > MAX_POWER_COST):
+            raise ParseError(f"power {k} of a {t}-term polynomial is too large to expand", pos)
+        return p ** k
 
     def primary(self) -> Polynomial:
         kind, val, pos = self.peek()

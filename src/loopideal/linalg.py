@@ -1,9 +1,8 @@
-"""Small exact linear algebra kit: rational elimination and integer kernels."""
+"""Small exact linear algebra kit: rational elimination and integer relations."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -65,65 +64,31 @@ def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {a in Z^n : rows * a = 0} via column reduction.
+def integer_relations(vectors: list[list[int]]) -> list[list[int]]:
+    """Basis of {a in Z^n : sum of a_i * vectors[i] = 0}, sorted, with each
+    first nonzero entry positive.
 
-    Runs a Euclidean column elimination while tracking the transformation,
-    so the returned vectors generate the full integer kernel lattice (not
-    merely a finite-index sublattice).
+    Euclidean column reduction of the vectors, each stacked on its unit
+    vector so that its lower part records its combination.  The operations
+    are unimodular, so the columns whose upper part reaches zero give the
+    whole relation lattice, not a finite-index sublattice.
     """
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    a = [list(r) for r in rows]
-    # transform starts as the identity; columns of `t` track column ops on `a`
-    t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_swap(j, k):
-        for i in range(nrows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(ncols):
-            t[i][j], t[i][k] = t[i][k], t[i][j]
-
-    def col_addmul(j, k, q):
-        # column j += q * column k
-        for i in range(nrows):
-            a[i][j] += q * a[i][k]
-        for i in range(ncols):
-            t[i][j] += q * t[i][k]
-
-    row = 0
+    n = len(vectors)
+    m = len(vectors[0]) if vectors else 0
+    cols = [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(vectors)]
     col = 0
-    while row < nrows and col < ncols:
-        # find a nonzero entry in this row at column >= col
-        nz = [j for j in range(col, ncols) if a[row][j]]
+    for row in range(m):
+        nz = [j for j in range(col, n) if cols[j][row]]
         if not nz:
-            row += 1
             continue
         # Euclidean reduction across the row until one nonzero remains
         while len(nz) > 1:
-            nz.sort(key=lambda j: abs(a[row][j]))
-            jmin = nz[0]
-            for j in nz[1:]:
-                q = a[row][j] // a[row][jmin]
-                col_addmul(j, jmin, -q)
-            nz = [j for j in range(col, ncols) if a[row][j]]
-        col_swap(col, nz[0])
-        row += 1
+            jmin, *rest = sorted(nz, key=lambda j: abs(cols[j][row]))
+            for j in rest:
+                q = cols[j][row] // cols[jmin][row]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
+            nz = [j for j in range(col, n) if cols[j][row]]
+        cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
         col += 1
-
-    kernel = []
-    for j in range(ncols):
-        if all(a[i][j] == 0 for i in range(nrows)):
-            v = [t[i][j] for i in range(ncols)]
-            g = gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-            # normalize sign: first nonzero entry positive
-            first = next((x for x in v if x), 0)
-            if first < 0:
-                v = [-x for x in v]
-            if any(v):
-                kernel.append(v)
-    kernel.sort()
-    return kernel
+    kernel = [c[m:] for c in cols[col:]]
+    return sorted([-x for x in v] if next(x for x in v if x) < 0 else v for v in kernel)

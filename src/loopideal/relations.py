@@ -10,6 +10,7 @@ the point ideals of their indices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,29 +55,17 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def multiplicative_lattice(bases: list[Fraction]) -> tuple[tuple[int, ...], ...]:
-    """Basis of the vectors a with prod(base_i ** a_i) == 1, via prime exponents."""
+    """Basis of the vectors a with prod(base_i ** a_i) == 1: the integer
+    relations among the bases' prime exponent vectors, sorted."""
     bases = [Fraction(b) for b in bases]
     if any(b <= 0 for b in bases):
         raise ValueError("bases must be positive")
-    primes: set[int] = set()
-    exps = []
-    for b in bases:
-        fac_n = _factorize(b.numerator)
-        fac_d = _factorize(b.denominator)
-        vec = {p: e for p, e in fac_n.items()}
-        for p, e in fac_d.items():
-            vec[p] = vec.get(p, 0) - e
-        exps.append(vec)
-        primes.update(vec)
-    plist = sorted(primes)
-    matrix = [[vec.get(p, 0) for vec in exps] for p in plist]
-    if not plist:
-        # every base is 1; the lattice is all of Z^s
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(len(bases)))
-            for i in range(len(bases))
-        )
-    return tuple(tuple(v) for v in linalg.integer_kernel(matrix))
+    exps = [Counter(_factorize(b.numerator)) for b in bases]
+    for vec, b in zip(exps, bases):
+        vec.subtract(_factorize(b.denominator))
+    primes = sorted(set().union(*exps))
+    vectors = [[vec[p] for p in primes] for vec in exps]
+    return tuple(map(tuple, linalg.integer_relations(vectors)))
 
 
 @dataclass(frozen=True)
@@ -121,6 +110,10 @@ def _tail_ideal(
     every for-all-n relation.  Past a transient of length T these are the
     same: n -> n + T, t -> |b|^T*t, w -> (-1)^T*w maps them to the shifted
     generators and each lattice binomial to a multiple of itself.
+
+    The lattice enters as t^a+ - t^a- for each vector a of the
+    `multiplicative_lattice` basis; the lattice ideal is their saturation by
+    the product of the t symbols, which they alone may not generate.
     """
     mags = sorted(
         {abs(base) for f in forms for base, _ in f.tail if abs(base) != 1},
@@ -148,15 +141,11 @@ def _tail_ideal(
                 part = part * Polynomial.var(big, w_name)
             rhs = rhs + part
         gens.append(Polynomial.var(big, nm) - rhs)
+    # the t symbols sit right after n in `big`
+    pad = (0,) * (big.arity - 1 - len(mags))
     for vec in multiplicative_lattice(mags):
-        pos = Polynomial.const(big, 1)
-        neg = Polynomial.const(big, 1)
-        for a, mag in zip(vec, mags):
-            if a > 0:
-                pos = pos * t_vars[mag] ** a
-            elif a < 0:
-                neg = neg * t_vars[mag] ** (-a)
-        gens.append(pos - neg)
+        pos, neg = ((0, *(max(s * a, 0) for a in vec), *pad) for s in (1, -1))
+        gens.append(Polynomial.monomial(big, pos) - Polynomial.monomial(big, neg))
     if w_name:
         w = Polynomial.var(big, w_name)
         gens.append(w * w - Polynomial.const(big, 1))

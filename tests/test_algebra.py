@@ -13,7 +13,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import parse_rational
+from loopideal.algebra import MAX_POWER_COST, parse_rational
 
 
 def test_parse_paper_generator():
@@ -74,6 +74,23 @@ def test_over_long_literal_is_parse_error():
     assert err.value.position == 0
     with pytest.raises(ParseError):
         parse_rational(f"1/{digits}")
+
+
+def test_power_expansion_is_bounded():
+    ring = VarRing(["x", "y"])
+    # (x+1)^k has a term bound of k+1, weighed by k
+    assert 224 * 223 <= MAX_POWER_COST < 225 * 224
+    assert len(poly_parse("(x+1)^223", ring).terms) == 224
+    with pytest.raises(ParseError) as err:
+        poly_parse("(x+1)^224", ring)
+    assert err.value.position == 6
+    with pytest.raises(ParseError):
+        poly_parse("(x+y)^" + "9" * 40, ring)
+    # a monomial, a constant or zero base is never refused
+    big = Polynomial.monomial(ring, (100000, 100000), 2**100000)
+    assert poly_parse("(2*x*y)^100000", ring) == big
+    assert poly_parse("3^1000 + 0^1000", ring) == 3**1000
+    assert poly_parse("(x+y)^0", ring) == 1
 
 
 @pytest.mark.parametrize(

@@ -304,6 +304,16 @@ def test_groebner_explicit_degrevlex(capsys, tmp_path):
     assert blob["generators"] == expected.to_json()["generators"]
 
 
+@pytest.mark.parametrize("power", [30, 60])
+def test_member_refuses_a_power_too_large_to_expand(capsys, tmp_path, power):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(FLAG_IDEAL))
+    code, out, err = _run(capsys, "member", "--ideal", str(path), "--poly", f"(x+y+f+g)^{power}")
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "ParseError" and blob["detail"].endswith("(at position 10)")
+
+
 @pytest.mark.parametrize(
     "command, source, flag, value",
     [

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 from loopideal import (
     ExpPoly,
@@ -22,6 +24,7 @@ from loopideal import (
     restrict_to_order_one,
     simulate,
 )
+from loopideal import linalg
 from loopideal.algebra import mono_value
 
 PAPER_BASIS_TEXTS = [
@@ -57,6 +60,8 @@ def test_multiplicative_lattice_independent():
 
 def test_multiplicative_lattice_unit_base():
     assert multiplicative_lattice([Q(1)]) == ((1,),)
+    # with no primes at all the lattice is Z^3, its unit basis sorted
+    assert multiplicative_lattice([Q(1)] * 3) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_multiplicative_lattice_defining_property():
@@ -66,6 +71,98 @@ def test_multiplicative_lattice_defining_property():
         for b, a in zip(bases, vec):
             prod *= b**a
         assert prod == 1
+
+
+def _reference_integer_kernel(rows):
+    """Basis of {a : rows * a = 0} by column reduction of `rows` while a
+    second matrix tracks the column operations; the reference for
+    `linalg.integer_relations`."""
+    nrows, ncols = len(rows), len(rows[0])
+    a = [list(r) for r in rows]
+    t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_swap(j, k):
+        for m in (a, t):
+            for r in m:
+                r[j], r[k] = r[k], r[j]
+
+    def col_addmul(j, k, q):
+        for m in (a, t):
+            for r in m:
+                r[j] += q * r[k]
+
+    row = col = 0
+    while row < nrows and col < ncols:
+        nz = [j for j in range(col, ncols) if a[row][j]]
+        if not nz:
+            row += 1
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda j: abs(a[row][j]))
+            jmin = nz[0]
+            for j in nz[1:]:
+                col_addmul(j, jmin, -(a[row][j] // a[row][jmin]))
+            nz = [j for j in range(col, ncols) if a[row][j]]
+        col_swap(col, nz[0])
+        row += 1
+        col += 1
+    kernel = []
+    for j in range(ncols):
+        if all(a[i][j] == 0 for i in range(nrows)):
+            v = [t[i][j] for i in range(ncols)]
+            g = gcd(*v)
+            v = [x // g for x in v]
+            if next(x for x in v if x) < 0:
+                v = [-x for x in v]
+            kernel.append(v)
+    return sorted(kernel)
+
+
+def test_integer_relations_match_the_reference_kernel():
+    rng = random.Random(20231)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(0, 4), rng.randint(1, 6)
+        span = rng.choice([2, 6, 30])
+        rows = [[rng.randint(-span, span) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for r in rows:
+                r[j] = 0
+        if ncols > 1 and rng.random() < 0.3:
+            j, k = rng.sample(range(ncols), 2)
+            for r in rows:
+                r[j] = r[k]
+        vectors = [[r[j] for r in rows] for j in range(ncols)]
+        if nrows:
+            want = _reference_integer_kernel(rows)
+        else:
+            want = [[int(i == j) for j in range(ncols)] for i in reversed(range(ncols))]
+        assert linalg.integer_relations(vectors) == want, rows
+
+
+def test_multiplicative_lattice_is_complete():
+    # every small relation is an integer combination of the returned basis
+    rng = random.Random(7)
+    pool = [Q(n, d) for n in (1, 2, 3, 4, 6, 9, 12, 18) for d in (1, 2, 3, 8)]
+    for _ in range(60):
+        bases = rng.sample(pool, rng.randint(1, 4))
+        basis = multiplicative_lattice(bases)
+        # the basis is independent, so a has one rational coordinate vector
+        assert len(linalg.rref([list(v) for v in basis])[1]) == len(basis)
+        transposed = [list(col) for col in zip(*basis)]
+        for a in itertools.product(range(-2, 3), repeat=len(bases)):
+            prod = Q(1)
+            for b, e in zip(bases, a):
+                prod *= b**e
+            if prod != 1:
+                continue
+            if not basis:
+                assert not any(a), (bases, a)
+                continue
+            coords = linalg.solve(transposed, list(a))
+            assert coords is not None and all(c.denominator == 1 for c in coords), (bases, a)
 
 
 def test_relations_reciprocal_pair():

@@ -27,8 +27,16 @@ _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 _MOMENT_RE = re.compile(r"E\[[^\[\]]+\]")
 # p^k for a p of T > 1 terms has up to C(T - 1 + k, k) terms, with coefficients
-# growing in k; no power whose term bound times k is over this is expanded.
+# up to k times p's `_words`, and p*q up to len(p)*len(q) terms.  One parse is
+# charged those term bounds times k, or times the longer words, for each '^'
+# and '*' it expands, and stops where the sum passes this.
 MAX_POWER_COST = 50_000
+
+
+def _words(p: Polynomial) -> int:
+    """64-bit words of p's longest coefficient, numerator and denominator."""
+    bits = (c.numerator.bit_length() + c.denominator.bit_length() for c in p.terms.values())
+    return -(-max(bits, default=0) // 64)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -561,6 +569,7 @@ class _Parser:
         self.tokens = _tokenize(text, ring is not None and ring.bracketed)
         self.i = 0
         self.ring = ring
+        self.cost = 0  # the expansion charged so far, see MAX_POWER_COST
 
     def peek(self):
         return self.tokens[self.i]
@@ -620,7 +629,11 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while self.accept("*"):
-            p = p * self.factor()
+            pos, q = self.tokens[self.i - 1][2], self.factor()
+            self.cost += len(p.terms) * len(q.terms) * max(_words(p), _words(q))
+            if self.cost > MAX_POWER_COST:
+                raise ParseError("product is too large to expand", pos)
+            p = p * q
         return p
 
     def factor(self) -> Polynomial:
@@ -630,9 +643,11 @@ class _Parser:
         pos = self.peek()[2]
         k = self.nat("exponent must be a positive integer")
         t = len(p.terms)
-        # k is checked first, so that comb never runs on a huge k
-        if t > 1 and (k > MAX_POWER_COST or comb(t - 1 + k, k) * k > MAX_POWER_COST):
-            raise ParseError(f"power {k} of a {t}-term polynomial is too large to expand", pos)
+        if t > 1:
+            # a huge k is charged k, so that comb never runs on it
+            self.cost += k if k > MAX_POWER_COST else comb(t - 1 + k, k) * k * _words(p)
+            if self.cost > MAX_POWER_COST:
+                raise ParseError(f"power {k} of a {t}-term polynomial is too large to expand", pos)
         return p ** k
 
     def primary(self) -> Polynomial:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
@@ -258,33 +259,22 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
         )
     mult0 = next((m for r, m in roots if r == 0), 0)
     nonzero = [(r, m) for r, m in roots if r != 0]
-    transient = tuple(terms[:mult0])
-
-    dim = sum(m for _, m in nonzero)
-    tail: list[tuple[Fraction, UniPoly]] = []
-    if dim:
-        # ansatz sum_{i,j} c_{i,j} n^j base_i^n matched on dim terms
-        cols = [(r, j) for r, m in nonzero for j in range(m)]
-        rows = []
-        rhs = []
-        for n in range(mult0, mult0 + dim):
-            rows.append([Fraction(n) ** j * r**n for r, j in cols])
-            rhs.append(terms[n])
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            raise NoRecurrenceFound("coefficient ansatz is inconsistent")
-        # `cols` runs along `nonzero`, which is sorted by base
-        start = 0
-        for r, m in nonzero:
-            coeff = UniPoly(sol[start : start + m])
-            start += m
-            if not coeff.is_zero():
-                tail.append((r, coeff))
-
-    result = ExpPoly(transient, tuple(tail))
-    for n in range(count):
-        if result.eval(n) != terms[n]:
-            raise NoRecurrenceFound(
-                f"closed form disagrees with the sequence at n={n}"
-            )
-    return result
+    # the ansatz sum_{i,j} c_{i,j} n^j base_i^n, one row per n >= mult0, each
+    # column from the row before (its base times) or the column before (times n)
+    cols = [(r, j) for r, m in nonzero for j in range(m)]
+    table = [[r**mult0 * mult0**j for r, j in cols]]
+    for n in range(mult0 + 1, count):
+        row = []
+        for k, (r, j) in enumerate(cols):
+            row.append(row[-1] * n if j else table[-1][k] * r)
+        table.append(row)
+    sol = linalg.solve(table[: len(cols)], terms[mult0 : mult0 + len(cols)])
+    if sol is None:
+        raise NoRecurrenceFound("coefficient ansatz is inconsistent")
+    for n, row in enumerate(table, mult0):
+        if sum(map(mul, row, sol)) != terms[n]:
+            raise NoRecurrenceFound(f"closed form disagrees with the sequence at n={n}")
+    # `cols` runs along `nonzero`, which is sorted by base
+    coeffs = iter(sol)
+    tail = [(r, UniPoly(islice(coeffs, m))) for r, m in nonzero]
+    return ExpPoly(tuple(terms[:mult0]), tuple((r, c) for r, c in tail if not c.is_zero()))

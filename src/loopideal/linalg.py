@@ -34,17 +34,14 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """One solution of rows*x = rhs, or None when inconsistent.
 
-    Free variables are set to zero.
+    (x, 1) is in the kernel of [rows | -rhs] exactly when x is a solution; the
+    last column is free exactly when one exists, and its kernel vector sets
+    every other free variable to zero.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][-1]
-    return x
+    if not rows:
+        return []
+    kernel = nullspace([list(r) + [-b] for r, b in zip(rows, rhs)])
+    return kernel[-1][:-1] if kernel and kernel[-1][-1] else None
 
 
 def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .algebra import (
+    _NAME_RE,
     MonomialOrder,
     Polynomial,
     VarRing,
@@ -26,7 +28,7 @@ from .algebra import (
     poly_parse,
 )
 from .cfinite import ExpPoly, solve_closed_form
-from .errors import ArityMismatch
+from .errors import ArityMismatch, ClosureBudgetExceeded
 from .groebner import (
     DEFAULT_BUDGET,
     IdealBasis,
@@ -35,10 +37,7 @@ from .groebner import (
     ideal_intersect,
 )
 from .loops import LoopProgram
-from .moments import (
-    degree_targets,
-    moment_closure,
-)
+from .moments import DEFAULT_CLOSURE_BUDGET, degree_targets, moment_closure
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -81,7 +80,14 @@ class MomentRing:
 
 
 def moment_ring(base_ring: VarRing, max_degree: int) -> MomentRing:
-    """Moment variables for every monomial of degree 1..max_degree."""
+    """Moment variables for every monomial of degree 1..max_degree; more of
+    them and E[1] than `moment_closure`'s budget is ClosureBudgetExceeded."""
+    count = comb(base_ring.arity + max_degree, max_degree) if max_degree > 0 else 0
+    if count > DEFAULT_CLOSURE_BUDGET:
+        raise ClosureBudgetExceeded(
+            f"moment closure needs at least {count} symbols for degree <= {max_degree} "
+            f"in {base_ring.arity} variables, over its budget of {DEFAULT_CLOSURE_BUDGET}"
+        )
     symbols = tuple(degree_targets(base_ring, max_degree))
     names = [f"E[{mono_str(e, base_ring)}]" for e in symbols]
     return MomentRing(VarRing(names), base_ring, symbols)
@@ -203,14 +209,10 @@ def moment_invariant_ideal(
 def _symbol_of_name(name: str, base_ring: VarRing) -> tuple[int, ...]:
     if not (name.startswith("E[") and name.endswith("]")):
         raise ValueError(f"not a moment variable: {name!r}")
-    inner = name[2:-1]
-    p = poly_parse(inner, base_ring)
-    if len(p.terms) != 1:
-        raise ValueError(f"moment variable must name a monomial: {name!r}")
-    (exps, coeff), = p.terms.items()
-    if coeff != 1:
+    terms = poly_parse(name[2:-1], base_ring).terms
+    if len(terms) != 1 or 1 not in terms.values():
         raise ValueError(f"moment variable must name a monic monomial: {name!r}")
-    return exps
+    return next(iter(terms))
 
 
 def psi_map(p: Polynomial, base_ring: VarRing) -> Polynomial:
@@ -227,18 +229,12 @@ def psi_map(p: Polynomial, base_ring: VarRing) -> Polynomial:
 def restrict_to_order_one(
     basis: IdealBasis, budget: int = DEFAULT_BUDGET
 ) -> IdealBasis:
-    """Eliminate every moment variable of monomial degree >= 2."""
+    """Eliminate every moment variable of degree >= 2 (its bracket neither one name nor 1)."""
     drop = set()
     for nm in basis.ring.names:
         if not (nm.startswith("E[") and nm.endswith("]")):
             raise ValueError(f"not a moment ring variable: {nm!r}")
-        inner = nm[2:-1]
-        if inner == "1":
-            continue
-        deg = 0
-        for part in inner.split("*"):
-            deg += int(part.split("^")[1]) if "^" in part else 1
-        if deg >= 2:
+        if nm != "E[1]" and not _NAME_RE.fullmatch(nm[2:-1]):
             drop.add(nm)
     return eliminate(basis, drop, budget)
 
@@ -267,9 +263,6 @@ def empirical_relations(
         rows.append([mono_value(e, point) for e in monomials])
     kernel = linalg.nullspace(rows)
     order = MonomialOrder("degrevlex", ring)
-    gens = []
-    for vec in kernel:
-        terms = {e: c for e, c in zip(monomials, vec) if c}
-        if terms:
-            gens.append(Polynomial(ring, terms))
+    # each basis vector has a 1 at its free column, so no generator is zero
+    gens = [Polynomial(ring, dict(zip(monomials, vec))) for vec in kernel]
     return buchberger(gens, order, budget)

@@ -93,6 +93,29 @@ def test_power_expansion_is_bounded():
     assert poly_parse("(x+y)^0", ring) == 1
 
 
+def test_product_and_coefficient_size_are_bounded():
+    ring = VarRing(["x", "y", "f", "g"])
+    # k copies of a 4-term factor are charged about what its k-th power is
+    assert len(poly_parse("*".join(["(x+y+f+g)"] * 21), ring).terms) == 2024
+    with pytest.raises(ParseError) as err:
+        poly_parse("*".join(["(x+y+f+g)"] * 22), ring)
+    assert err.value.position == 209
+    assert poly_parse("(x+y+f+g)^20*(x+y+f+g)", ring) == poly_parse("(x+y+f+g)^21", ring)
+    # a 4,000-digit coefficient takes 208 words, so k(k+1)*208 bounds (x+N)^k
+    n = "7" * 4000
+    assert len(poly_parse(f"(x+{n})^15", ring).terms) == 16
+    with pytest.raises(ParseError):
+        poly_parse(f"(x+{n})^16", ring)
+    with pytest.raises(ParseError):
+        poly_parse("*".join([f"(x+{n})"] * 8), ring)
+    # a zero factor costs nothing
+    assert poly_parse("(x+y)*0*(x+y)", ring) == 0
+    # the charge is per parse, so a sum of powers that pass alone is bounded too
+    with pytest.raises(ParseError) as err:
+        poly_parse("(x+y+f+g)^20 + (x+y+f+g)^20", ring)
+    assert err.value.position == 25
+
+
 @pytest.mark.parametrize(
     "text, value", [("3", Q(3)), (" -1/2 ", Q(-1, 2)), ("+4/6", Q(2, 3)), ("0/5", Q(0))]
 )

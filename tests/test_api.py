@@ -3,9 +3,11 @@ import and private-definition hygiene."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import loopideal
+from loopideal.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -22,6 +24,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert printed and all(line.strip() for line in printed)
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "loopideal" for argv in commands)
+    monkeypatch.chdir(README.parent)
+    for argv in commands:
+        code = main(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0 and out.strip(), argv
 
 
 def _package_trees() -> dict[str, ast.Module]:

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from loopideal import linalg
+from loopideal import cfinite, linalg
 from loopideal import (
     ExpPoly,
     IrrationalEigenvalue,
@@ -336,3 +336,70 @@ def test_upoly_evaluates_at_numbers_and_polynomials():
     assert p(Polynomial.var(ring, "n")) == poly_parse("3*n^2 + 2*n + 1", ring)
     assert p(2) == 17 and p(Q(1, 3)) == 2
     assert UniPoly([5])(Polynomial.var(ring, "t")) == poly_parse("5", ring)
+
+
+def _pivot_solve(rows, rhs):
+    """`linalg.solve` read off `rref`'s pivots directly."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = linalg.rref(aug)
+    ncols = len(rows[0]) if rows else 0
+    if ncols in pivots:
+        return None
+    x = [Q(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][-1]
+    return x
+
+
+def _random_system(rng):
+    def entry():
+        return Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    m, n = rng.randint(1, 5), rng.randint(0, 5)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if n and rng.random() < 0.3:  # a zero column
+        c = rng.randrange(n)
+        for r in rows:
+            r[c] = Q(0)
+    if rng.random() < 0.3:  # a repeated row
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.5:  # consistent by construction
+        x0 = [entry() for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(r, x0)), Q(0)) for r in rows]
+    else:
+        rhs = [entry() for _ in rows]
+    return rows, rhs
+
+
+def test_solve_matches_pivot_reading():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2500):
+        rows, rhs = _random_system(rng)
+        want = _pivot_solve(rows, rhs)
+        assert linalg.solve(rows, rhs) == want, (rows, rhs)
+        m, n = len(rows), len(rows[0])
+        seen.add((want is None, (m > n) - (m < n)))
+    # consistent and inconsistent, each under-, square and over-determined
+    assert seen == {(a, b) for a in (False, True) for b in (-1, 0, 1)}
+    assert linalg.solve([], []) == [] == _pivot_solve([], [])
+    assert linalg.solve([[]], [Q(0)]) == [] and linalg.solve([[]], [Q(1)]) is None
+
+
+def test_closed_form_check_catches_a_dropped_base(monkeypatch):
+    # z = 2^n + 3^n; with the root 3 dropped, the ansatz 2^n fits n = 0 only
+    loop = parse_loop(
+        "vars: x, y, z\ninit: x = 1; y = 1; z = 2\n"
+        "body:\n  (x, y, z) = (2*x, 3*y, 2*x + 3*y)\n"
+    )
+    system = moment_closure(loop, [(0, 0, 1)])
+    assert str(solve_closed_form(system, system.index((0, 0, 1)))) == "(1)*2^n + (1)*3^n"
+    found = rational_roots
+
+    def drop_three(p):
+        roots, cofactor = found(p)
+        return [(r, m) for r, m in roots if r != 3], cofactor
+
+    monkeypatch.setattr(cfinite, "rational_roots", drop_three)
+    with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=1"):
+        solve_closed_form(system, system.index((0, 0, 1)))

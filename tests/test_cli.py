@@ -1,6 +1,8 @@
 import json
 import sys
 from fractions import Fraction as Q
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ body:
   x = x + 2 [1/2] x - 1
   y = y + 1 [1/2] y - 2
 """
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LRS32 = {"coeffs": ["2", "-2", "-12"], "init": ["2", "-3", "3"]}
 
@@ -304,14 +308,34 @@ def test_groebner_explicit_degrevlex(capsys, tmp_path):
     assert blob["generators"] == expected.to_json()["generators"]
 
 
-@pytest.mark.parametrize("power", [30, 60])
-def test_member_refuses_a_power_too_large_to_expand(capsys, tmp_path, power):
+@pytest.mark.parametrize(
+    "poly, position",
+    [
+        ("(x+y+f+g)^30", 10),
+        ("(x+y+f+g)^60", 10),
+        ("*".join(["(x+y+f+g)"] * 60), 209),  # at the 22nd factor's '*'
+        ("(x+" + "7" * 4000 + ")^60", 4005),
+    ],
+    ids=["30", "60", "product", "long-coefficient-power"],
+)
+def test_member_refuses_a_power_too_large_to_expand(capsys, tmp_path, poly, position):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(FLAG_IDEAL))
-    code, out, err = _run(capsys, "member", "--ideal", str(path), "--poly", f"(x+y+f+g)^{power}")
+    code, out, err = _run(capsys, "member", "--ideal", str(path), "--poly", poly)
     assert code == 1 and out == ""
     blob = json.loads(err)
-    assert blob["error"] == "ParseError" and blob["detail"].endswith("(at position 10)")
+    assert blob["error"] == "ParseError" and blob["detail"].endswith(f"(at position {position})")
+
+
+@pytest.mark.parametrize("command", ["invariants", "closed-forms"])
+@pytest.mark.parametrize("degree", [160, 400])
+def test_moment_count_over_the_closure_budget_is_refused(capsys, command, degree):
+    loop = str(GOLDEN / "branches.loop")  # three variables
+    code, out, err = _run(capsys, command, "--loop", loop, "--degree", str(degree))
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "ClosureBudgetExceeded"
+    assert f"at least {comb(3 + degree, 3)} symbols" in blob["detail"]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as Q
 from math import gcd
 
+import pytest
+
 from loopideal import (
+    ClosureBudgetExceeded,
     ExpPoly,
     MonomialOrder,
     Polynomial,
@@ -14,6 +17,7 @@ from loopideal import (
     enumerate_distribution,
     ideal_equal,
     ideal_member,
+    moment_closure,
     moment_invariant_ideal,
     moment_ring,
     multiplicative_lattice,
@@ -24,7 +28,7 @@ from loopideal import (
     restrict_to_order_one,
     simulate,
 )
-from loopideal import linalg
+from loopideal import linalg, relations
 from loopideal.algebra import mono_value
 
 PAPER_BASIS_TEXTS = [
@@ -334,6 +338,49 @@ def test_restrict_substitution_example():
     )
     restricted = restrict_to_order_one(basis)
     assert ideal_member(poly_parse("E[x] - 1", restricted.ring), restricted)
+
+
+def test_restrict_keeps_exactly_the_degree_one_names():
+    mring = moment_ring(VarRing(["x", "y", "z"]), 3)
+    names = VarRing(["E[1]", *mring.ring.names])
+    order = MonomialOrder("degrevlex", names)
+    basis = buchberger([poly_parse(f"{nm} - 1", names) for nm in names.names], order)
+    restricted = restrict_to_order_one(basis)
+    assert restricted.ring.names == ("E[1]", "E[x]", "E[y]", "E[z]")
+    assert ideal_member(poly_parse("E[x] - E[z]", restricted.ring), restricted)
+
+
+def test_restrict_reads_degrees_one_two_and_three_in_one_ring():
+    names = VarRing(["E[x]", "E[y]", "E[x*y]", "E[x^2]", "E[x^3]", "E[x^2*y]"])
+    order = MonomialOrder("degrevlex", names)
+    gens = [
+        "E[x*y] - E[x]", "E[x*y] - E[y]^2", "E[x^3] - E[x^2]",
+        "E[x^2*y] - E[y]", "E[x^2*y] - 3",
+    ]
+    restricted = restrict_to_order_one(buchberger([poly_parse(g, names) for g in gens], order))
+    assert restricted.ring.names == ("E[x]", "E[y]")
+    expected = [poly_parse(g, restricted.ring) for g in ("E[y] - 3", "E[x] - 9")]
+    assert ideal_equal(restricted, buchberger(expected, restricted.order))
+    # only the canonical spelling of a degree-1 moment is kept
+    odd = VarRing(["E[x]", "E[x^1]"])
+    basis = buchberger([poly_parse("E[x^1] - E[x]", odd)], MonomialOrder("degrevlex", odd))
+    assert restrict_to_order_one(basis).ring.names == ("E[x]",)
+
+
+def test_moment_ring_refuses_more_moments_than_the_closure_budget(monkeypatch):
+    ring = VarRing(["x", "y", "z"])
+    loop = parse_loop("vars: x, y, z\ninit: x = 0; y = 0; z = 0\nbody:\n  x = x + 1\n")
+    # C(3 + 2, 2) = 10 symbols: E[1] and the nine moments of degree 1 and 2,
+    # the whole closure of this affine loop
+    targets = list(moment_ring(ring, 2).symbols)
+    assert moment_closure(loop, targets, budget=10).size == 10
+    with pytest.raises(ClosureBudgetExceeded):
+        moment_closure(loop, targets, budget=9)
+    monkeypatch.setattr(relations, "DEFAULT_CLOSURE_BUDGET", 10)
+    assert len(moment_ring(ring, 2).symbols) == 9
+    monkeypatch.setattr(relations, "DEFAULT_CLOSURE_BUDGET", 9)
+    with pytest.raises(ClosureBudgetExceeded, match="at least 10 symbols"):
+        moment_ring(ring, 2)
 
 
 def test_empirical_constant_sequence():

@@ -1,13 +1,25 @@
-"""Small exact linear algebra kit: rational elimination and integer relations."""
+"""Small exact linear algebra kit: fraction-free integer elimination and
+integer relations."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Entries are rationals (ints or Fractions).  Elimination is fraction-free
+    (after Bareiss, Math. Comp. 1968, with content removal in place of its
+    exact division): each row is scaled to integers by the lcm of its
+    denominators, pivot p clears entry a of row i as
+    (p/g)*row_i - (a/g)*pivot_row with g = gcd(p, a), and the row is then
+    divided by its content.  Scaling a row keeps the row space, so the
+    reduced form, which is unique, is read off at the end by dividing each
+    pivot row by its pivot; the rows past the rank are zero.
+    """
+    m = [_integer_row(r) for r in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -18,17 +30,32 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        prow, p = m[r], m[r][c]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            a = m[i][c]
+            if i != r and a:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                m[i] = _primitive([pg * x - ag * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += [[Fraction(0)] * ncols for _ in m[r:]]
+    return red, pivots
+
+
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """`row` times the lcm of its denominators, over its content."""
+    d = lcm(*(v.denominator for v in row))
+    return _primitive([v.numerator * (d // v.denominator) for v in row])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """`row` divided by its content, the gcd of its entries."""
+    k = gcd(*row)
+    return [x // k for x in row] if k > 1 else row
 
 
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -13,7 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, repeat
+from math import comb, lcm, prod
+from operator import getitem, mul
 
 from . import linalg
 from .algebra import (
@@ -24,7 +26,6 @@ from .algebra import (
     fresh_name,
     mono_one,
     mono_str,
-    mono_value,
     poly_parse,
 )
 from .cfinite import ExpPoly, solve_closed_form
@@ -239,6 +240,11 @@ def restrict_to_order_one(
     return eliminate(basis, drop, budget)
 
 
+def _powers(x: int, k: int) -> list[int]:
+    """[1, x, x^2, ..., x^k]."""
+    return list(accumulate(repeat(x, k), mul, initial=1))
+
+
 def empirical_relations(
     value_table: list[list[Fraction]],
     ring: VarRing,
@@ -257,12 +263,23 @@ def empirical_relations(
     if any(len(row) != count for row in value_table):
         raise ArityMismatch("ragged value table")
     monomials = [mono_one(ring.arity)] + degree_targets(ring, degree)
+    order = MonomialOrder("degrevlex", ring)
+    if count == 0:
+        # no samples: every monomial, 1 included, vanishes on all of them
+        return buchberger([Polynomial.const(ring, 1)], order, budget)
+    # each sample times d^degree, d its common denominator, has integer
+    # entries, and scaling a row keeps the kernel
+    shifts = [degree - sum(e) for e in monomials]
     rows = []
     for n in range(count):
         point = [values[n] for values in value_table]
-        rows.append([mono_value(e, point) for e in monomials])
+        d = lcm(*(v.denominator for v in point))
+        powers = [_powers(v.numerator * (d // v.denominator), degree) for v in point]
+        dpow = _powers(d, degree)
+        rows.append(
+            [prod(map(getitem, powers, e)) * dpow[s] for e, s in zip(monomials, shifts)]
+        )
     kernel = linalg.nullspace(rows)
-    order = MonomialOrder("degrevlex", ring)
     # each basis vector has a 1 at its free column, so no generator is zero
     gens = [Polynomial(ring, dict(zip(monomials, vec))) for vec in kernel]
     return buchberger(gens, order, budget)

@@ -30,6 +30,7 @@ from loopideal import (
 )
 from loopideal import linalg, relations
 from loopideal.algebra import mono_value
+from loopideal.moments import degree_targets
 
 PAPER_BASIS_TEXTS = [
     "E[x^2] - E[y^2]",
@@ -388,6 +389,42 @@ def test_empirical_constant_sequence():
     basis = empirical_relations([[Q(1)] * 12], names, 1)
     expected = buchberger([poly_parse("c - 1", names)], MonomialOrder("degrevlex", names))
     assert ideal_equal(basis, expected)
+
+
+def test_empirical_without_samples_is_the_unit_ideal():
+    # with no samples every monomial column is in the kernel, 1 included
+    for ring, degree in ((VarRing(["x"]), 2), (VarRing(["x", "y"]), 1)):
+        basis = empirical_relations([[] for _ in ring.names], ring, degree)
+        assert basis.generators == (Polynomial.const(ring, 1),)
+
+
+def test_empirical_rows_scaled_by_each_samples_denominator():
+    """Samples with different denominators: the integer rows, each scaled by
+    its sample's d^(degree - |e|), keep the kernel of the `mono_value` rows."""
+    sympy = pytest.importorskip("sympy")
+    loop = parse_loop(
+        "vars: x, y\ninit: x = 1/2; y = 2/3\nbody:\n  (x, y) = (1/3*x + 1, 1/3*y + 1/5)\n"
+    )
+    states = simulate(loop, 6)
+    assert len({v.denominator for st in states for v in st}) > 2
+    table = [[st[j] for st in states] for j in range(2)]
+    ring = loop.variables
+    order = MonomialOrder("degrevlex", ring)
+    # the two maps share the multiplier 1/3, so x and y are affinely related
+    line = poly_parse("22*x + 60*y - 51", ring)
+    for degree in (1, 2, 3):
+        monomials = [(0, 0)] + degree_targets(ring, degree)
+        values = [[mono_value(e, st) for e in monomials] for st in states]
+        rows = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in values]
+        )
+        kernel = [
+            Polynomial(ring, {e: Q(int(c.p), int(c.q)) for e, c in zip(monomials, vec)})
+            for vec in rows.nullspace()
+        ]
+        got = empirical_relations(table, ring, degree)
+        assert got.generators == buchberger(kernel, order).generators, degree
+        assert ideal_member(line, got), degree
 
 
 def test_empirical_flag_loops(reach_46, reach_57):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -82,13 +82,13 @@ def minimal_recurrence(terms: list[Fraction], max_order: int) -> UniPoly:
     <= max_order is unique.  Raises NoRecurrenceFound as soon as L exceeds
     max_order.
 
-    The pass runs in ints: the terms are scaled by the lcm of their
-    denominators, and C is kept as a primitive integer multiple, updated
+    The pass runs in ints: the terms are scaled to a primitive integer
+    vector, and C is kept as a primitive integer multiple, updated
     fraction-free as b*C - d*x^m*B instead of C - (d/b)*x^m*B.
     """
     if len(terms) < 2 * max_order + 2:
         raise ValueError("need at least 2*max_order + 2 terms")
-    seq = _integer_form(terms)
+    seq = linalg._integer_row(terms)
     conn = [1]  # connection polynomial C, constant term first
     prev = [1]  # C before the last length change
     length, shift, prev_disc = 0, 1, 1
@@ -111,8 +111,7 @@ def minimal_recurrence(terms: list[Fraction], max_order: int) -> UniPoly:
             shift += 1
         while updated[-1] == 0:
             updated.pop()
-        content = gcd(*updated)
-        conn = [c // content for c in updated]
+        conn = linalg._primitive(updated)
     conn += [0] * (length + 1 - len(conn))
     return UniPoly(Fraction(c, conn[0]) for c in reversed(conn))
 
@@ -127,12 +126,6 @@ def _divisors(n: int) -> list[int]:
             out.add(n // d)
         d += 1
     return sorted(out)
-
-
-def _integer_form(values) -> list[int]:
-    """The rationals `values` times the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values]
 
 
 def _deflate(ip: list[int], num: int, den: int) -> list[int] | None:
@@ -158,7 +151,7 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
         raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
     # clear denominators; root 0 is the run of zero low-order coefficients
-    ip = _integer_form(p.coeffs)
+    ip = linalg._integer_row(p.coeffs)
     mult0 = next(i for i, c in enumerate(ip) if c)
     ip = ip[mult0:]
     if mult0:

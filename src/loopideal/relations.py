@@ -4,8 +4,8 @@ The relations ideal of exponential polynomials is computed by adjoining a
 counter symbol plus one symbol per base magnitude, dividing out the
 binomial ideal of all multiplicative relations among the magnitudes (and a
 sign-torsion symbol when bases are negative), then eliminating the
-auxiliary symbols.  Transient prefixes are covered by intersecting with
-the point ideals of their indices.
+auxiliary symbols.  Transient prefixes are covered by one intersection
+with the vanishing ideal of their points, from `empirical_relations`.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import comb, lcm, prod
-from operator import getitem, mul
+from heapq import heappop, heappush
+from itertools import repeat, zip_longest
+from math import comb, lcm
 
 from . import linalg
 from .algebra import (
@@ -24,6 +24,7 @@ from .algebra import (
     Polynomial,
     VarRing,
     fresh_name,
+    mono_divides,
     mono_one,
     mono_str,
     poly_parse,
@@ -94,13 +95,6 @@ def moment_ring(base_ring: VarRing, max_degree: int) -> MomentRing:
     return MomentRing(VarRing(names), base_ring, symbols)
 
 
-def _point_ideal(ring: VarRing, order: MonomialOrder, values) -> IdealBasis:
-    gens = []
-    for nm, v in zip(ring.names, values):
-        gens.append(Polynomial.var(ring, nm) - Polynomial.const(ring, v))
-    return IdealBasis(ring, order, tuple(gens), reduced=True)
-
-
 def _tail_ideal(
     forms: list[ExpPoly],
     ring: VarRing,
@@ -167,9 +161,9 @@ def relations_ideal(
     """Basis of all polynomial relations holding among the forms for n >= 0.
 
     `ring` has one variable per form.  The tail relations come from each
-    tail's own parametrization, read for all n >= 0; the indices before the
-    longest transient are covered by intersecting with their point ideals.
-    The basis is in degrevlex order.
+    tail's own parametrization, read for all n >= 0; the T indices before
+    the longest transient, by one intersection with their points' ideal,
+    which is generated in degree <= T.  The basis is in degrevlex order.
     """
     if len(forms) != ring.arity:
         raise ArityMismatch(
@@ -179,9 +173,10 @@ def relations_ideal(
 
     transient_len = max((len(f.transient) for f in forms), default=0)
     result = _tail_ideal(forms, ring, order, budget)
-    for n0 in range(transient_len):
-        pt = _point_ideal(ring, order, [f.eval(n0) for f in forms])
-        result = ideal_intersect(result, pt, budget)
+    if transient_len:
+        prefix = [[f.eval(n) for n in range(transient_len)] for f in forms]
+        points = empirical_relations(prefix, ring, transient_len, budget)
+        result = ideal_intersect(result, points, budget)
     return result
 
 
@@ -240,46 +235,58 @@ def restrict_to_order_one(
     return eliminate(basis, drop, budget)
 
 
-def _powers(x: int, k: int) -> list[int]:
-    """[1, x, x^2, ..., x^k]."""
-    return list(accumulate(repeat(x, k), mul, initial=1))
-
-
 def empirical_relations(
     value_table: list[list[Fraction]],
     ring: VarRing,
     degree: int,
     budget: int = DEFAULT_BUDGET,
 ) -> IdealBasis:
-    """Kernel of evaluating all monomials of degree <= `degree` on samples.
+    """Ideal of the polynomials of degree <= `degree` vanishing on the samples.
 
-    `value_table[j][n]` is the value of ring variable j at index n.  Every
-    returned polynomial vanishes on all sampled indices; soundness beyond
-    the sampled horizon is empirical, not certified.
+    `value_table[j][n]` is the value of ring variable j at index n;
+    soundness beyond the sampled horizon is empirical, not certified.
+
+    A Buchberger-Moeller walk (EUROCAM 1982) takes the monomials smallest
+    first in degrevlex, each from the one with one less power of its last
+    variable, and skips those a lead divides.  Its column over the samples,
+    reduced fraction-free against the standard monomials' columns, is zero
+    for a lead m, giving m - sum c*s, and otherwise makes it standard.
     """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     if len(value_table) != ring.arity:
         raise ArityMismatch(f"{len(value_table)} value rows for {ring.arity} names")
     count = len(value_table[0])
     if any(len(row) != count for row in value_table):
         raise ArityMismatch("ragged value table")
-    monomials = [mono_one(ring.arity)] + degree_targets(ring, degree)
     order = MonomialOrder("degrevlex", ring)
-    if count == 0:
-        # no samples: every monomial, 1 included, vanishes on all of them
-        return buchberger([Polynomial.const(ring, 1)], order, budget)
-    # each sample times d^degree, d its common denominator, has integer
-    # entries, and scaling a row keeps the kernel
-    shifts = [degree - sum(e) for e in monomials]
-    rows = []
-    for n in range(count):
-        point = [values[n] for values in value_table]
-        d = lcm(*(v.denominator for v in point))
-        powers = [_powers(v.numerator * (d // v.denominator), degree) for v in point]
-        dpow = _powers(d, degree)
-        rows.append(
-            [prod(map(getitem, powers, e)) * dpow[s] for e, s in zip(monomials, shifts)]
-        )
-    kernel = linalg.nullspace(rows)
-    # each basis vector has a 1 at its free column, so no generator is zero
-    gens = [Polynomial(ring, dict(zip(monomials, vec))) for vec in kernel]
+    # sample n times d_n^top, d_n its common denominator, is integral on each
+    # monomial the walk reaches (none past degree count); scaling keeps the ideal
+    top = min(degree, count)
+    dens = [lcm(*(values[n].denominator for values in value_table)) for n in range(count)]
+    one = mono_one(ring.arity)
+    heap = [(order.key(one), one, [d**top for d in dens], 0)]
+    # per standard monomial: itself, a pivot row, and its reduced column
+    # followed by its combination of the standard monomials up to itself
+    standard, leads, gens = [], [], []
+    while heap:
+        _, m, col, last = heappop(heap)
+        if any(map(mono_divides, leads, repeat(m))):
+            continue
+        v = col + [0] * len(standard) + [1]
+        for _, pivot, row in standard:
+            a, p = v[pivot], row[pivot]
+            if a:
+                v = linalg._primitive([p * x - a * y for x, y in zip_longest(v, row, fillvalue=0)])
+        pivot = next((i for i, x in enumerate(v[:count]) if x), None)
+        if pivot is None:
+            monos = [s for s, _, _ in standard] + [m]
+            gens.append(Polynomial(ring, dict(zip(monos, v[count:]))))
+            leads.append(m)
+            continue
+        standard.append((m, pivot, v))
+        for j in range(last, ring.arity) if sum(m) < top else ():
+            child = m[:j] + (m[j] + 1,) + m[j + 1 :]
+            step = [c * x.numerator // x.denominator for c, x in zip(col, value_table[j])]
+            heappush(heap, (order.key(child), child, step, j))
     return buchberger(gens, order, budget)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import loopideal
 from loopideal.cli import main
 
-SYSTEM = Path(__file__).parent / "golden" / "system.loop"
+GOLDEN = Path(__file__).parent / "golden"
+SYSTEM = GOLDEN / "system.loop"
 
 ERRORS = {
     name
@@ -144,3 +145,24 @@ def test_ideal_commands(generators, order, poly):
         path.write_text(json.dumps({"ring": ["x", "y"], "order": order, "generators": generators}))
         _exit_code(["groebner", "--ideal", str(path)])
         _exit_code(["member", "--ideal", str(path), f"--poly={poly}"])
+
+
+# The golden loops (the probabilistic ones end in NotDeterministic) and one
+# affine loop with fractional values, whose denominators grow as 3^n.
+FRACTIONAL = "vars: x, y\ninit: x = 1/2; y = -2/3\nbody:\n  (x, y) = (1/3*x + 1, 1/3*y + 1/5)\n"
+
+
+@FUZZ
+@given(
+    st.sampled_from(sorted(p.name for p in GOLDEN.glob("*.loop")) + ["fractional"]),
+    st.integers(-1, 10**6),
+    st.integers(0, 30),
+)
+def test_empirical_degree_and_horizon(loop, degree, horizon):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = GOLDEN / loop
+        if loop == "fractional":
+            path = Path(tmp) / "fractional.loop"
+            path.write_text(FRACTIONAL)
+        argv = ["empirical", "--loop", str(path), "--degree", str(degree)]
+        _exit_code(argv + ["--horizon", str(horizon)])

@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction as Q
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from loopideal import (
     ClosureBudgetExceeded,
     ExpPoly,
+    IdealBasis,
     MonomialOrder,
     Polynomial,
     UniPoly,
@@ -16,6 +18,7 @@ from loopideal import (
     empirical_relations,
     enumerate_distribution,
     ideal_equal,
+    ideal_intersect,
     ideal_member,
     moment_closure,
     moment_invariant_ideal,
@@ -238,6 +241,42 @@ def test_relations_transient_point():
             assert g.eval([spike.eval(n)]) == 0
 
 
+def _pointwise_relations(forms, ring):
+    """The former transient step of `relations_ideal`: the tail ideal
+    intersected with the point ideal of each transient index in turn."""
+    order = MonomialOrder("degrevlex", ring)
+    result = relations._tail_ideal(forms, ring, order, relations.DEFAULT_BUDGET)
+    for n in range(max(len(f.transient) for f in forms)):
+        point = [
+            Polynomial.var(ring, nm) - Polynomial.const(ring, f.eval(n))
+            for nm, f in zip(ring.names, forms)
+        ]
+        result = ideal_intersect(result, IdealBasis(ring, order, tuple(point), reduced=True))
+    return result
+
+
+def test_relations_ideal_matches_pointwise_intersections():
+    rng = random.Random(1993)
+    values = [Q(v) for v in (0, 1, -1, 2, 5, Q(1, 2), Q(-3, 4))]
+    for case in range(30):
+        # 2, 4 and 1/2 are powers of one base, so most pairs of forms are related
+        arity = rng.choice([1, 2, 2, 2])
+        pool = [Q(1), Q(-1)] + [Q(2), Q(4), Q(1, 2)] * (arity - 1)
+        forms = []
+        for _ in range(arity):
+            bases = rng.sample(sorted(set(pool)), rng.randint(0, 1))
+            tail = tuple(
+                (b, _upoly(*rng.choice([(1,), (-2,), (Q(1, 2),), (1, 1)]))) for b in bases
+            )
+            transient = tuple(rng.choice(values) for _ in range(rng.randint(0, 4)))
+            forms.append(ExpPoly(transient, tail))
+        if not any(f.transient for f in forms):
+            forms[0] = ExpPoly((rng.choice(values),), forms[0].tail)
+        ring = VarRing(["a", "b"][:arity])
+        got = relations_ideal(forms, ring)
+        assert got.generators == _pointwise_relations(forms, ring).generators, (case, forms)
+
+
 def test_moment_invariant_ideal_two_walks(two_walks):
     basis = moment_invariant_ideal(two_walks, 2)
     names = moment_ring(two_walks.variables, 2).ring
@@ -399,8 +438,9 @@ def test_empirical_without_samples_is_the_unit_ideal():
 
 
 def test_empirical_rows_scaled_by_each_samples_denominator():
-    """Samples with different denominators: the integer rows, each scaled by
-    its sample's d^(degree - |e|), keep the kernel of the `mono_value` rows."""
+    """Samples with different denominators: the integer columns, sample n
+    scaled by d_n^min(degree, count), keep the kernel of the `mono_value`
+    rows."""
     sympy = pytest.importorskip("sympy")
     loop = parse_loop(
         "vars: x, y\ninit: x = 1/2; y = 2/3\nbody:\n  (x, y) = (1/3*x + 1, 1/3*y + 1/5)\n"
@@ -425,6 +465,60 @@ def test_empirical_rows_scaled_by_each_samples_denominator():
         got = empirical_relations(table, ring, degree)
         assert got.generators == buchberger(kernel, order).generators, degree
         assert ideal_member(line, got), degree
+
+
+def _dense_empirical(table, ring, degree):
+    """The former `empirical_relations`: the rational kernel of the rows of
+    every monomial of degree <= `degree` evaluated at each sample, reduced
+    by `buchberger`."""
+    monomials = [(0,) * ring.arity] + degree_targets(ring, degree)
+    rows = [[mono_value(e, point) for e in monomials] for point in zip(*table)]
+    if rows:
+        gens = [Polynomial(ring, dict(zip(monomials, v))) for v in linalg.nullspace(rows)]
+    else:
+        gens = [Polynomial.const(ring, 1)]
+    return buchberger(gens, MonomialOrder("degrevlex", ring))
+
+
+def _sample_value(rng, pool):
+    if rng.random() < 0.3:
+        return rng.choice(pool)
+    return Q(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+
+def test_empirical_matches_dense_reference_kernel():
+    """Random tables: 1-4 variables, 0-12 samples, some repeated, fractional
+    values and a 10^12-size one, degrees 1-5."""
+    rng = random.Random(1982)
+    for case in range(200):
+        arity = rng.randint(1, 4)
+        ring = VarRing([f"x{i}" for i in range(arity)])
+        count, degree = rng.randint(0, 12), rng.randint(1, 5)
+        pool = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] + [Q(10**12 + 7)]
+        points = [[_sample_value(rng, pool) for _ in range(arity)] for _ in range(count)]
+        if count > 2 and rng.random() < 0.3:
+            points[-1] = list(points[rng.randrange(count - 1)])
+        table = [list(col) for col in zip(*points)] if points else [[] for _ in range(arity)]
+        got = empirical_relations(table, ring, degree)
+        assert got.generators == _dense_empirical(table, ring, degree).generators, case
+
+
+def test_empirical_degree_past_the_samples_changes_nothing():
+    """The four samples of the golden flag loop at horizon 3 have a vanishing
+    ideal that degree 3 already generates, so degrees 4, 16 and 400 give the
+    same basis; a fractional loop at degree 10^6 finishes."""
+    flag = parse_loop((Path(__file__).parent / "golden" / "flag.loop").read_text())
+    table = [list(col) for col in zip(*simulate(flag, 3))]
+    want = empirical_relations(table, flag.variables, 3).generators
+    for degree in (4, 16, 400):
+        assert empirical_relations(table, flag.variables, degree).generators == want
+    loop = parse_loop(
+        "vars: x, y\ninit: x = 1/2; y = 2/3\nbody:\n  (x, y) = (1/3*x + 1, 1/3*y + 1/5)\n"
+    )
+    table = [list(col) for col in zip(*simulate(loop, 12))]
+    got = empirical_relations(table, loop.variables, 10**6)
+    assert ideal_member(poly_parse("22*x + 60*y - 51", loop.variables), got)
+    assert got.generators == _dense_empirical(table, loop.variables, 13).generators
 
 
 def test_empirical_flag_loops(reach_46, reach_57):

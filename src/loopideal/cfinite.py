@@ -1,17 +1,18 @@
 """Exact closed forms for linearly recurrent sequences.
 
 A sequence produced by a moment system is annihilated by some monic
-polynomial; splitting off its rational roots yields an exponential
-polynomial `sum_i p_i(n) * base_i^n`, with the multiplicity of the root 0
-becoming an explicit transient prefix.
+polynomial; splitting off its rational roots, found by p-adic lifting and
+confirmed by exact deflation, yields an exponential polynomial
+`sum_i p_i(n) * base_i^n`, with the multiplicity of the root 0 becoming an
+explicit transient prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import gcd
+from itertools import count, islice
+from math import isqrt
 from operator import mul
 
 from . import linalg
@@ -116,37 +117,102 @@ def minimal_recurrence(terms: list[Fraction], max_order: int) -> UniPoly:
     return UniPoly(Fraction(c, conn[0]) for c in reversed(conn))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _deflate(ip: list[int], divisor: list[int]) -> list[int] | None:
+    """The integral quotient of `ip` by `divisor`, or None if it has none.
 
-
-def _deflate(ip: list[int], num: int, den: int) -> list[int] | None:
-    """The integral quotient of `ip` by den*x - num, or None if it has none.
-
-    For num/den in lowest terms, den*x - num is primitive, so by Gauss's
-    lemma it divides the integer polynomial `ip` over the rationals only if
-    every step of the synthetic division is exact in ints.
+    For a primitive divisor, by Gauss's lemma, it divides the integer
+    polynomial `ip` over the rationals only if every step of the long
+    division is exact in ints.
     """
-    out = [ip[-1]]
-    for c in reversed(ip[:-1]):
-        q, r = divmod(out[-1], den)
+    rem, out = list(ip), []
+    *tail, lead = divisor
+    while len(rem) > len(tail):
+        q, r = divmod(rem.pop(), lead)
         if r:
             return None
-        out[-1] = q
-        out.append(c + num * q)
-    return None if out.pop() else out[::-1]
+        out.append(q)
+        shift = len(rem) - len(tail)
+        for i, c in enumerate(tail):
+            rem[shift + i] -= q * c
+    return None if any(rem) else out[::-1]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of lc(b)^k * a mod b, the pseudo-remainder."""
+    rem = list(a)
+    *tail, lead = b
+    while len(rem) > len(tail):
+        top = rem.pop()
+        shift = len(rem) - len(tail)
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(tail):
+            rem[shift + i] -= top * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return linalg._primitive(rem) if rem else rem
+
+
+def _value_mod(ip: list[int], x: int, m: int) -> int:
+    """ip(x) mod m by Horner's rule."""
+    acc = 0
+    for c in reversed(ip):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _root_candidates(ip: list[int]) -> list[Fraction]:
+    """Fractions among which are all rational roots of `ip`, with ip(0) != 0;
+    the steps are those of `rational_roots`."""
+    gcd_ = ip
+    step = [k * c for k, c in enumerate(ip)][1:]
+    while step:
+        gcd_, step = step, _pseudo_remainder(gcd_, step)
+    s = _deflate(ip, linalg._primitive(gcd_))
+    if len(s) == 2:
+        return [Fraction(-s[0], s[1])]
+    ds = [k * c for k, c in enumerate(s)][1:]
+    for p in (n for n in count(2) if all(n % q for q in range(2, isqrt(n) + 1))):
+        if s[-1] % p:
+            lifts = [x for x in range(p) if not _value_mod(s, x, p)]
+            if all(_value_mod(ds, x, p) for x in lifts):
+                break
+    m, bound = p, abs(s[0])
+    while m <= 2 * bound * abs(s[-1]):
+        m *= m
+        lifts = [(x - _value_mod(s, x, m) * pow(_value_mod(ds, x, m), -1, m)) % m for x in lifts]
+    out = []
+    for x in lifts:
+        (r0, t0), (r1, t1) = (m, 0), (x, 1)
+        while r1 > bound:
+            q = r0 // r1
+            (r0, t0), (r1, t1) = (r1, t1), (r0 - q * r1, t0 - q * t1)
+        out.append(Fraction(r1, t1))
+    return out
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
-    """All rational roots with multiplicities, plus the rootless cofactor."""
+    """All rational roots with multiplicities, plus the rootless cofactor.
+
+    The roots are found by p-adic lifting (Loos, "Computing rational zeros
+    of integral polynomials by p-adic expansion", SIAM J. Comput. 1983), in
+    ints, after the root 0 is split off:
+    1. The square-free part s of degree d is the integer polynomial over its
+       primitive pseudo-remainder gcd with the derivative; for d = 1 its
+       root is read off directly.
+    2. p is the smallest prime not dividing s_d at which every root of
+       s mod p, found by evaluating s at 0 .. p-1, is simple; each prime
+       dividing neither s_d nor the discriminant of s is one.  A root
+       num/den of s has den | s_d, so it reduces to a root mod p.
+    3. Newton steps lift each to a root of s mod m, squaring m each step,
+       until m > 2*|s_0|*|s_d|.
+    4. A root num/den has |num| <= |s_0| and 0 < den <= |s_d|.  As
+       m > (|s_0| + 1)*|s_d|, the half-extended Euclid algorithm on
+       (m, lifted root), stopped at the first remainder at most |s_0|, gives
+       that remainder over its cofactor as the only candidate (von zur
+       Gathen and Gerhard, Modern Computer Algebra, Thm. 5.26).
+    Each candidate is then confirmed, and its multiplicity counted, by
+    exact deflation of the whole integer polynomial.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
@@ -156,24 +222,14 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     ip = ip[mult0:]
     if mult0:
         roots.append((Fraction(0), mult0))
-    if len(ip) > 1:
-        # the rational root theorem
-        candidates = (
-            (sign * num, den)
-            for num in _divisors(ip[0])
-            for den in _divisors(ip[-1])
-            if gcd(num, den) == 1
-            for sign in (1, -1)
-        )
-        for num, den in candidates:
-            mult = 0
-            while (quotient := _deflate(ip, num, den)) is not None:
-                ip = quotient
-                mult += 1
-            if mult:
-                roots.append((Fraction(num, den), mult))
-            if len(ip) == 1:
-                break
+    for root in _root_candidates(ip):
+        mult = 0
+        linear = [-root.numerator, root.denominator]
+        while (quotient := _deflate(ip, linear)) is not None:
+            ip = quotient
+            mult += 1
+        if mult:
+            roots.append((root, mult))
     roots.sort(key=lambda rm: rm[0])
     # the same cofactor as deflating p itself: its lead is p's
     return roots, UniPoly(c * p.coeffs[-1] / ip[-1] for c in ip)

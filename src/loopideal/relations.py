@@ -251,6 +251,10 @@ def empirical_relations(
     variable, and skips those a lead divides.  Its column over the samples,
     reduced fraction-free against the standard monomials' columns, is zero
     for a lead m, giving m - sum c*s, and otherwise makes it standard.
+    When no standard monomial reaches degree min(degree, count), which
+    `degree >= count` ensures, the walk found every lead, and these
+    generators made monic are the reduced basis; otherwise `buchberger`
+    completes them.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -281,7 +285,7 @@ def empirical_relations(
         pivot = next((i for i, x in enumerate(v[:count]) if x), None)
         if pivot is None:
             monos = [s for s, _, _ in standard] + [m]
-            gens.append(Polynomial(ring, dict(zip(monos, v[count:]))))
+            gens.append(Polynomial(ring, {s: Fraction(c, v[-1]) for s, c in zip(monos, v[count:])}))
             leads.append(m)
             continue
         standard.append((m, pivot, v))
@@ -289,4 +293,7 @@ def empirical_relations(
             child = m[:j] + (m[j] + 1,) + m[j + 1 :]
             step = [c * x.numerator // x.denominator for c, x in zip(col, value_table[j])]
             heappush(heap, (order.key(child), child, step, j))
-    return buchberger(gens, order, budget)
+    if any(sum(s) == top for s, _, _ in standard):
+        return buchberger(gens, order, budget)
+    # leads come smallest first; a reduced basis lists them largest first
+    return IdealBasis(ring, order, tuple(reversed(gens)), reduced=True)

@@ -159,6 +159,18 @@ def test_minimal_recurrence_matches_reference_search():
     assert NoRecurrenceFound in seen and len(seen) > 50
 
 
+def _product(*factors):
+    p = _upoly(1)
+    for f in factors:
+        p = p * f
+    return p
+
+
+def _check_cofactor(p, roots, cofactor):
+    """p is the cofactor times each (L - root)^multiplicity."""
+    assert _product(cofactor, *(_upoly(-r, 1) for r, m in roots for _ in range(m))) == p
+
+
 def test_rational_roots_composed():
     p = _upoly(1, -2, 1) * _upoly(-3, 1)  # (L-1)^2 (L-3)
     roots, cofactor = rational_roots(p)
@@ -170,6 +182,9 @@ def test_rational_roots_irrational_cofactor():
     roots, cofactor = rational_roots(_upoly(-2, 0, 1))  # L^2 - 2
     assert roots == []
     assert cofactor == _upoly(-2, 0, 1)
+    # no real root, and the same after a root 0 of multiplicity 2
+    assert rational_roots(_upoly(2, 0, 1)) == ([], _upoly(2, 0, 1))
+    assert rational_roots(_upoly(0, 0, 2, 0, 1)) == ([(Q(0), 2)], _upoly(2, 0, 1))
 
 
 def test_rational_roots_zero_root():
@@ -183,6 +198,11 @@ def test_rational_roots_fractional():
     roots, cofactor = rational_roots(p)
     assert set(r for r, _ in roots) == {Q(1, 2), Q(3, 2)}
     assert cofactor.degree == 0
+    # a repeated fractional root: (3/5 - 7/4 L)^3 (L - 5/9)
+    p = _product(*(_upoly(Q(3, 5), Q(-7, 4)) for _ in range(3)), _upoly(Q(-5, 9), 1))
+    roots, cofactor = rational_roots(p)
+    assert roots == [(Q(12, 35), 3), (Q(5, 9), 1)]
+    _check_cofactor(p, roots, cofactor)
 
 
 def _reference_rational_roots(p):
@@ -248,6 +268,57 @@ def test_rational_roots_match_fraction_reference():
         roots, cofactor = got
         assert roots == sorted(want_roots.items())
         assert cofactor.degree == (2 if quad is not None else 0)
+
+
+def test_rational_roots_of_large_magnitude():
+    # (L - q)(L - q^2)(L - 1)(qL - 1): a trial division of the constant term
+    # q^3 would take about q^1.5 steps
+    for q in (10**6 + 3, 10**9 + 7, 2**61 - 1, 10**20 + 39):
+        p = _product(_upoly(-q, 1), _upoly(-q * q, 1), _upoly(-1, 1), _upoly(-1, q))
+        roots, cofactor = rational_roots(p)
+        assert roots == [(Q(1, q), 1), (Q(1), 1), (Q(q), 1), (Q(q * q), 1)]
+        assert cofactor == _upoly(q)
+
+
+def test_rational_roots_past_the_bad_primes():
+    # prod (L - i) for i = 1..12: modulo every prime up to 11 two roots meet,
+    # so the first prime with simple roots is 13
+    p = _product(*(_upoly(-i, 1) for i in range(1, 13)))
+    roots, cofactor = rational_roots(p)
+    assert roots == [(Q(i), 1) for i in range(1, 13)]
+    assert cofactor == _upoly(1)
+    # the lead 2100 = 2^2*3*5^2*7 rules out every prime below 11
+    p = _product(_upoly(-1, 210), _upoly(3, 10), _upoly(1, 1, 1))
+    roots, cofactor = rational_roots(p)
+    assert roots == [(Q(-3, 10), 1), (Q(1, 210), 1)]
+    assert cofactor == _upoly(2100, 2100, 2100)
+
+
+
+
+def test_rational_roots_match_sympy():
+    """Random products of linear factors den*L - num, some of large height
+    and with multiplicity, and of random integer polynomials."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1983)
+    for case in range(100):
+        p = _upoly(rng.choice([1, -3, 210, Q(5, 7)]))
+        for _ in range(rng.randint(0, 4)):
+            num = rng.choice([rng.randint(-30, 30), rng.randint(-10**12, 10**12)])
+            den = rng.choice([1, 1, 2, 6, rng.randint(1, 10**6)])
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                p = p * _upoly(-num, den)
+        for _ in range(rng.randint(0, 2)):
+            noise = [rng.randint(-9, 9) for _ in range(rng.randint(2, 4))]
+            p = p * _upoly(*noise, rng.randint(1, 5))
+        if p.degree < 1:
+            continue
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs))
+        want = sympy.roots(sympy.Poly(expr, x), filter="Q")
+        roots, cofactor = rational_roots(p)
+        assert roots == sorted((Q(int(r.p), int(r.q)), m) for r, m in want.items()), case
+        _check_cofactor(p, roots, cofactor)
 
 
 def test_solve_closed_forms_two_walks(two_walks):

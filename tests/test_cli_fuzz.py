@@ -88,8 +88,8 @@ def test_recurrence_commands(record, command, horizon):
 
 
 # Loop files assembled from fragments.  Long literals stay away from
-# `closed-forms` and `invariants`, whose trial division by the divisors of
-# a recurrence's coefficients would not finish on them.
+# `invariants`, whose multiplicative lattice factors each base by trial
+# division; `closed-forms` gets prime-sized ones below.
 NAME = st.sampled_from(["x", "y", "E[x]", "x1", "2x", ""])
 VALUE = st.one_of(
     st.sampled_from(["0", "-1", "1/2", "-3/2", LONG]),
@@ -122,6 +122,40 @@ def test_loop_commands(text, command, horizon):
         path = Path(tmp) / "fuzz.loop"
         path.write_text(text)
         _exit_code([command, "--loop", str(path), "--horizon", str(horizon)])
+
+
+# Multipliers and values of prime size: the moment annihilators have
+# rational roots near their powers, which p-adic lifting finds at once.
+BIG = st.sampled_from(
+    ["100000000000000000039", "2305843009213693951", "-1000000007", "1/2305843009213693951", "3"]
+)
+
+
+@st.composite
+def big_loop_text(draw):
+    a, b, c = draw(BIG), draw(BIG), draw(BIG)
+    body = draw(
+        st.sampled_from(
+            [
+                f"x = {a}*x [1/2] x + {b}",
+                f"(x, y) = ({a}*x, {b}*y + x)",
+                f"(x, y) = ({a}*x + y, y) [1/3] ({b}*y, {c}*x)",
+                f"x = {a}*x + {c} [1/2] {b}*x",
+            ]
+        )
+    )
+    names = ["x", "y"] if "y" in body else ["x"]
+    inits = "; ".join(f"{nm} = {draw(BIG)}" for nm in names)
+    return f"vars: {', '.join(names)}\ninit: {inits}\nbody:\n  {body}\n"
+
+
+@FUZZ
+@given(big_loop_text(), st.integers(1, 2))
+def test_closed_forms_with_long_literals(text, degree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "big.loop"
+        path.write_text(text)
+        _exit_code(["closed-forms", "--loop", str(path), "--degree", str(degree)])
 
 
 MONOMIAL = st.sampled_from(["1", "x", "y", "x^2", "x*y", "y^2"])

@@ -503,6 +503,32 @@ def test_empirical_matches_dense_reference_kernel():
         assert got.generators == _dense_empirical(table, ring, degree).generators, case
 
 
+def test_empirical_full_walk_is_buchbergers_reduced_basis(monkeypatch):
+    """Random tables with degree >= count: the walk runs to its end, and its
+    monic generators, returned without `buchberger`, are the reduced basis
+    that `buchberger` makes of them."""
+    rng = random.Random(1993)
+    cases = []
+    for case in range(300):
+        arity, count = rng.randint(1, 3), rng.randint(0, 7)
+        ring = VarRing([f"x{i}" for i in range(arity)])
+        pool = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        points = [[_sample_value(rng, pool) for _ in range(arity)] for _ in range(count)]
+        table = [list(col) for col in zip(*points)] if points else [[] for _ in range(arity)]
+        cases.append((ring, table, max(count, 1) + rng.choice([0, 0, 1, 5])))
+
+    def no_buchberger(*args):
+        raise AssertionError("the full walk called buchberger")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(relations, "buchberger", no_buchberger)
+        bases = [empirical_relations(table, ring, degree) for ring, table, degree in cases]
+    for case, ((ring, _, _), basis) in enumerate(zip(cases, bases)):
+        assert basis.reduced, case
+        want = buchberger(list(basis.generators), MonomialOrder("degrevlex", ring))
+        assert basis.generators == want.generators, case
+
+
 def test_empirical_degree_past_the_samples_changes_nothing():
     """The four samples of the golden flag loop at horizon 3 have a vanishing
     ideal that degree 3 already generates, so degrees 4, 16 and 400 give the

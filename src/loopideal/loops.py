@@ -4,6 +4,10 @@ The program model is deliberately guard-free.  Statements execute
 sequentially within an iteration (later assignments see earlier updates);
 a tuple assignment updates its targets simultaneously; each probabilistic
 assignment draws its branch independently.
+
+Simulation and distribution enumeration share one exact stepper that runs
+in Python ints (`_integer_steps`); `Fraction`s appear only in what it hands
+back.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from .algebra import Polynomial, VarRing, mono_value, parse_branches, parse_rational
 from .errors import (
@@ -200,13 +205,132 @@ def format_loop(loop: LoopProgram) -> str:
 
 
 # -- semantics ----------------------------------------------------------------
+#
+# An integer state is the flat tuple (n0, d0, n1, d1, ...) of the values'
+# numerators and denominators in lowest terms (d > 0), so two integer states
+# are equal exactly when their rational states are.
 
-def _apply_branch(state: State, stmt: Assignment, exprs, ring: VarRing) -> State:
-    values = [p.eval(state) for p in exprs]
-    out = list(state)
-    for nm, v in zip(stmt.targets, values):
-        out[ring.index(nm)] = v
-    return tuple(out)
+def _compile(p: Polynomial):
+    """p as (L, tops, tree), evaluated by `_value`.
+
+    With L the lcm of p's coefficient denominators and D_i p's top degree in
+    variable i, p = N / (L * prod d_i^D_i) at a state, where N is the
+    homogenized integer Horner value of L*p.  `tops` lists the used
+    variables' (2*i, D_i); `tree` is an int for a constant p, else the node
+    (2*i, coefficients) of the last used variable i, whose coefficients,
+    highest power first, are nodes of the variables before it or ints.  The
+    outermost variable is multiplied the fewest times, and in the reduction
+    witness systems the later coordinates hold the largest values.
+    """
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    used = [i for i in range(p.ring.arity) if any(e[i] for e in p.terms)]
+    tops = [(2 * i, max(e[i] for e in p.terms)) for i in used]
+
+    def nest(terms, level):
+        if level < 0:
+            return sum(a for _, a in terms)  # one term at most
+        i, top = used[level], tops[level][1]
+        groups = [[] for _ in range(top + 1)]
+        for e, a in terms:
+            groups[top - e[i]].append((e, a))
+        return (2 * i, tuple(nest(g, level - 1) if g else 0 for g in groups))
+
+    terms = [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+    return scale, tops, nest(terms, len(used) - 1)
+
+
+def _horner(node, state) -> int:
+    """acc = acc*n + c_k*d^(D - k) over the powers k = D, ..., 0 of one
+    variable n/d, each c_k a node of the variables before it."""
+    slot, coeffs = node
+    n = state[slot]
+    d = state[slot + 1]
+    acc = 0
+    for j, c in enumerate(coeffs):
+        if type(c) is tuple:
+            c = _horner(c, state)
+        if j and c and d != 1:
+            c *= d**j
+        acc = acc * n + c
+    return acc
+
+
+def _value(form, state) -> tuple[int, int]:
+    """A compiled expression's value at an integer state, in lowest terms."""
+    scale, tops, tree = form
+    num = tree if type(tree) is int else _horner(tree, state)
+    den = scale
+    for slot, top in tops:
+        d = state[slot + 1]
+        if d != 1:
+            den *= d**top
+    if den == 1:
+        return num, 1
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _integer_steps(
+    loop: LoopProgram, support_cap: int
+) -> Iterator[tuple[dict[tuple[int, ...], int], int]]:
+    """(masses, total) after 0, 1, 2, ... iterations: each integer state's
+    mass is masses[state] / total.
+
+    Each statement's branch expressions are compiled once (`_compile`) and
+    its probabilities scaled to integer weights over their lcm, which
+    multiplies the running denominator `total` once per statement.
+    """
+    steps = []
+    for stmt in loop.body:
+        scale = lcm(*(pr.denominator for pr, _ in stmt.branches))
+        slots = [2 * loop.variables.index(nm) for nm in stmt.targets]
+        branches = [
+            (
+                pr.numerator * (scale // pr.denominator),
+                [(slot, _compile(p)) for slot, p in zip(slots, exprs)],
+            )
+            for pr, exprs in stmt.branches
+        ]
+        steps.append((scale, branches))
+    dist = {tuple(x for v in loop.init for x in (v.numerator, v.denominator)): 1}
+    total = 1
+    while True:
+        yield dist, total
+        for scale, branches in steps:
+            new: dict[tuple[int, ...], int] = {}
+            for state, mass in dist.items():
+                for weight, updates in branches:
+                    nxt = list(state)
+                    for slot, form in updates:
+                        nxt[slot], nxt[slot + 1] = _value(form, state)
+                    nxt = tuple(nxt)
+                    new[nxt] = new.get(nxt, 0) + mass * weight
+            if len(new) > support_cap:
+                raise SupportBudgetExceeded(
+                    f"distribution support exceeded {support_cap} states"
+                )
+            dist = new
+            total *= scale
+
+
+def _rational_distribution(masses, total) -> dict[State, Fraction]:
+    """The `Fraction` form of `_integer_steps`' (masses, total), each
+    distinct value and mass built once."""
+    values: dict[tuple[int, int], Fraction] = {}
+    probs: dict[int, Fraction] = {}
+    out = {}
+    for state, mass in masses.items():
+        key = []
+        for pair in zip(state[::2], state[1::2]):
+            v = values.get(pair)
+            if v is None:
+                v = values[pair] = Fraction(*pair)
+            key.append(v)
+        pr = probs.get(mass)
+        if pr is None:
+            pr = probs[mass] = Fraction(mass, total)
+        out[tuple(key)] = pr
+    return out
 
 
 def simulate(loop: LoopProgram, n: int) -> list[State]:
@@ -219,28 +343,21 @@ def simulate(loop: LoopProgram, n: int) -> list[State]:
 def distributions(
     loop: LoopProgram, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> Iterator[dict[State, Fraction]]:
-    """Exact state distributions after 0, 1, 2, ... iterations."""
-    dist: dict[State, Fraction] = {loop.init: Fraction(1)}
-    while True:
-        yield dist
-        for stmt in loop.body:
-            new: dict[State, Fraction] = {}
-            for state, mass in dist.items():
-                for pr, exprs in stmt.branches:
-                    nxt = _apply_branch(state, stmt, exprs, loop.variables)
-                    new[nxt] = new.get(nxt, Fraction(0)) + mass * pr
-            if len(new) > support_cap:
-                raise SupportBudgetExceeded(
-                    f"distribution support exceeded {support_cap} states"
-                )
-            dist = new
+    """Exact state distributions after 0, 1, 2, ... iterations.
+
+    Each statement lists the states in the order it first reaches them: the
+    successors of earlier states first, those of one state in branch order.
+    """
+    for masses, total in _integer_steps(loop, support_cap):
+        yield _rational_distribution(masses, total)
 
 
 def enumerate_distribution(
     loop: LoopProgram, n: int, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> dict[State, Fraction]:
     """Exact state distribution after n iterations (the initial one if n < 0)."""
-    return next(islice(distributions(loop, support_cap), max(n, 0), None))
+    masses, total = next(islice(_integer_steps(loop, support_cap), max(n, 0), None))
+    return _rational_distribution(masses, total)
 
 
 def expected_moment(

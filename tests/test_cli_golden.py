@@ -52,6 +52,12 @@ CASES = {
     "invariants-branches": (
         "invariants", "--loop", "branches.loop", "--degree", "1",
     ),
+    "simulate-rational": (
+        "simulate", "--loop", "rational.loop", "--horizon", "12",
+    ),
+    "distribution-mixed": (
+        "distribution", "--loop", "mixed.loop", "--horizon", "3",
+    ),
 }
 FORMATS = ("json", "text")
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,8 @@ from loopideal import (
     simulate,
     skolem_to_p2p,
 )
-from loopideal.loops import lrs_terms
+from loopideal.algebra import Polynomial, VarRing
+from loopideal.loops import Assignment, LoopProgram, lrs_terms
 
 
 def test_parse_two_walk_loop(two_walks):
@@ -217,6 +218,71 @@ def test_distributions_step_by_step(two_walks):
     for n in range(6):
         assert next(steps) == enumerate_distribution(two_walks, n)
     assert enumerate_distribution(two_walks, -1) == {(Q(0), Q(0)): Q(1)}
+
+
+def _reference_distributions(loop, support_cap):
+    """The plain `Fraction` stepper: every branch evaluated by `Polynomial.eval`."""
+    ring = loop.variables
+    dist = {loop.init: Q(1)}
+    while True:
+        yield dist
+        for stmt in loop.body:
+            new = {}
+            for state, mass in dist.items():
+                for pr, exprs in stmt.branches:
+                    out = list(state)
+                    for nm, p in zip(stmt.targets, exprs):
+                        out[ring.index(nm)] = p.eval(state)
+                    nxt = tuple(out)
+                    new[nxt] = new.get(nxt, Q(0)) + mass * pr
+            if len(new) > support_cap:
+                raise SupportBudgetExceeded("reference support cap")
+            dist = new
+
+
+def _random_loop(rng):
+    """1-3 variables, 1-2 statements with tuple targets in random order, 1-3
+    branches with probabilities over 12, expressions of degree <= 3 whose
+    coefficients have denominators 1, 2, 3 and 7 (some are zero)."""
+    arity = rng.randint(1, 3)
+    ring = VarRing("xyz"[:arity])
+    monos = [e for e in product(range(4), repeat=arity) if sum(e) <= 3]
+
+    def rational():
+        return Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
+
+    def expr():
+        return Polynomial(ring, {rng.choice(monos): rational() for _ in range(rng.randint(1, 3))})
+
+    body = []
+    for _ in range(rng.randint(1, 2)):
+        targets = rng.sample(ring.names, rng.randint(1, arity))
+        cuts = sorted(rng.sample(range(1, 12), rng.randint(1, 3) - 1))
+        weights = [b - a for a, b in zip([0, *cuts], [*cuts, 12])]
+        branches = tuple((Q(w, 12), tuple(expr() for _ in targets)) for w in weights)
+        body.append(Assignment(tuple(targets), branches))
+    return LoopProgram(ring, tuple(rational() for _ in range(arity)), tuple(body))
+
+
+def _first_steps(steps, count):
+    """The first `count` distributions as item lists, up to a budget error."""
+    out = []
+    try:
+        for dist in islice(steps, count):
+            out.append(list(dist.items()))
+    except SupportBudgetExceeded:
+        out.append("over budget")
+    return out
+
+
+def test_distributions_match_the_fraction_stepper():
+    # same dicts in the same insertion order, which `simulate` relies on
+    rng = random.Random(18)
+    for _ in range(300):
+        loop = _random_loop(rng)
+        for cap in (3, 400):
+            want = _first_steps(_reference_distributions(loop, cap), 4)
+            assert _first_steps(distributions(loop, cap), 4) == want, format_loop(loop)
 
 
 def test_sequential_semantics_matches_composed_map():

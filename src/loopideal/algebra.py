@@ -118,6 +118,16 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(le, a, b))
 
 
+def mono_mask(e: tuple[int, ...]) -> int:
+    """Divisibility mask of e: bit 2i is set when e[i] >= 1 and bit 2i + 1
+    when e[i] >= 2.  If a divides b, mono_mask(a) & ~mono_mask(b) == 0."""
+    m = 0
+    for i, k in enumerate(e):
+        if k:
+            m |= (1 if k == 1 else 3) << 2 * i
+    return m
+
+
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -230,15 +240,10 @@ class MonomialOrder:
         return k
 
     def mask(self, e: tuple[int, ...]) -> int:
-        """Divisibility mask of e: bit 2i is set when e[i] >= 1 and bit
-        2i + 1 when e[i] >= 2.  If a divides b, mask(a) & ~mask(b) == 0."""
+        """`mono_mask(e)`, memoized."""
         m = self._masks.get(e)
         if m is None:
-            m = 0
-            for i, k in enumerate(e):
-                if k:
-                    m |= (1 if k == 1 else 3) << 2 * i
-            self._masks[e] = m
+            m = self._masks[e] = mono_mask(e)
         return m
 
     def eliminating(self, drop: Iterable[str]) -> "MonomialOrder":

@@ -32,7 +32,7 @@ class ArityMismatch(ToolkitError):
 
 
 class BudgetExceeded(ToolkitError):
-    """Groebner S-pair reduction budget exhausted."""
+    """Groebner signature reduction budget exhausted."""
 
 
 class SupportBudgetExceeded(ToolkitError):

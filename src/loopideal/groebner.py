@@ -1,5 +1,14 @@
 """Buchberger's algorithm and ideal-level operations.
 
+`buchberger` is signature-based: it tracks, for each element it builds,
+the largest term of the element's representation in the inputs (its
+signature), so it can discard every S-pair whose syzygy it already knows
+instead of reducing it to zero (Eder and Roune, "Signature rewriting in
+Groebner basis computation", ISSAC 2013; Eder and Faugere, "A survey on
+signature-based algorithms for computing Groebner bases", JSC 2017).
+Membership, interreduction and the final reduced form divide by
+`multivariate_divide`.
+
 Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
 monomial), which makes ideal equality and serialization canonical.
@@ -8,16 +17,23 @@ monomial), which makes ideal equality and serialization canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .algebra import (
+    _CONTENT_BITS,
     MonomialOrder,
     Polynomial,
     VarRing,
+    _divisor_data,
     fresh_name,
     mono_divides,
     mono_lcm,
+    mono_mask,
     mono_mul,
+    mono_one,
     multivariate_divide,
     poly_parse,
 )
@@ -89,73 +105,101 @@ def _interreduce(basis: list[Polynomial], order) -> list[Polynomial]:
     return reduced
 
 
-def _add_pairs(
-    leads: list,
-    sugars: list[int],
-    live: list[int],
-    pairs: dict,
-    order,
-    degree,
-) -> None:
-    """Gebauer-Moeller update for the newest generator, `leads[-1]`.
+def _divides_any(syzygies: list, u: tuple[int, ...]) -> bool:
+    """Whether some monomial in `syzygies`, a list of (mask, monomial),
+    divides u."""
+    off = ~mono_mask(u)
+    return any(not m & off and all(map(le, v, u)) for m, v in syzygies)
 
-    `live` lists the generators whose leading monomial no later
-    generator's leading monomial divides.  An old pair is dropped when the
-    new leading monomial t divides its lcm and differs from it in both
-    lcms with t (criterion B).  New pairs are formed with live generators
-    only and grouped by lcm; a class whose lcm another class's lcm
-    properly divides is dropped (criterion M), a class holding a coprime
-    pair is dropped whole (its members reduce to zero, criterion F), and
-    each other class queues one pair.  `pairs` maps (sugar, order key of l,
-    i, j) to l for each queued pair (i, j) with lcm l, whose sugar is
-    max(sugar_i + deg l - deg lead_i, sugar_j + deg l - deg lead_j) for
-    the grading `degree`.  Finally `live` drops the generators whose
-    leading monomial t divides and takes the new one.
+
+def _add_syzygy(syzygies: list, u: tuple[int, ...]) -> None:
+    """Add u to `syzygies`, which keeps only monomials no other divides."""
+    if _divides_any(syzygies, u):
+        return
+    m = mono_mask(u)
+    syzygies[:] = [(w, v) for w, v in syzygies if m & ~w or not all(map(le, u, v))]
+    syzygies.append((m, u))
+
+
+def _reducer(e: tuple[int, ...], s_key: tuple, i: int, reducers: list, order):
+    """The first element of `reducers` whose lead divides the term e and
+    whose multiple with lead e has a signature below (s_key, i), or None.
+
+    `reducers` holds each basis element as (lead, lead mask, ratio, lead
+    coefficient, tail) in insertion order; that multiple's signature is
+    below (s_key, i) when key(e) + ratio is.
     """
-    new = len(leads) - 1
-    t = leads[new]
-    for pair, lcm_ij in list(pairs.items()):
-        if (
-            mono_divides(t, lcm_ij)
-            and mono_lcm(leads[pair[2]], t) != lcm_ij
-            and mono_lcm(leads[pair[3]], t) != lcm_ij
-        ):
-            del pairs[pair]
-
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i in live:
-        classes.setdefault(mono_lcm(leads[i], t), []).append(i)
-    for lcm_ in classes:
-        if any(m != lcm_ and mono_divides(m, lcm_) for m in classes):
+    off = ~order.mask(e)
+    bound = None
+    for r in reducers:
+        if r[1] & off or not all(map(le, r[0], e)):
             continue
-        members = classes[lcm_]
-        if any(lcm_ == mono_mul(leads[i], t) for i in members):
+        if bound is None:
+            bound = (*map(sub, s_key, order.key(e)), i)
+        if r[2] < bound:
+            return r
+    return None
+
+
+def _regular_reduce(work: dict, s_key: tuple, i: int, reducers: list, order) -> dict:
+    """Regular reduction of `work`, the integer terms of a polynomial with
+    signature key `s_key` in index i: the primitive remainder with a
+    positive lead coefficient, largest term first, or {}.
+
+    The largest term goes first, to its `_reducer`.  The arithmetic is
+    `multivariate_divide`'s, on integers over one running denominator, with
+    no quotients.
+    """
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    den = 1
+    content_at = _CONTENT_BITS
+    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
+    while heap:
+        e = heappop(heap)[1]
+        w = work.pop(e, None)
+        if w is None:
             continue
-        sugar, i = min((sugars[i] - degree(leads[i]), i) for i in members)
-        sugar = max(sugar, sugars[new] - degree(t)) + degree(lcm_)
-        pairs[(sugar, order.key(lcm_), i, new)] = lcm_
-    live[:] = [i for i in live if not mono_divides(t, leads[i])]
-    live.append(new)
-
-
-def _no_degree(e: tuple[int, ...]) -> int:
-    return 0
-
-
-def _spoly(f: Polynomial, g: Polynomial, lf, lg, lcm_) -> Polynomial:
-    """S-polynomial (lcm/lf)*f - (lcm/lg)*g of monic f and g with leading
-    monomials lf and lg, by shifting their term maps."""
-    sf = tuple(map(sub, lcm_, lf))
-    sg = tuple(map(sub, lcm_, lg))
-    terms = {tuple(map(add, e, sf)): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
-        e = tuple(map(add, e, sg))
-        s = terms.get(e, 0) - c
-        if s:
-            terms[e] = s
-        else:
-            del terms[e]
-    return Polynomial._make(f.ring, terms)
+        r = _reducer(e, s_key, i, reducers, order)
+        if r is None:
+            remainder[e] = (w, den)
+            continue
+        lm, _, _, lc, tail = r
+        shift = tuple(map(sub, e, lm))
+        if lc != 1:
+            g = gcd(w, lc)
+            m = lc // g
+            w //= g
+            if m != 1:
+                den *= m
+                work = {t: v * m for t, v in work.items()}
+        for te, tc in tail:
+            pe = tuple(map(add, te, shift))
+            old = work.get(pe)
+            if old is None:
+                work[pe] = -w * tc
+                heappush(heap, (heap_key(pe), pe))
+            else:
+                s = old - w * tc
+                if s:
+                    work[pe] = s
+                else:
+                    del work[pe]
+        if den.bit_length() > content_at:
+            g = gcd(den, *work.values())
+            if g != 1:
+                den //= g
+                work = {t: v // g for t, v in work.items()}
+            content_at = den.bit_length() + _CONTENT_BITS
+    if not remainder:
+        return {}
+    scale = lcm(*(d for _, d in remainder.values()))
+    ints = {e: w * (scale // d) for e, (w, d) in remainder.items()}
+    g = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}
 
 
 def buchberger(
@@ -165,64 +209,117 @@ def buchberger(
 ) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Pairs are kept by the Gebauer-Moeller update (`_add_pairs`) and
-    selected by the sugar strategy (Giovini et al., "One sugar cube,
-    please", ISSAC 1991): the pair with the smallest (sugar, order key of
-    its lcm, index pair) goes first.  An input generator's sugar is its
-    degree; a remainder keeps its pair's sugar, or its own degree if
-    larger.  The degree is the total degree under a degrevlex order or a
-    block order over one.  Under lex it is 0, so pairs go by lcm alone (the
-    normal strategy): lex follows no degree, and sugar there can wander far
-    from the basis (fuzzed lex intersections that the normal strategy
-    finishes in under 3 s ran past 20 s).
+    A signature-based Buchberger: the RB algorithm of Eder and Roune
+    ("Signature rewriting in Groebner basis computation", ISSAC 2013),
+    with the criteria of Roune and Stillman ("Practical Groebner basis
+    computation", ISSAC 2012).  The nonzero inputs, in primitive integer
+    form and sorted ascending by lead (stably), are f_1, ..., f_m.  Each
+    element g built is sum a_k*f_k, and its signature u*e_i is the
+    largest lm(a_k)*e_k in the Schreyer order, which compares u*e_i by
+    (order key of u*lm(f_i), i).  Since lm(g) <= u*lm(f_i), the ratio of g,
+    key(u*lm(f_i)) - key(lm(g)) followed by i, orders the signatures of
+    any two multiples of elements with the same lead.
 
-    S-polynomials are reduced by every generator found so far, oldest
-    first.  A dead generator's lead is divisible by a live one's, so the
-    remainder is reduced either way, and the older reducers tend to be the
-    smaller ones (reducing by the live generators alone was slower on
-    fuzzed lex intersections).  Raises BudgetExceeded, saying how far the
-    run got, after `budget` S-pair reductions.
+    Signatures come smallest first from a heap, each once: the unit e_i
+    of each input, and the J-pair of each new element with each earlier
+    one, the multiple of the one with the larger ratio whose lead is the
+    lcm of the two leads.  A signature goes when a known syzygy of its
+    index divides it: the Koszul syzygy lm(g_o)*sig(g_h) of each two
+    elements of different index, g_h the one with the larger ratio, and
+    every signature whose reduction reached zero.  Otherwise its
+    rewriter, among the elements of its index whose signature divides it
+    the one whose multiple has the smallest lead (the later on a tie),
+    gives the multiple that `_regular_reduce` reduces.  If no element
+    reduces that multiple's lead (`_reducer`), an element already has this
+    signature and lead, and the multiple is dropped before it is built.
+    A zero result records its signature as a syzygy; any other result
+    joins the elements.  When the heap is empty every S-polynomial reduces to
+    zero, and `_interreduce` turns the elements into the reduced basis.
+
+    Raises BudgetExceeded, saying how far the run got, when a signature
+    is due after `budget` signatures were reduced; the signatures that a
+    criterion removes, including the dropped multiples, do not count.
     """
     ring = order.ring
-    basis: list[Polynomial] = []
+    inputs = []
     for g in gens:
         g = g.lift(ring)
         if not g.is_zero():
-            basis.append(g.monic(order))
-    if not basis:
+            lm, _, lc, tail, _, _ = _divisor_data(g, order)
+            inputs.append((lm, {lm: lc, **dict(tail)}))
+    if not inputs:
         return IdealBasis(ring, order, (), reduced=True)
+    key, _key = order.key, order._key
+    inputs.sort(key=lambda f: key(f[0]))
 
-    leads: list[tuple[int, ...]] = []
-    sugars: list[int] = []
-    live: list[int] = []
-    pairs: dict[tuple, tuple[int, ...]] = {}
-    degree = sum if order.kind == "degrevlex" else _no_degree
-    for g in basis:
-        leads.append(g.leading_term(order)[0])
-        sugars.append(max(map(degree, g.terms)))
-        _add_pairs(leads, sugars, live, pairs, order, degree)
+    # per element: (lead, lead mask, ratio, lead coefficient, tail), its
+    # terms, and its signature (u, i)
+    reducers, polys, sigs = [], [], []
+    by_index = [[] for _ in inputs]
+    syzygies = [[] for _ in inputs]
+    one = mono_one(ring.arity)
+    queue = [(key(lm), i, one) for i, (lm, _) in enumerate(inputs)]
+    heapify(queue)
     steps = 0
-
-    while pairs:
-        if steps >= budget:
-            raise BudgetExceeded(
-                f"Groebner computation stopped at its budget of {budget} S-pair "
-                f"reductions: {steps} S-pairs reduced, basis of {len(basis)} "
-                f"generators ({len(live)} live), {len(pairs)} S-pairs queued"
-            )
-        pair = min(pairs)
-        lcm_ = pairs.pop(pair)
-        sugar, _, i, j = pair
-        steps += 1
-        spoly = _spoly(basis[i], basis[j], leads[i], leads[j], lcm_)
-        rem = _reduce_full(spoly, basis, order)
-        if rem.is_zero():
+    last = None
+    while queue:
+        s_key, i, u = heappop(queue)
+        if (s_key, i) == last or _divides_any(syzygies[i], u):
             continue
-        basis.append(rem.monic(order))
-        leads.append(rem.leading_term(order)[0])
-        sugars.append(max(sugar, max(map(degree, rem.terms))))
-        _add_pairs(leads, sugars, live, pairs, order, degree)
+        last = (s_key, i)
+        best = None
+        for k in by_index[i]:
+            if mono_divides(sigs[k][0], u) and (
+                best is None or reducers[k][2] >= reducers[best][2]
+            ):
+                best = k
+        if best is None:
+            work = dict(inputs[i][1])
+        else:
+            shift = tuple(map(sub, u, sigs[best][0]))
+            if _reducer(mono_mul(reducers[best][0], shift), s_key, i, reducers, order) is None:
+                # singular: an element already has this signature and lead
+                continue
+            work = {tuple(map(add, e, shift)): c for e, c in polys[best].items()}
+        if steps >= budget:
+            queued = len({entry[:2] for entry in queue} | {(s_key, i)})
+            raise BudgetExceeded(
+                f"Groebner computation stopped at its budget of {budget} signature "
+                f"reductions: {steps} signatures reduced, basis of {len(polys)} "
+                f"elements, {queued} signatures queued"
+            )
+        p = _regular_reduce(work, s_key, i, reducers, order)
+        steps += 1
+        if not p:
+            _add_syzygy(syzygies[i], u)
+            continue
+        lm = next(iter(p))
+        ratio = (*map(sub, s_key, key(lm)), i)
+        for (k_lm, _, k_ratio, _, _), (k_u, k_i) in zip(reducers, sigs):
+            if k_ratio == ratio:
+                continue
+            # h has the larger signature at the lcm, o the other
+            if ratio > k_ratio:
+                h_lm, h_u, h_i, o_lm = lm, u, i, k_lm
+            else:
+                h_lm, h_u, h_i, o_lm = k_lm, k_u, k_i, lm
+            t = mono_lcm(lm, k_lm)
+            if k_i != i:
+                _add_syzygy(syzygies[h_i], mono_mul(o_lm, h_u))
+                if t == mono_mul(h_lm, o_lm):
+                    # coprime leads: the J-pair is the Koszul syzygy's signature
+                    continue
+            if t != h_lm:
+                j_u = mono_mul(tuple(map(sub, t, h_lm)), h_u)
+                # `_key`: signature monomials stay out of `order.key`'s memo
+                heappush(queue, (_key(mono_mul(j_u, inputs[h_i][0])), h_i, j_u))
+        by_index[i].append(len(polys))
+        tail = [(e, c) for e, c in p.items() if e != lm]
+        reducers.append((lm, order.mask(lm), ratio, p[lm], tail))
+        polys.append(p)
+        sigs.append((u, i))
 
+    basis = [Polynomial._make(ring, {e: Fraction(c) for e, c in p.items()}) for p in polys]
     return IdealBasis(ring, order, tuple(_interreduce(basis, order)), reduced=True)
 
 

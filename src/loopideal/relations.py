@@ -4,8 +4,8 @@ The relations ideal of exponential polynomials is computed by adjoining a
 counter symbol plus one symbol per base magnitude, dividing out the
 binomial ideal of all multiplicative relations among the magnitudes (and a
 sign-torsion symbol when bases are negative), then eliminating the
-auxiliary symbols.  Transient prefixes are covered by one intersection
-with the vanishing ideal of their points, from `empirical_relations`.
+auxiliary symbols.  Transient prefixes are covered by intersecting with
+the maximal ideal of each prefix point in turn.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .groebner import (
     IdealBasis,
     buchberger,
     eliminate,
-    ideal_intersect,
 )
 from .loops import LoopProgram
 from .moments import DEFAULT_CLOSURE_BUDGET, degree_targets, moment_closure
@@ -161,9 +160,10 @@ def relations_ideal(
     """Basis of all polynomial relations holding among the forms for n >= 0.
 
     `ring` has one variable per form.  The tail relations come from each
-    tail's own parametrization, read for all n >= 0; the T indices before
-    the longest transient, by one intersection with their points' ideal,
-    which is generated in degree <= T.  The basis is in degrevlex order.
+    tail's own parametrization, read for all n >= 0; each of the T indices
+    before the longest transient then cuts them down to those vanishing at
+    its point, one `buchberger` run per point (`_meet_point`).  The basis
+    is in degrevlex order.
     """
     if len(forms) != ring.arity:
         raise ArityMismatch(
@@ -171,13 +171,33 @@ def relations_ideal(
         )
     order = MonomialOrder("degrevlex", ring)
 
-    transient_len = max((len(f.transient) for f in forms), default=0)
     result = _tail_ideal(forms, ring, order, budget)
-    if transient_len:
-        prefix = [[f.eval(n) for n in range(transient_len)] for f in forms]
-        points = empirical_relations(prefix, ring, transient_len, budget)
-        result = ideal_intersect(result, points, budget)
+    for n in range(max((len(f.transient) for f in forms), default=0)):
+        result = _meet_point(result, [f.eval(n) for f in forms], budget)
     return result
+
+
+def _meet_point(basis: IdealBasis, point: list[Fraction], budget: int) -> IdealBasis:
+    """Reduced basis of I ∩ m_p, for I the ideal of `basis` and m_p the
+    maximal ideal of `point`, in the same ring and order.
+
+    If every generator vanishes at p, I lies in m_p.  Otherwise take a
+    generator g0 with g0(p) != 0, the last such (the smallest lead), and
+    c_g = g(p)/g0(p).  The polynomials g - c_g*g0 for the other generators
+    g, and (x_j - p_j)*g0, lie in I and vanish at p.  They generate
+    I ∩ m_p: write f in it as sum h_g*g = sum_{g != g0} h_g*(g - c_g*g0) +
+    H*g0 with H = sum h_g*c_g.  Then 0 = f(p) = H(p)*g0(p), so H lies in
+    m_p and H*g0 in m_p*g0, which the (x_j - p_j)*g0 generate.
+    """
+    values = [g.eval(point) for g in basis.generators]
+    nonzero = [k for k, v in enumerate(values) if v]
+    if not nonzero:
+        return basis
+    k0 = nonzero[-1]
+    g0, v0 = basis.generators[k0], values[k0]
+    gens = [g - g0 * (v / v0) for k, (g, v) in enumerate(zip(basis.generators, values)) if k != k0]
+    gens += [(Polynomial.var(basis.ring, nm) - x) * g0 for nm, x in zip(basis.ring.names, point)]
+    return buchberger(gens, basis.order, budget)
 
 
 def closed_forms(loop: LoopProgram, degree: int) -> tuple[MomentRing, list[ExpPoly]]:

@@ -31,6 +31,9 @@ CASES = {
     "invariants-transient": (
         "invariants", "--loop", "transient.loop", "--degree", "2",
     ),
+    "invariants-three-bases": (
+        "invariants", "--loop", "three_bases.loop", "--degree", "2",
+    ),
     "closed-forms-ladder": (
         "closed-forms", "--loop", "ladder.loop", "--degree", "2",
     ),

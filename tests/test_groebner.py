@@ -182,12 +182,14 @@ def test_budget_exceeded_is_typed():
     gens = [poly_parse("x^4*y + y^3 - 1", ring), poly_parse("x^2*y^2 - x - 1", ring)]
     with pytest.raises(BudgetExceeded) as info:
         buchberger(gens, lex, budget=1)
-    # how far it got: one S-pair reduced, whose remainder joined the two
-    # inputs, and the pairs that remainder formed still queued
+    # how far it got: the inputs go ascending by lead, x^2*y^2 before
+    # x^4*y, so the first signature is the unit of x^2*y^2 - x - 1, which
+    # nothing reduces and which becomes the one basis element; the second
+    # input's unit signature is then due, the only signature queued
     message = str(info.value)
-    assert "1 S-pairs reduced" in message
-    assert "basis of 3 generators (2 live)" in message
-    assert "2 S-pairs queued" in message
+    assert "1 signatures reduced" in message
+    assert "basis of 1 elements" in message
+    assert "1 signatures queued" in message
 
 
 def test_json_round_trip():

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from loopideal import (
+    IdealBasis,
     MonomialOrder,
     Polynomial,
     VarRing,
@@ -23,7 +24,11 @@ SYMPY_ORDER = {"lex": "lex", "degrevlex": "grevlex"}
 RING = VarRing(["x", "y", "z"])
 # with the intersection's auxiliary variable t
 BIG = VarRing(["t", *RING.names])
-SYMBOLS = {nm: sympy.Symbol(nm) for nm in BIG.names}
+# `relations._tail_ideal`'s shape: a counter n, two magnitude symbols, a sign
+# symbol w, then the ring
+TAIL_AUX = ["n", "t1", "t2", "w"]
+TAIL = VarRing([*TAIL_AUX, "a", "b", "c"])
+SYMBOLS = {nm: sympy.Symbol(nm) for nm in [*BIG.names, *TAIL.names]}
 ORDERS = [
     MonomialOrder("degrevlex", RING),
     MonomialOrder("lex", RING),
@@ -159,8 +164,9 @@ def test_buchberger_matches_sympy_large_height(order):
 
 def test_remainder_lead_divides_earlier_lead():
     # y*(x^2*y - 1) - x*(x*y^2 - x) = x^2 - y, whose leading monomial x^2
-    # properly divides the first input's x^2*y: the pair update must retire
-    # that input from the live generators and its pending pairs
+    # properly divides the first input's x^2*y: that input stays among the
+    # elements the signature loop reduces by, and the final interreduction
+    # must drop it
     order = MonomialOrder("degrevlex", RING)
     gens = [poly_parse(t, RING) for t in ("x^2*y - 1", "x*y^2 - x", "y*z^2 - x*z")]
     out = buchberger(gens, order)
@@ -175,8 +181,9 @@ def test_remainder_lead_divides_earlier_lead():
 
 def test_lcm_class_with_coprime_and_non_coprime_pair():
     # the leads y^2, x*y^2 and x: the third input's pairs with the first
-    # (coprime) and the second (not coprime) share the lcm x*y^2, so the
-    # whole class is dropped
+    # (coprime) and the second (not coprime) share the lcm x*y^2; the coprime
+    # pair's signature is a Koszul syzygy's and is never reduced, while the
+    # other pair's signature is decided on its own
     order = MonomialOrder("degrevlex", RING)
     gens = [poly_parse(t, RING) for t in ("y^2 + z", "x*y^2 + y*z - 1", "x + y - z")]
     leads = [g.leading_term(order)[0] for g in gens]
@@ -199,3 +206,53 @@ def test_eliminate_in_lex_block_order():
     # z^2 = x^2 * (x^2 - 1)^2 = y * (y - 1)^2
     assert poly_parse("y^3 - 2*y^2 + y - z^2", RING) in out.generators
     _assert_s_pairs_reduce_to_zero(out)
+
+
+def test_tail_shaped_elimination_matches_sympy():
+    # a - sum c*n^k*t^a*w^b per ring variable, the lattice binomial of the
+    # magnitudes 4 and 2 (t1 = t2^2) and w^2 - 1, as `relations._tail_ideal`
+    # builds them, with the four auxiliary symbols eliminated in a block
+    # order; three forms in the two free parameters n and t2 always meet
+    # in a relation
+    rng = random.Random(76)
+    var = {nm: Polynomial.var(TAIL, nm) for nm in TAIL.names}
+    for _ in range(3):
+        gens = []
+        for nm in ("a", "b", "c"):
+            rhs = Polynomial.zero(TAIL)
+            for _ in range(rng.randint(1, 2)):
+                part = Polynomial.const(TAIL, Q(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)))
+                part = part * var["n"] ** rng.randint(0, 1)
+                part = part * rng.choice([var["t1"], var["t2"], 1])
+                rhs = rhs + part * rng.choice([var["w"], 1])
+            gens.append(var[nm] - rhs)
+        gens += [var["t1"] - var["t2"] ** 2, var["w"] ** 2 - 1]
+        order = MonomialOrder("degrevlex", TAIL)
+        full = buchberger(gens, order.eliminating(TAIL_AUX))
+        _assert_s_pairs_reduce_to_zero(full)
+        out = eliminate(IdealBasis(TAIL, order, tuple(gens)), set(TAIL_AUX))
+        kept = [g.project(out.ring) for g in _free_part(gens, TAIL_AUX, TAIL)]
+        assert out.generators and _ours(out) == _sympy_basis(kept, out.order)
+        _assert_s_pairs_reduce_to_zero(out)
+
+
+@pytest.mark.parametrize("order", ORDERS[:3:2], ids=repr)
+def test_point_intersection_input_matches_sympy(order):
+    # the ideal I times the maximal ideal of a point p where g0 is not zero,
+    # as `relations.relations_ideal` gives it: g - g(p)/g0(p)*g0 for the
+    # other generators g of I, and (x_j - p_j)*g0
+    rng = random.Random(77)
+    for _ in range(6):
+        ideal = buchberger([_random_poly(rng, RING) for _ in range(2)], order)
+        point = [Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in RING.names]
+        values = [g.eval(point) for g in ideal.generators]
+        if not any(values):
+            continue
+        k0 = max(k for k, v in enumerate(values) if v)
+        g0, v0 = ideal.generators[k0], values[k0]
+        gens = [g - g0 * (v / v0) for k, (g, v) in enumerate(zip(ideal.generators, values)) if k != k0]
+        gens += [(Polynomial.var(RING, nm) - x) * g0 for nm, x in zip(RING.names, point)]
+        out = buchberger(gens, order)
+        assert _ours(out) == _sympy_basis(gens, order)
+        _assert_s_pairs_reduce_to_zero(out)
+        assert all(g.eval(point) == 0 for g in out.generators)

@@ -255,7 +255,30 @@ def _pointwise_relations(forms, ring):
     return result
 
 
+def _transient_edge_cases():
+    """Forms on the ring (a, b), or (a,) when there is one form."""
+    two, four = (Q(2), _upoly(1)), (Q(4), _upoly(1))
+    counter = (Q(1), _upoly(0, 1))
+    return [
+        # the tail ideal is b - a^2, and (3, 9) lies on it: the basis is kept
+        [ExpPoly((Q(3),), (two,)), ExpPoly((Q(9),), (four,))],
+        # the same point first, then one off the variety
+        [ExpPoly((Q(3), Q(1)), (two,)), ExpPoly((Q(9), Q(5)), (four,))],
+        # n and 2^n are independent, so the tail ideal is zero
+        [ExpPoly((Q(5), Q(-1)), (counter,)), ExpPoly((), (two,))],
+        [ExpPoly((Q(7),), (counter,))],
+        # repeated prefix points, at once and with another in between
+        [ExpPoly((Q(1), Q(1), Q(1)), (two,)), ExpPoly((Q(2), Q(2), Q(2)), (four,))],
+        [ExpPoly((Q(1), Q(3), Q(1)), (two,)), ExpPoly((Q(0), Q(5), Q(0)), (four,))],
+        [ExpPoly((Q(2), Q(2)), (two,))],
+    ]
+
+
 def test_relations_ideal_matches_pointwise_intersections():
+    for case, forms in enumerate(_transient_edge_cases()):
+        ring = VarRing(["a", "b"][: len(forms)])
+        got = relations_ideal(forms, ring)
+        assert got.generators == _pointwise_relations(forms, ring).generators, (case, forms)
     rng = random.Random(1993)
     values = [Q(v) for v in (0, 1, -1, 2, 5, Q(1, 2), Q(-3, 4))]
     for case in range(30):

@@ -3,10 +3,11 @@
 Values are immutable after construction and all operations are pure, so
 polynomials can be shared freely.  Coefficients are `fractions.Fraction`
 (always in lowest terms, positive denominator) everywhere except inside
-`multivariate_divide`, whose reduction loop runs on Python ints: integer
-numerators over one running denominator, divided by primitive integer
-divisors whose data each polynomial memoizes per order.  The division
-tells most non-dividing leads from a term by an AND of two-bit-per-variable
+`_reduce`, the one reduction loop, shared by `multivariate_divide` and
+`groebner.buchberger`, which runs on Python ints: integer numerators over
+one running denominator, reduced by primitive integer polynomials, whose
+form each polynomial memoizes per order.  The division tells most
+non-dividing leads from a term by an AND of two-bit-per-variable
 divisibility masks before it compares exponents.  No floating point
 appears anywhere.  Monomials are plain exponent tuples, one entry per ring
 variable.
@@ -727,9 +728,9 @@ def parse_branches(
     return _Parser(text, ring).branches(arity)
 
 
-# `multivariate_divide` divides the work numerators and denominator by their
-# common content whenever the denominator has grown this many bits since the
-# last such check.
+# `_reduce` divides the work numerators and denominator by their common
+# content whenever the denominator has grown this many bits since the last
+# such check.
 _CONTENT_BITS = 64
 
 
@@ -765,82 +766,115 @@ def _divisor_data(d: Polynomial, order) -> tuple:
     return data
 
 
+def _reduce(work: dict, order, pick) -> tuple[dict, Fraction | int]:
+    """Reduce `work`, the integer terms of a polynomial, by the reducers
+    `pick` chooses: the remainder in primitive integer form with a positive
+    lead coefficient, largest term first, and the Fraction that scales it
+    back; ({}, 0) when nothing remains.
+
+    The largest remaining term e goes first.  `pick(e)` returns a reducer
+    whose first entries are (lead, lc, tail, sink): a primitive integer
+    polynomial lc * x^lead + sum(tc * x^te) with lc > 0 and lead dividing e,
+    its tail a list of (te, tc), and a dict or None; or None to keep e in
+    the remainder.  A heap of `order.heap_key` finds that term; a term
+    cancelled meanwhile has no entry left in `work` and is skipped.
+
+    The loop runs on ints.  The polynomial is `work / den`, integer
+    numerators over one running denominator that starts at 1.  Cancelling
+    a term w against lc scales `work` and `den` by lc / gcd(w, lc) when that
+    is not 1, then subtracts integer multiples of the tail; the common
+    content of `work` and `den` is divided out as `den` grows.  The
+    multiplier w / den of the reducer shifted by `shift` goes to
+    sink[shift] as the pair (w, den) when the sink is a dict.
+    """
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    den = 1
+    content_at = _CONTENT_BITS
+    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
+    while heap:
+        e = heappop(heap)[1]
+        w = work.pop(e, None)
+        if w is None:
+            continue
+        r = pick(e)
+        if r is None:
+            remainder[e] = (w, den)
+            continue
+        lm, lc, tail, sink = r[:4]
+        shift = tuple(map(sub, e, lm))
+        if lc != 1:
+            g = gcd(w, lc)
+            m = lc // g
+            w //= g
+            if m != 1:
+                den *= m
+                work = {t: v * m for t, v in work.items()}
+        if sink is not None:
+            # each monomial leaves the heap once, so each shift is new
+            sink[shift] = (w, den)
+        for te, tc in tail:
+            pe = tuple(map(add, te, shift))
+            old = work.get(pe)
+            if old is None:
+                work[pe] = -w * tc
+                heappush(heap, (heap_key(pe), pe))
+            else:
+                s = old - w * tc
+                if s:
+                    work[pe] = s
+                else:
+                    del work[pe]
+        if den.bit_length() > content_at:
+            g = gcd(den, *work.values())
+            if g != 1:
+                den //= g
+                work = {t: v // g for t, v in work.items()}
+            content_at = den.bit_length() + _CONTENT_BITS
+    if not remainder:
+        return {}, 0
+    common = lcm(*(d for _, d in remainder.values()))
+    ints = {e: w * (common // d) for e, (w, d) in remainder.items()}
+    g = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}, Fraction(g, common)
+
+
 def multivariate_divide(
     p: Polynomial, divisors: list[Polynomial], order
 ) -> tuple[list[Polynomial], Polynomial]:
     """Divide p by an ordered list of divisors.
 
     Returns (quotients, remainder) with p == sum(q_i * d_i) + r and no
-    monomial of r divisible by any divisor's leading monomial.  The largest
-    remaining term goes first, to the first divisor whose leading monomial
-    divides it.  A heap of negated order keys finds that term; a term
-    cancelled meanwhile has no entry left in `work` and is skipped.  A
-    divisor whose lead mask (`MonomialOrder.mask`) has a bit the term's
-    mask lacks cannot divide it and is passed over with one integer AND;
-    the exponent comparison runs only on the rest.
-
-    The loop runs on ints.  The work polynomial is `work / den`, integer
-    numerators over one running denominator, and each divisor is its
-    primitive integer form from `_divisor_data`.  Cancelling a term w
-    against lead coefficient lc scales `work` and `den` by lc / gcd(w, lc)
-    when that is not 1, then subtracts integer multiples of the tail; the
-    common content of `work` and `den` is divided out as `den` grows.  Each
-    remainder and quotient term keeps its own (numerator, denominator) and
-    becomes a Fraction only on the way out.
+    monomial of r divisible by any divisor's leading monomial.  `_reduce`
+    runs on p's integer numerators over the lcm of its denominators, and
+    gives each term to the first divisor whose leading monomial divides it,
+    in the primitive integer form from `_divisor_data`.  A divisor whose
+    lead mask (`MonomialOrder.mask`) has a bit the term's mask lacks cannot
+    divide it and is passed over with one integer AND; the exponent
+    comparison runs only on the rest.  The quotients and the remainder
+    become Fractions only on the way out.
     """
-    data = [_divisor_data(d, order) for d in divisors]
-    heap_key = order.heap_key
-    mask = order.mask
     den = lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    content_at = den.bit_length() + _CONTENT_BITS
-    qterms: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in divisors]
-    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
-    heap = [(heap_key(e), e) for e in work]
-    heapify(heap)
-    while heap:
-        e = heappop(heap)[1]
-        w = work.pop(e, None)
-        if w is None:
-            continue
+    mask = order.mask
+    data = [_divisor_data(d, order) for d in divisors]
+    reducers = [(lm, lc, tail, {}, lmask) for lm, lmask, lc, tail, _, _ in data]
+
+    def pick(e):
         off = ~mask(e)
-        for (lm, lmask, lc, tail, num, dnm), q in zip(data, qterms):
-            if not lmask & off and all(map(le, lm, e)):
-                shift = tuple(map(sub, e, lm))
-                m = 1
-                if lc != 1:
-                    g = gcd(w, lc)
-                    m = lc // g
-                    w //= g
-                # each monomial leaves the heap once, so each shift is new
-                q[shift] = (w * dnm, den * m * num)
-                if m != 1:
-                    den *= m
-                    work = {k: v * m for k, v in work.items()}
-                for te, tc in tail:
-                    pe = tuple(map(add, te, shift))
-                    old = work.get(pe)
-                    if old is None:
-                        work[pe] = -w * tc
-                        heappush(heap, (heap_key(pe), pe))
-                    else:
-                        s = old - w * tc
-                        if s:
-                            work[pe] = s
-                        else:
-                            del work[pe]
-                if den.bit_length() > content_at:
-                    g = gcd(den, *work.values())
-                    if g != 1:
-                        den //= g
-                        work = {k: v // g for k, v in work.items()}
-                    content_at = den.bit_length() + _CONTENT_BITS
-                break
-        else:
-            remainder[e] = (w, den)
+        for r in reducers:
+            if not r[4] & off and all(map(le, r[0], e)):
+                return r
+        return None
+
+    rem, scale = _reduce(work, order, pick)
     ring = p.ring
     quotients = [
-        Polynomial._make(ring, {e: Fraction(n, d) for e, (n, d) in q.items()}) for q in qterms
+        Polynomial._make(ring, {e: Fraction(w * dnm, d * num * den) for e, (w, d) in r[3].items()})
+        for r, (_, _, _, _, num, dnm) in zip(reducers, data)
     ]
-    rem = Polynomial._make(ring, {e: Fraction(n, d) for e, (n, d) in remainder.items()})
-    return quotients, rem
+    n, d = scale.numerator, scale.denominator * den
+    return quotients, Polynomial._make(ring, {e: Fraction(c * n, d) for e, c in rem.items()})

@@ -6,8 +6,10 @@ signature), so it can discard every S-pair whose syzygy it already knows
 instead of reducing it to zero (Eder and Roune, "Signature rewriting in
 Groebner basis computation", ISSAC 2013; Eder and Faugere, "A survey on
 signature-based algorithms for computing Groebner bases", JSC 2017).
-Membership, interreduction and the final reduced form divide by
-`multivariate_divide`.
+Its regular reduction and `multivariate_divide`, which membership,
+interreduction and the final reduced form divide by, run one integer
+reduction loop, `algebra._reduce`; they differ only in the reducer each
+term is given.
 
 Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
@@ -18,16 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
 from operator import add, le, sub
 
 from .algebra import (
-    _CONTENT_BITS,
     MonomialOrder,
     Polynomial,
     VarRing,
     _divisor_data,
+    _reduce,
     fresh_name,
     mono_divides,
     mono_lcm,
@@ -62,8 +64,11 @@ class IdealBasis:
     @classmethod
     def from_json(cls, data: dict) -> "IdealBasis":
         try:
-            ring = VarRing(data["ring"])
             o = data.get("order", {})
+            lists = (data["ring"], data["generators"], o.get("priority", []))
+            if not all(isinstance(v, list) for v in lists):
+                raise TypeError("ring, generators and order priority must be JSON lists")
+            ring = VarRing(data["ring"])
             order = MonomialOrder(o.get("kind", "degrevlex"), ring, o.get("priority"))
             gens = tuple(poly_parse(s, ring) for s in data["generators"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -121,85 +126,25 @@ def _add_syzygy(syzygies: list, u: tuple[int, ...]) -> None:
     syzygies.append((m, u))
 
 
-def _reducer(e: tuple[int, ...], s_key: tuple, i: int, reducers: list, order):
+def _reducer(s_key: tuple, i: int, reducers: list, order, e: tuple[int, ...]):
     """The first element of `reducers` whose lead divides the term e and
     whose multiple with lead e has a signature below (s_key, i), or None.
 
-    `reducers` holds each basis element as (lead, lead mask, ratio, lead
-    coefficient, tail) in insertion order; that multiple's signature is
-    below (s_key, i) when key(e) + ratio is.
+    `reducers` holds each basis element as (lead, lead coefficient, tail,
+    None, lead mask, ratio) in insertion order, the reducer `_reduce`
+    takes; that multiple's signature is below (s_key, i) when key(e) +
+    ratio is.
     """
     off = ~order.mask(e)
     bound = None
     for r in reducers:
-        if r[1] & off or not all(map(le, r[0], e)):
+        if r[4] & off or not all(map(le, r[0], e)):
             continue
         if bound is None:
             bound = (*map(sub, s_key, order.key(e)), i)
-        if r[2] < bound:
+        if r[5] < bound:
             return r
     return None
-
-
-def _regular_reduce(work: dict, s_key: tuple, i: int, reducers: list, order) -> dict:
-    """Regular reduction of `work`, the integer terms of a polynomial with
-    signature key `s_key` in index i: the primitive remainder with a
-    positive lead coefficient, largest term first, or {}.
-
-    The largest term goes first, to its `_reducer`.  The arithmetic is
-    `multivariate_divide`'s, on integers over one running denominator, with
-    no quotients.
-    """
-    heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
-    heapify(heap)
-    den = 1
-    content_at = _CONTENT_BITS
-    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
-    while heap:
-        e = heappop(heap)[1]
-        w = work.pop(e, None)
-        if w is None:
-            continue
-        r = _reducer(e, s_key, i, reducers, order)
-        if r is None:
-            remainder[e] = (w, den)
-            continue
-        lm, _, _, lc, tail = r
-        shift = tuple(map(sub, e, lm))
-        if lc != 1:
-            g = gcd(w, lc)
-            m = lc // g
-            w //= g
-            if m != 1:
-                den *= m
-                work = {t: v * m for t, v in work.items()}
-        for te, tc in tail:
-            pe = tuple(map(add, te, shift))
-            old = work.get(pe)
-            if old is None:
-                work[pe] = -w * tc
-                heappush(heap, (heap_key(pe), pe))
-            else:
-                s = old - w * tc
-                if s:
-                    work[pe] = s
-                else:
-                    del work[pe]
-        if den.bit_length() > content_at:
-            g = gcd(den, *work.values())
-            if g != 1:
-                den //= g
-                work = {t: v // g for t, v in work.items()}
-            content_at = den.bit_length() + _CONTENT_BITS
-    if not remainder:
-        return {}
-    scale = lcm(*(d for _, d in remainder.values()))
-    ints = {e: w * (scale // d) for e, (w, d) in remainder.items()}
-    g = gcd(*ints.values())
-    if next(iter(ints.values())) < 0:
-        g = -g
-    return {e: c // g for e, c in ints.items()}
 
 
 def buchberger(
@@ -229,8 +174,11 @@ def buchberger(
     every signature whose reduction reached zero.  Otherwise its
     rewriter, among the elements of its index whose signature divides it
     the one whose multiple has the smallest lead (the later on a tie),
-    gives the multiple that `_regular_reduce` reduces.  If no element
-    reduces that multiple's lead (`_reducer`), an element already has this
+    gives the multiple to reduce.  The reduction is regular: `algebra`'s
+    integer kernel `_reduce`, the one `multivariate_divide` runs, with
+    `_reducer` as its `pick`, so each term goes to the first element whose
+    multiple has a smaller signature, and the primitive remainder is kept.
+    If no element reduces that multiple's lead, an element already has this
     signature and lead, and the multiple is dropped before it is built.
     A zero result records its signature as a syzygy; any other result
     joins the elements.  When the heap is empty every S-polynomial reduces to
@@ -252,8 +200,8 @@ def buchberger(
     key, _key = order.key, order._key
     inputs.sort(key=lambda f: key(f[0]))
 
-    # per element: (lead, lead mask, ratio, lead coefficient, tail), its
-    # terms, and its signature (u, i)
+    # per element: its reducer (lead, lead coefficient, tail, None, lead
+    # mask, ratio), its terms, and its signature (u, i)
     reducers, polys, sigs = [], [], []
     by_index = [[] for _ in inputs]
     syzygies = [[] for _ in inputs]
@@ -270,14 +218,15 @@ def buchberger(
         best = None
         for k in by_index[i]:
             if mono_divides(sigs[k][0], u) and (
-                best is None or reducers[k][2] >= reducers[best][2]
+                best is None or reducers[k][5] >= reducers[best][5]
             ):
                 best = k
+        pick = partial(_reducer, s_key, i, reducers, order)
         if best is None:
             work = dict(inputs[i][1])
         else:
             shift = tuple(map(sub, u, sigs[best][0]))
-            if _reducer(mono_mul(reducers[best][0], shift), s_key, i, reducers, order) is None:
+            if pick(mono_mul(reducers[best][0], shift)) is None:
                 # singular: an element already has this signature and lead
                 continue
             work = {tuple(map(add, e, shift)): c for e, c in polys[best].items()}
@@ -288,14 +237,14 @@ def buchberger(
                 f"reductions: {steps} signatures reduced, basis of {len(polys)} "
                 f"elements, {queued} signatures queued"
             )
-        p = _regular_reduce(work, s_key, i, reducers, order)
+        p, _ = _reduce(work, order, pick)
         steps += 1
         if not p:
             _add_syzygy(syzygies[i], u)
             continue
         lm = next(iter(p))
         ratio = (*map(sub, s_key, key(lm)), i)
-        for (k_lm, _, k_ratio, _, _), (k_u, k_i) in zip(reducers, sigs):
+        for (k_lm, _, _, _, _, k_ratio), (k_u, k_i) in zip(reducers, sigs):
             if k_ratio == ratio:
                 continue
             # h has the larger signature at the lcm, o the other
@@ -315,7 +264,7 @@ def buchberger(
                 heappush(queue, (_key(mono_mul(j_u, inputs[h_i][0])), h_i, j_u))
         by_index[i].append(len(polys))
         tail = [(e, c) for e, c in p.items() if e != lm]
-        reducers.append((lm, order.mask(lm), ratio, p[lm], tail))
+        reducers.append((lm, p[lm], tail, None, order.mask(lm), ratio))
         polys.append(p)
         sigs.append((u, i))
 

@@ -408,6 +408,8 @@ class LRSInstance:
     def from_json(cls, data) -> "LRSInstance":
         """JSON lists recurrence coefficients most-recent-term first."""
         try:
+            if not (isinstance(data["coeffs"], list) and isinstance(data["init"], list)):
+                raise TypeError("coeffs and init must be JSON lists")
             coeffs = [parse_rational(s) for s in data["coeffs"]]
             init = [parse_rational(s) for s in data["init"]]
             return cls(tuple(reversed(coeffs)), tuple(init))

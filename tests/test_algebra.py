@@ -253,8 +253,6 @@ def test_division_contract_fuzzed():
             for d in (_random_poly(rng, ring, max_terms=3) for _ in range(2))
             if not d.is_zero()
         ]
-        if not divisors:
-            continue
         quots, rem = multivariate_divide(p, divisors, order)
         total = rem
         for qt, d in zip(quots, divisors):
@@ -328,8 +326,7 @@ def test_division_matches_reference_kernel():
                 for d in (_random_poly(rng, ring, max_terms=3, max_deg=2) for _ in range(3))
                 if not d.is_zero()
             ]
-            if divisors:
-                _assert_division_matches_reference(p, divisors, order)
+            _assert_division_matches_reference(p, divisors, order)
 
     # non-monic divisors: negative lead coefficients, and none of them +-1
     leads = set()
@@ -343,8 +340,7 @@ def test_division_matches_reference_kernel():
                     lead = rng.choice([-3, Q(-7, 2), Q(-2, 9), 5, Q(6, 5)])
                     divisors.append(d * (lead / d.leading_term(order)[1]))
                     leads.add(lead)
-            if divisors:
-                _assert_division_matches_reference(p, divisors, order)
+            _assert_division_matches_reference(p, divisors, order)
     assert min(leads) < -1 and len(leads) == 5
 
     # coefficients above 2^70 run the kernel's content removal
@@ -363,6 +359,15 @@ def test_division_matches_reference_kernel():
         p = _random_poly(rng, ring, max_terms=8)
         for order in (lex, grevlex, MonomialOrder("lex", ring), grevlex.eliminating({"x"})):
             _assert_division_matches_reference(p, [d, poly_parse("y*z - 3", ring)], order)
+
+    # no divisors, where the remainder is p scaled back from its primitive
+    # form, and the zero dividend
+    zero = Polynomial.zero(ring)
+    for order in orders:
+        for p in (_random_poly(rng, ring, max_terms=8), _big_poly(rng, ring, 6, 3), -d):
+            _assert_division_matches_reference(p, [], order)
+        _assert_division_matches_reference(zero, [], order)
+        _assert_division_matches_reference(zero, [d, poly_parse("y*z - 3", ring)], order)
 
 
 def test_order_laws_fuzzed():

@@ -265,11 +265,19 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         ("simulate", "--loop", b"vars: x\ninit: x = 0\nbody:\n  x = x \xff\n"),
         ("invariants", "--loop", "vars: E[x], y\ninit: E[x] = 0; y = 0\nbody:\n  y = y + 1\n"),
         ("simulate", "--loop", "vars: x\ninit: x = 1e5000\nbody:\n  x = x\n"),
+        ("verify-witness", "--lrs", '{"coeffs": "12", "init": ["3", "4"]}'),
+        ("verify-witness", "--lrs", '{"coeffs": ["1", "2"], "init": "34"}'),
+        ("groebner", "--ideal", '{"ring": "xy", "generators": ["x"]}'),
+        ("groebner", "--ideal", '{"ring": ["x", "y"], "generators": "xy"}'),
+        ("groebner", "--ideal", '{"ring": ["x", "y"], "order": {"priority": "yx"}, "generators": ["x"]}'),
+        ("groebner", "--ideal", '{"ring": {"x": 1, "y": 2}, "generators": ["x"]}'),
+        ("verify-witness", "--lrs", '{"coeffs": {"1": 0}, "init": ["1"]}'),
     ],
     ids=[
         "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
         "variable-name", "lrs-a0", "lrs-json", "repeated-target", "not-utf8",
-        "moment-variable", "exponent-literal",
+        "moment-variable", "exponent-literal", "lrs-coeffs-string", "lrs-init-string",
+        "ring-string", "generators-string", "priority-string", "ring-object", "lrs-object",
     ],
 )
 def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):

@@ -422,12 +422,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def monic(self, order) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, lc = self.leading_term(order)
-        return self * (Fraction(1) / lc)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.ring, other)

@@ -6,14 +6,15 @@ signature), so it can discard every S-pair whose syzygy it already knows
 instead of reducing it to zero (Eder and Roune, "Signature rewriting in
 Groebner basis computation", ISSAC 2013; Eder and Faugere, "A survey on
 signature-based algorithms for computing Groebner bases", JSC 2017).
-Its regular reduction and `multivariate_divide`, which membership,
-interreduction and the final reduced form divide by, run one integer
-reduction loop, `algebra._reduce`; they differ only in the reducer each
-term is given.
+Its regular reduction and `multivariate_divide`, which membership and
+the final reduced form divide by, run one integer reduction loop,
+`algebra._reduce`; they differ only in the reducer each term is given.
 
 Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
-monomial), which makes ideal equality and serialization canonical.
+monomial), which makes ideal equality and serialization canonical.  It is
+built in one pass over the elements, smallest lead first, each divided
+only by the smaller ones kept.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import add, le, sub
 
 from .algebra import (
@@ -74,40 +76,6 @@ class IdealBasis:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad ideal record: {exc!r}") from None
         return cls(ring, order, gens, reduced=False)
-
-
-def _reduce_full(p: Polynomial, basis: list[Polynomial], order) -> Polynomial:
-    if p.is_zero() or not basis:
-        return p
-    _, rem = multivariate_divide(p, basis, order)
-    return rem
-
-
-def _interreduce(basis: list[Polynomial], order) -> list[Polynomial]:
-    """Turn a Groebner basis into the reduced Groebner basis."""
-    # minimalize: drop generators whose leading monomial is divisible by
-    # another generator's leading monomial
-    basis = [g for g in basis if not g.is_zero()]
-    leads = [g.leading_term(order)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if any(
-            j != i
-            and mono_divides(leads[j], leads[i])
-            and (j < i or leads[j] != leads[i])
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # fully reduce every survivor against the others
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = _reduce_full(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
-    return reduced
 
 
 def _divides_any(syzygies: list, u: tuple[int, ...]) -> bool:
@@ -182,7 +150,15 @@ def buchberger(
     signature and lead, and the multiple is dropped before it is built.
     A zero result records its signature as a syzygy; any other result
     joins the elements.  When the heap is empty every S-polynomial reduces to
-    zero, and `_interreduce` turns the elements into the reduced basis.
+    zero, and the elements are a Groebner basis.
+
+    The reduced basis takes the elements by ascending lead.  One goes when
+    a kept lead divides its lead; otherwise it is made monic and its
+    remainder by the kept ones is kept.  A divisor is never larger than the
+    monomial it divides, so no larger lead divides any of its terms, and
+    the kept ones before it are already reduced (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, ch. 2 §7).  The kept elements
+    are returned largest lead first.
 
     Raises BudgetExceeded, saying how far the run got, when a signature
     is due after `budget` signatures were reduced; the signatures that a
@@ -268,15 +244,23 @@ def buchberger(
         polys.append(p)
         sigs.append((u, i))
 
-    basis = [Polynomial._make(ring, {e: Fraction(c) for e, c in p.items()}) for p in polys]
-    return IdealBasis(ring, order, tuple(_interreduce(basis, order)), reduced=True)
+    kept, leads = [], []
+    for k in sorted(range(len(polys)), key=lambda k: key(reducers[k][0])):
+        lm, lc = reducers[k][:2]
+        if any(map(mono_divides, leads, repeat(lm))):
+            continue
+        g = Polynomial._make(ring, {e: Fraction(c, lc) for e, c in polys[k].items()})
+        kept.append(multivariate_divide(g, kept, order)[1])
+        leads.append(lm)
+    return IdealBasis(ring, order, tuple(reversed(kept)), reduced=True)
 
 
 def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:
     """Membership test by division; the basis must be reduced."""
     if not basis.reduced:
         raise ValueError("ideal_member requires a reduced basis")
-    return _reduce_full(p.lift(basis.ring), list(basis.generators), basis.order).is_zero()
+    divisors = list(basis.generators)
+    return multivariate_divide(p.lift(basis.ring), divisors, basis.order)[1].is_zero()
 
 
 def eliminate(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .algebra import Polynomial, VarRing, mono_one, mono_value
 from .errors import ClosureBudgetExceeded
@@ -121,21 +122,14 @@ def moment_closure(
     return MomentSystem(ordered, transition, initial)
 
 
-def _compositions(total: int, parts: int):
-    """All exponent tuples of length `parts` summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for k in range(total, -1, -1):
-        for rest in _compositions(total - k, parts - 1):
-            yield (k,) + rest
-
-
 def degree_targets(ring: VarRing, max_degree: int) -> list[tuple[int, ...]]:
     """All monomials of total degree 1..max_degree, in symbol order."""
     if max_degree < 1:
         raise ValueError("degree must be at least 1")
     out: list[tuple[int, ...]] = []
+    variables = range(ring.arity)
     for d in range(1, max_degree + 1):
-        out.extend(sorted(_compositions(d, ring.arity), key=_symbol_sort_key))
+        # each multiset of d variables, as its count of each variable
+        combos = combinations_with_replacement(variables, d)
+        out.extend(sorted((tuple(map(c.count, variables)) for c in combos), key=_symbol_sort_key))
     return out

@@ -147,6 +147,7 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
     x0_prefix = Fraction(1)
     for n in range(horizon + 1):
         st = states[n]
+        expected_s = x0_prefix
         for i in range(k):
             xi, si = st[i], st[k + i]
             if xi != si * u[n + i]:
@@ -154,14 +155,13 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
                     {"n": n, "i": i, "identity": "value", "lhs": str(xi),
                      "rhs": str(si * u[n + i])}
                 )
-            expected_s = x0_prefix
-            for ell in range(i):
-                expected_s *= st[ell]
             if si != expected_s:
                 violations.append(
                     {"n": n, "i": i, "identity": "product", "lhs": str(si),
                      "rhs": str(expected_s)}
                 )
+            if i < k - 1:
+                expected_s *= xi
         x0_prefix *= st[0]
     first_zero = next((n for n in range(horizon + 1) if u[n] == 0), None)
     return WitnessReport(horizon, tuple(violations), first_zero)

@@ -210,6 +210,12 @@ def test_division_self_and_irreducible():
     assert rem.is_zero()
     _, rem = multivariate_divide(poly_parse("x", ring), [poly_parse("y", ring)], lex)
     assert rem == poly_parse("x", ring)
+    # no divisors give p back, and a zero dividend zero quotients and remainder
+    for q in (p, poly_parse("-3/4*x*y^2 + 5/6*y", ring)):
+        assert multivariate_divide(q, [], lex) == ([], q)
+    zero = Polynomial.zero(ring)
+    assert multivariate_divide(zero, [], lex) == ([], zero)
+    assert multivariate_divide(zero, [p, poly_parse("2*y - 1", ring)], lex) == ([zero, zero], zero)
 
 
 def _random_poly(rng, ring, max_terms=4, max_deg=3):

@@ -165,8 +165,8 @@ def test_buchberger_matches_sympy_large_height(order):
 def test_remainder_lead_divides_earlier_lead():
     # y*(x^2*y - 1) - x*(x*y^2 - x) = x^2 - y, whose leading monomial x^2
     # properly divides the first input's x^2*y: that input stays among the
-    # elements the signature loop reduces by, and the final interreduction
-    # must drop it
+    # elements the signature loop reduces by, and the reduced basis's
+    # ascending pass must drop it
     order = MonomialOrder("degrevlex", RING)
     gens = [poly_parse(t, RING) for t in ("x^2*y - 1", "x*y^2 - x", "y*z^2 - x*z")]
     out = buchberger(gens, order)

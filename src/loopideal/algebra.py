@@ -5,8 +5,9 @@ polynomials can be shared freely.  Coefficients are `fractions.Fraction`
 (always in lowest terms, positive denominator) everywhere except inside
 `_reduce`, the one reduction loop, shared by `multivariate_divide` and
 `groebner.buchberger`, which runs on Python ints: integer numerators over
-one running denominator, reduced by primitive integer polynomials, whose
-form each polynomial memoizes per order.  The division tells most
+one running denominator, reduced by primitive integer polynomials
+(`_primitive_form`, memoized per order), and returns the terms it keeps
+as (numerator, denominator) pairs.  The division tells most
 non-dividing leads from a term by an AND of two-bit-per-variable
 divisibility masks before it compares exponents.  No floating point
 appears anywhere.  Monomials are plain exponent tuples, one entry per ring
@@ -728,14 +729,24 @@ def parse_branches(
 _CONTENT_BITS = 64
 
 
+def _primitive_form(pairs: dict, lead: tuple[int, ...]) -> tuple[dict, Fraction]:
+    """The coprime integer coefficients, the one at `lead` positive, of the
+    polynomial `pairs` maps to (numerator, denominator), and their scale."""
+    den = lcm(*(d for _, d in pairs.values()))
+    ints = {e: n * (den // d) for e, (n, d) in pairs.items()}
+    content = gcd(*ints.values())
+    if ints[lead] < 0:
+        content = -content
+    return {e: c // content for e, c in ints.items()}, Fraction(content, den)
+
+
 def _divisor_data(d: Polynomial, order) -> tuple:
     """Lead monomial and its mask, lead coefficient, tail and scale of d
     as a divisor.
 
-    The integer form is the primitive part of d with a positive lead
-    coefficient: d == (num / den) * (lc * x^lm + sum(tc * x^te)), where the
-    ints lc > 0 and tc have no common factor and (num, den) is in lowest
-    terms.
+    The integer form is `_primitive_form` with d's lead positive:
+    d == (num / den) * (lc * x^lm + sum(tc * x^te)), where the ints lc > 0
+    and tc have no common factor and (num, den) is in lowest terms.
     Memoized on d per order, since Buchberger divides by the same basis
     elements over and over.
     """
@@ -746,25 +757,18 @@ def _divisor_data(d: Polynomial, order) -> tuple:
     if data is None:
         if not d.terms:
             raise ValueError("zero divisor")
-        lm, lead = d.leading_term(order)
-        den = lcm(*(c.denominator for c in d.terms.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in d.terms.items()}
-        content = gcd(*ints.values())
-        if lead < 0:
-            content = -content
-        scale = Fraction(content, den)
-        tail = [(e, c // content) for e, c in ints.items() if e != lm]
-        data = memo[order] = (
-            lm, order.mask(lm), ints[lm] // content, tail, scale.numerator, scale.denominator
-        )
+        lm = d.leading_term(order)[0]
+        ints, scale = _primitive_form({e: c.as_integer_ratio() for e, c in d.terms.items()}, lm)
+        tail = [(e, c) for e, c in ints.items() if e != lm]
+        data = memo[order] = (lm, order.mask(lm), ints[lm], tail, *scale.as_integer_ratio())
     return data
 
 
-def _reduce(work: dict, order, pick) -> tuple[dict, Fraction | int]:
+def _reduce(work: dict, order, pick) -> dict:
     """Reduce `work`, the integer terms of a polynomial, by the reducers
-    `pick` chooses: the remainder in primitive integer form with a positive
-    lead coefficient, largest term first, and the Fraction that scales it
-    back; ({}, 0) when nothing remains.
+    `pick` chooses: the remainder terms kept, largest first, each mapped to
+    the pair (numerator, denominator) of its coefficient; {} when nothing
+    remains.
 
     The largest remaining term e goes first.  `pick(e)` returns a reducer
     whose first entries are (lead, lc, tail, sink): a primitive integer
@@ -826,14 +830,7 @@ def _reduce(work: dict, order, pick) -> tuple[dict, Fraction | int]:
                 den //= g
                 work = {t: v // g for t, v in work.items()}
             content_at = den.bit_length() + _CONTENT_BITS
-    if not remainder:
-        return {}, 0
-    common = lcm(*(d for _, d in remainder.values()))
-    ints = {e: w * (common // d) for e, (w, d) in remainder.items()}
-    g = gcd(*ints.values())
-    if next(iter(ints.values())) < 0:
-        g = -g
-    return {e: c // g for e, c in ints.items()}, Fraction(g, common)
+    return remainder
 
 
 def multivariate_divide(
@@ -849,7 +846,7 @@ def multivariate_divide(
     lead mask (`MonomialOrder.mask`) has a bit the term's mask lacks cannot
     divide it and is passed over with one integer AND; the exponent
     comparison runs only on the rest.  The quotients and the remainder
-    become Fractions only on the way out.
+    pairs the kernel kept become Fractions only on the way out.
     """
     den = lcm(*(c.denominator for c in p.terms.values()))
     work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
@@ -864,11 +861,10 @@ def multivariate_divide(
                 return r
         return None
 
-    rem, scale = _reduce(work, order, pick)
+    rem = _reduce(work, order, pick)
     ring = p.ring
     quotients = [
         Polynomial._make(ring, {e: Fraction(w * dnm, d * num * den) for e, (w, d) in r[3].items()})
         for r, (_, _, _, _, num, dnm) in zip(reducers, data)
     ]
-    n, d = scale.numerator, scale.denominator * den
-    return quotients, Polynomial._make(ring, {e: Fraction(c * n, d) for e, c in rem.items()})
+    return quotients, Polynomial._make(ring, {e: Fraction(w, d * den) for e, (w, d) in rem.items()})

@@ -53,8 +53,6 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -168,8 +166,6 @@ def _root_candidates(ip: list[int]) -> list[Fraction]:
     while step:
         gcd_, step = step, _pseudo_remainder(gcd_, step)
     s = _deflate(ip, linalg._primitive(gcd_))
-    if len(s) == 2:
-        return [Fraction(-s[0], s[1])]
     ds = [k * c for k, c in enumerate(s)][1:]
     for p in (n for n in count(2) if all(n % q for q in range(2, isqrt(n) + 1))):
         if s[-1] % p:
@@ -197,8 +193,7 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     of integral polynomials by p-adic expansion", SIAM J. Comput. 1983), in
     ints, after the root 0 is split off:
     1. The square-free part s of degree d is the integer polynomial over its
-       primitive pseudo-remainder gcd with the derivative; for d = 1 its
-       root is read off directly.
+       primitive pseudo-remainder gcd with the derivative.
     2. p is the smallest prime not dividing s_d at which every root of
        s mod p, found by evaluating s at 0 .. p-1, is simple; each prime
        dividing neither s_d nor the discriminant of s is one.  A root
@@ -267,7 +262,10 @@ class ExpPoly:
         return total
 
     def format(self) -> str:
-        tail = " + ".join(f"({c.format()})*{b}^n" for b, c in self.tail) or "0"
+        tail = " + ".join(
+            f"({c.format()})*{b if b > 0 and b.denominator == 1 else f'({b})'}^n"
+            for b, c in self.tail
+        ) or "0"
         if self.transient:
             vals = ", ".join(str(v) for v in self.transient)
             return f"transient=[{vals}]; {tail}"

@@ -9,6 +9,7 @@ signature-based algorithms for computing Groebner bases", JSC 2017).
 Its regular reduction and `multivariate_divide`, which membership and
 the final reduced form divide by, run one integer reduction loop,
 `algebra._reduce`; they differ only in the reducer each term is given.
+Each element is stored once, as that reducer: its primitive integer form.
 
 Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
@@ -24,13 +25,14 @@ from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, le, sub
+from operator import le, sub
 
 from .algebra import (
     MonomialOrder,
     Polynomial,
     VarRing,
     _divisor_data,
+    _primitive_form,
     _reduce,
     fresh_name,
     mono_divides,
@@ -86,12 +88,9 @@ def _divides_any(syzygies: list, u: tuple[int, ...]) -> bool:
 
 
 def _add_syzygy(syzygies: list, u: tuple[int, ...]) -> None:
-    """Add u to `syzygies`, which keeps only monomials no other divides."""
-    if _divides_any(syzygies, u):
-        return
-    m = mono_mask(u)
-    syzygies[:] = [(w, v) for w, v in syzygies if m & ~w or not all(map(le, u, v))]
-    syzygies.append((m, u))
+    """Append u to `syzygies` unless a monomial listed there divides it."""
+    if not _divides_any(syzygies, u):
+        syzygies.append((mono_mask(u), u))
 
 
 def _reducer(s_key: tuple, i: int, reducers: list, order, e: tuple[int, ...]):
@@ -145,7 +144,8 @@ def buchberger(
     gives the multiple to reduce.  The reduction is regular: `algebra`'s
     integer kernel `_reduce`, the one `multivariate_divide` runs, with
     `_reducer` as its `pick`, so each term goes to the first element whose
-    multiple has a smaller signature, and the primitive remainder is kept.
+    multiple has a smaller signature, and the remainder's `_primitive_form`
+    is kept, its largest term the lead, as one (lead, lc, tail) record.
     If no element reduces that multiple's lead, an element already has this
     signature and lead, and the multiple is dropped before it is built.
     A zero result records its signature as a syzygy; any other result
@@ -170,19 +170,19 @@ def buchberger(
         g = g.lift(ring)
         if not g.is_zero():
             lm, _, lc, tail, _, _ = _divisor_data(g, order)
-            inputs.append((lm, {lm: lc, **dict(tail)}))
+            inputs.append((lm, lc, tail))
     if not inputs:
         return IdealBasis(ring, order, (), reduced=True)
     key, _key = order.key, order._key
     inputs.sort(key=lambda f: key(f[0]))
 
     # per element: its reducer (lead, lead coefficient, tail, None, lead
-    # mask, ratio), its terms, and its signature (u, i)
-    reducers, polys, sigs = [], [], []
+    # mask, ratio), which holds its terms, and its signature (u, i)
+    reducers, sigs = [], []
     by_index = [[] for _ in inputs]
     syzygies = [[] for _ in inputs]
     one = mono_one(ring.arity)
-    queue = [(key(lm), i, one) for i, (lm, _) in enumerate(inputs)]
+    queue = [(key(f[0]), i, one) for i, f in enumerate(inputs)]
     heapify(queue)
     steps = 0
     last = None
@@ -199,26 +199,28 @@ def buchberger(
                 best = k
         pick = partial(_reducer, s_key, i, reducers, order)
         if best is None:
-            work = dict(inputs[i][1])
+            (lm, lc, tail), shift = inputs[i], one
         else:
+            lm, lc, tail = reducers[best][:3]
             shift = tuple(map(sub, u, sigs[best][0]))
-            if pick(mono_mul(reducers[best][0], shift)) is None:
+            if pick(mono_mul(lm, shift)) is None:
                 # singular: an element already has this signature and lead
                 continue
-            work = {tuple(map(add, e, shift)): c for e, c in polys[best].items()}
+        work = {mono_mul(e, shift): c for e, c in ((lm, lc), *tail)}
         if steps >= budget:
             queued = len({entry[:2] for entry in queue} | {(s_key, i)})
             raise BudgetExceeded(
                 f"Groebner computation stopped at its budget of {budget} signature "
-                f"reductions: {steps} signatures reduced, basis of {len(polys)} "
+                f"reductions: {steps} signatures reduced, basis of {len(reducers)} "
                 f"elements, {queued} signatures queued"
             )
-        p, _ = _reduce(work, order, pick)
+        rem = _reduce(work, order, pick)
         steps += 1
-        if not p:
+        if not rem:
             _add_syzygy(syzygies[i], u)
             continue
-        lm = next(iter(p))
+        lm = next(iter(rem))
+        p, _ = _primitive_form(rem, lm)
         ratio = (*map(sub, s_key, key(lm)), i)
         for (k_lm, _, _, _, _, k_ratio), (k_u, k_i) in zip(reducers, sigs):
             if k_ratio == ratio:
@@ -238,18 +240,16 @@ def buchberger(
                 j_u = mono_mul(tuple(map(sub, t, h_lm)), h_u)
                 # `_key`: signature monomials stay out of `order.key`'s memo
                 heappush(queue, (_key(mono_mul(j_u, inputs[h_i][0])), h_i, j_u))
-        by_index[i].append(len(polys))
+        by_index[i].append(len(reducers))
         tail = [(e, c) for e, c in p.items() if e != lm]
         reducers.append((lm, p[lm], tail, None, order.mask(lm), ratio))
-        polys.append(p)
         sigs.append((u, i))
 
     kept, leads = [], []
-    for k in sorted(range(len(polys)), key=lambda k: key(reducers[k][0])):
-        lm, lc = reducers[k][:2]
+    for lm, lc, tail, *_ in sorted(reducers, key=lambda r: key(r[0])):
         if any(map(mono_divides, leads, repeat(lm))):
             continue
-        g = Polynomial._make(ring, {e: Fraction(c, lc) for e, c in polys[k].items()})
+        g = Polynomial._make(ring, {e: Fraction(c, lc) for e, c in ((lm, lc), *tail)})
         kept.append(multivariate_divide(g, kept, order)[1])
         leads.append(lm)
     return IdealBasis(ring, order, tuple(reversed(kept)), reduced=True)

@@ -97,8 +97,6 @@ def moment_closure(
     lifted: dict[tuple[int, ...], Polynomial] = {}
     while work:
         sym = work.pop()
-        if sym in lifted:
-            continue
         # every discovered symbol waits in `work`, so this sees each growth
         if len(symbols) > budget:
             raise ClosureBudgetExceeded(

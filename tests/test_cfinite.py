@@ -392,6 +392,10 @@ def test_expoly_validation():
 def test_expoly_format_and_json():
     form = ExpPoly((Q(5),), ((Q(1), _upoly(0, Q(1, 2))), (Q(3), _upoly(1))))
     assert form.format() == "transient=[5]; (1/2*n)*1^n + (1)*3^n"
+    # a base that is not a positive integer is parenthesized: -2^n would
+    # read as -(2^n), and 3/2^n as 3/(2^n)
+    signed = ExpPoly((), tuple((b, _upoly(1)) for b in (Q(-2), Q(3, 2), Q(-1, 2))))
+    assert signed.format() == "(1)*(-2)^n + (1)*(3/2)^n + (1)*(-1/2)^n"
     assert form.to_json() == {
         "transient": ["5"],
         "tail": [

@@ -272,12 +272,17 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         ("groebner", "--ideal", '{"ring": ["x", "y"], "order": {"priority": "yx"}, "generators": ["x"]}'),
         ("groebner", "--ideal", '{"ring": {"x": 1, "y": 2}, "generators": ["x"]}'),
         ("verify-witness", "--lrs", '{"coeffs": {"1": 0}, "init": ["1"]}'),
+        ("simulate", "--loop", "x = 0\nvars: x\ninit: x = 0\nbody:\n  x = x\n"),
+        ("simulate", "--loop", "vars: x\ninit: x 0\nbody:\n  x = x\n"),
+        ("simulate", "--loop", "vars: x\ninit: x = 0; x = 1\nbody:\n  x = x\n"),
+        ("simulate", "--loop", "vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, y = (y, x)\n"),
     ],
     ids=[
         "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
         "variable-name", "lrs-a0", "lrs-json", "repeated-target", "not-utf8",
         "moment-variable", "exponent-literal", "lrs-coeffs-string", "lrs-init-string",
         "ring-string", "generators-string", "priority-string", "ring-object", "lrs-object",
+        "before-section", "init-clause", "duplicate-init", "tuple-target",
     ],
 )
 def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):

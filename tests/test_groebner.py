@@ -165,6 +165,18 @@ def test_ideal_equal_examples():
     assert not ideal_equal(_basis(["x"], ring, order), _basis(["x^2"], ring, order))
 
 
+def test_ideal_equal_reduces_unreduced_bases():
+    ring = VarRing(["x", "y"])
+    order = MonomialOrder("lex", ring)
+
+    def gens(*texts):
+        return IdealBasis(ring, order, tuple(poly_parse(t, ring) for t in texts))
+
+    assert ideal_equal(gens("x + y", "x - y"), gens("2*x", "3*y"))
+    assert ideal_equal(gens("x*y - 1", "y^2 - 1"), _basis(["x - y", "y^2 - 1"], ring, order))
+    assert not ideal_equal(_basis(["x", "y"], ring, order), gens("x^2", "y"))
+
+
 def test_variety_is_finite_cases():
     ring = VarRing(["x", "y"])
     order = MonomialOrder("degrevlex", ring)

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from loopideal import reductions
 from loopideal import (
     LRSInstance,
     MonomialOrder,
@@ -67,8 +68,29 @@ def test_augment_witness_arity(lrs_order3):
 
 
 def test_augment_witness_rejects_foreign_system(xy_system):
-    with pytest.raises(NotASkolemReduction):
+    with pytest.raises(NotASkolemReduction, match="variables are not"):
         augment_witness(P2PInstance(xy_system, (Q(0), Q(0))))
+    for body, target, message in [
+        ("x0 = x1\n  x1 = x0", (0, 0), "single simultaneous update"),
+        ("(x1, x0) = (x0, x1)", (0, 0), "all variables in order"),
+        ("(x0, x1) = (x0, x0)", (0, 0), "x0 update is not the shift x1"),
+        ("(x0, x1) = (x1, x0)", (0, 1), "target is not the zero vector"),
+    ]:
+        system = parse_loop(f"vars: x0, x1\ninit: x0 = 1; x1 = 2\nbody:\n  {body}\n")
+        with pytest.raises(NotASkolemReduction, match=message):
+            augment_witness(P2PInstance(system, tuple(map(Q, target))))
+
+
+def test_witness_identities_report_a_wrong_witness(monkeypatch):
+    # the witness update s0 * x0 * 2 in place of s0 * x0 breaks both identities
+    monkeypatch.setattr(reductions, "augment_witness", lambda p2p: reductions._witness(p2p, 2))
+    lrs = LRSInstance((Q(2),), (Q(1),))  # u(n) = 2^n
+    report = verify_witness_identities(lrs, 3)
+    assert report.violations[:2] == (
+        {"n": 1, "i": 0, "identity": "value", "lhs": "2", "rhs": "4"},
+        {"n": 1, "i": 0, "identity": "product", "lhs": "2", "rhs": "1"},
+    )
+    assert report.first_zero is None
 
 
 def test_witness_identities_order3(lrs_order3):

@@ -731,7 +731,12 @@ _CONTENT_BITS = 64
 
 def _primitive_form(pairs: dict, lead: tuple[int, ...]) -> tuple[dict, Fraction]:
     """The coprime integer coefficients, the one at `lead` positive, of the
-    polynomial `pairs` maps to (numerator, denominator), and their scale."""
+    polynomial `pairs` maps to (numerator, denominator), and their scale.
+
+    No result needs the positive lead; speed does.  A negated monic
+    polynomial gets lc = 1, not -1, and `_reduce` rescales all of `work`
+    for each term it cancels by a reducer whose lc is not 1.
+    """
     den = lcm(*(d for _, d in pairs.values()))
     ints = {e: n * (den // d) for e, (n, d) in pairs.items()}
     content = gcd(*ints.values())

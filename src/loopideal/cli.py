@@ -83,18 +83,14 @@ def _reduced(basis: IdealBasis, args) -> IdealBasis:
     return buchberger(list(basis.generators), order or basis.order, args.budget)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> int:
-    if args.format == "json" or text is None:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(text)
+def _emit(args, payload: dict, text: str) -> int:
+    print(json.dumps(payload, indent=2, sort_keys=False) if args.format == "json" else text)
     return 0
 
 
-def _basis_text(basis: IdealBasis) -> str:
-    if basis.is_zero_ideal():
-        return "<0>"
-    return "\n".join(g.format(basis.order) for g in basis.generators)
+def _emit_basis(args, basis: IdealBasis) -> int:
+    payload = basis.to_json()
+    return _emit(args, payload, "\n".join(payload["generators"]) or "<0>")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -102,7 +98,7 @@ def _basis_text(basis: IdealBasis) -> str:
 def _cmd_invariants(args) -> int:
     loop = _load_loop(args.loop)
     basis = _reduced(moment_invariant_ideal(loop, args.degree, budget=args.budget), args)
-    return _emit(args, basis.to_json(), _basis_text(basis))
+    return _emit_basis(args, basis)
 
 
 def _cmd_closed_forms(args) -> int:
@@ -118,13 +114,11 @@ def _cmd_closed_forms(args) -> int:
 
 def _cmd_simulate(args) -> int:
     loop = _load_loop(args.loop)
-    states = simulate(loop, args.horizon)
-    payload = {
-        "variables": list(loop.variables.names),
-        "states": [[str(v) for v in st] for st in states],
-    }
+    names = loop.variables.names
+    states = [[str(v) for v in st] for st in simulate(loop, args.horizon)]
+    payload = {"variables": list(names), "states": states}
     lines = [
-        f"n={n}: " + ", ".join(f"{nm}={v}" for nm, v in zip(loop.variables.names, st))
+        f"n={n}: " + ", ".join(f"{nm}={v}" for nm, v in zip(names, st))
         for n, st in enumerate(states)
     ]
     return _emit(args, payload, "\n".join(lines))
@@ -132,25 +126,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_distribution(args) -> int:
     loop = _load_loop(args.loop)
-    dist = enumerate_distribution(loop, args.horizon)
-    items = sorted(dist.items())
-    payload = {
-        "variables": list(loop.variables.names),
-        "support": [
-            {"state": [str(v) for v in st], "probability": str(pr)}
-            for st, pr in items
-        ],
-    }
+    support = [
+        {"state": [str(v) for v in st], "probability": str(pr)}
+        for st, pr in sorted(enumerate_distribution(loop, args.horizon).items())
+    ]
+    payload = {"variables": list(loop.variables.names), "support": support}
     lines = [
-        "(" + ", ".join(str(v) for v in st) + f") with probability {pr}"
-        for st, pr in items
+        "(" + ", ".join(item["state"]) + f") with probability {item['probability']}"
+        for item in support
     ]
     return _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_groebner(args) -> int:
-    basis = _reduced(_load_basis(args.ideal), args)
-    return _emit(args, basis.to_json(), _basis_text(basis))
+    return _emit_basis(args, _reduced(_load_basis(args.ideal), args))
 
 
 def _cmd_member(args) -> int:
@@ -205,7 +194,7 @@ def _cmd_empirical(args) -> int:
         [st[j] for st in states] for j in range(loop.variables.arity)
     ]
     basis = _reduced(empirical_relations(table, loop.variables, args.degree, args.budget), args)
-    return _emit(args, basis.to_json(), _basis_text(basis))
+    return _emit_basis(args, basis)
 
 
 _COMMANDS = {

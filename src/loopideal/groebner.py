@@ -87,12 +87,6 @@ def _divides_any(syzygies: list, u: tuple[int, ...]) -> bool:
     return any(not m & off and all(map(le, v, u)) for m, v in syzygies)
 
 
-def _add_syzygy(syzygies: list, u: tuple[int, ...]) -> None:
-    """Append u to `syzygies` unless a monomial listed there divides it."""
-    if not _divides_any(syzygies, u):
-        syzygies.append((mono_mask(u), u))
-
-
 def _reducer(s_key: tuple, i: int, reducers: list, order, e: tuple[int, ...]):
     """The first element of `reducers` whose lead divides the term e and
     whose multiple with lead e has a signature below (s_key, i), or None.
@@ -132,7 +126,7 @@ def buchberger(
     key(u*lm(f_i)) - key(lm(g)) followed by i, orders the signatures of
     any two multiples of elements with the same lead.
 
-    Signatures come smallest first from a heap, each once: the unit e_i
+    Signatures come smallest first from a heap, some twice: the unit e_i
     of each input, and the J-pair of each new element with each earlier
     one, the multiple of the one with the larger ratio whose lead is the
     lcm of the two leads.  A signature goes when a known syzygy of its
@@ -149,8 +143,12 @@ def buchberger(
     If no element reduces that multiple's lead, an element already has this
     signature and lead, and the multiple is dropped before it is built.
     A zero result records its signature as a syzygy; any other result
-    joins the elements.  When the heap is empty every S-polynomial reduces to
-    zero, and the elements are a Groebner basis.
+    joins the elements.  Every J-pair pushed later has a larger signature,
+    so the copies of a repeated signature leave the heap back to back, and
+    the syzygy test or the singular test drops all but the first: the
+    syzygy the first recorded, or the element it made, which is then the
+    rewriter.  When the heap is empty every S-polynomial reduces to zero,
+    and the elements are a Groebner basis.
 
     The reduced basis takes the elements by ascending lead.  One goes when
     a kept lead divides its lead; otherwise it is made monic and its
@@ -185,12 +183,10 @@ def buchberger(
     queue = [(key(f[0]), i, one) for i, f in enumerate(inputs)]
     heapify(queue)
     steps = 0
-    last = None
     while queue:
         s_key, i, u = heappop(queue)
-        if (s_key, i) == last or _divides_any(syzygies[i], u):
+        if _divides_any(syzygies[i], u):
             continue
-        last = (s_key, i)
         best = None
         for k in by_index[i]:
             if mono_divides(sigs[k][0], u) and (
@@ -217,7 +213,8 @@ def buchberger(
         rem = _reduce(work, order, pick)
         steps += 1
         if not rem:
-            _add_syzygy(syzygies[i], u)
+            # no listed syzygy divides u, or u would have gone when it left the heap
+            syzygies[i].append((mono_mask(u), u))
             continue
         lm = next(iter(rem))
         p, _ = _primitive_form(rem, lm)
@@ -232,7 +229,9 @@ def buchberger(
                 h_lm, h_u, h_i, o_lm = k_lm, k_u, k_i, lm
             t = mono_lcm(lm, k_lm)
             if k_i != i:
-                _add_syzygy(syzygies[h_i], mono_mul(o_lm, h_u))
+                z = mono_mul(o_lm, h_u)
+                if not _divides_any(syzygies[h_i], z):
+                    syzygies[h_i].append((mono_mask(z), z))
                 if t == mono_mul(h_lm, o_lm):
                     # coprime leads: the J-pair is the Koszul syzygy's signature
                     continue

@@ -105,10 +105,9 @@ def parse_loop(text: str) -> LoopProgram:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        head = line.split(":", 1)[0].strip()
-        if head in sections:
+        head, colon, rest = map(str.strip, line.partition(":"))
+        if colon and head in sections:
             current = head
-            rest = line.split(":", 1)[1].strip()
             if rest:
                 sections[current].append(rest)
             continue

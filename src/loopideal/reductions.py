@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul
 
 from .algebra import Polynomial, VarRing
 from .errors import (
@@ -144,12 +145,11 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
     states = simulate(augment_witness(skolem_to_p2p(lrs)), horizon)
     u = list(islice(lrs_terms(lrs), horizon + k + 1))
     violations = []
-    x0_prefix = Fraction(1)
-    for n in range(horizon + 1):
-        st = states[n]
-        expected_s = x0_prefix
-        for i in range(k):
-            xi, si = st[i], st[k + i]
+    prefix = Fraction(1)
+    for n, st in enumerate(states):
+        # expected[i] is s_i(n) for i < k, and expected[1] = prefix * x0(n) is s_0(n + 1)
+        expected = list(accumulate(st[:max(k - 1, 1)], mul, initial=prefix))
+        for i, (xi, si, expected_s) in enumerate(zip(st, st[k:], expected)):
             if xi != si * u[n + i]:
                 violations.append(
                     {"n": n, "i": i, "identity": "value", "lhs": str(xi),
@@ -160,9 +160,7 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
                     {"n": n, "i": i, "identity": "product", "lhs": str(si),
                      "rhs": str(expected_s)}
                 )
-            if i < k - 1:
-                expected_s *= xi
-        x0_prefix *= st[0]
+        prefix = expected[1]
     first_zero = next((n for n in range(horizon + 1) if u[n] == 0), None)
     return WitnessReport(horizon, tuple(violations), first_zero)
 

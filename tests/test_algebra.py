@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import MAX_POWER_COST, parse_rational
+from loopideal.algebra import MAX_POWER_COST, _divisor_data, _primitive_form, parse_rational
 
 
 def test_parse_paper_generator():
@@ -224,6 +225,27 @@ def _random_poly(rng, ring, max_terms=4, max_deg=3):
         e = tuple(rng.randint(0, max_deg) for _ in range(ring.arity))
         terms[e] = Q(rng.randint(-5, 5), rng.randint(1, 4))
     return Polynomial(ring, terms)
+
+
+def test_primitive_form_has_positive_lead_fuzzed():
+    # a negated monic reducer must still get lc = 1: `_reduce` rescales its
+    # whole work dict for every other lead coefficient
+    rng = random.Random(606)
+    ring = VarRing(["x", "y", "z"])
+    order = MonomialOrder("degrevlex", ring)
+    negative = 0
+    for _ in range(60):
+        p = _random_poly(rng, ring)
+        if p.is_zero():
+            continue
+        lm, lc = p.leading_term(order)
+        negative += lc < 0
+        for q in (p, -p):
+            ints, scale = _primitive_form({e: c.as_integer_ratio() for e, c in q.terms.items()}, lm)
+            assert ints[lm] > 0 and gcd(*ints.values()) == 1
+            assert {e: scale * c for e, c in ints.items()} == q.terms
+            assert _divisor_data(q, order)[2] == ints[lm]
+    assert negative
 
 
 def test_ring_laws_fuzzed():
@@ -460,3 +482,33 @@ def test_var_ring_validation():
     with pytest.raises(ValueError):
         VarRing([])
     VarRing(["E[x*y]", "ok_name2"])
+
+
+XY, XZ = VarRing(["x", "y"]), VarRing(["x", "z"])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Polynomial(XY, {(1,): Q(1)}), ArityMismatch, "monomial arity"),
+        (lambda: Polynomial.zero(XY).leading_term(MonomialOrder("lex", XY)), ValueError, "no leading term"),
+        (lambda: poly_parse("x", XY) + poly_parse("x", XZ), ArityMismatch, "different rings"),
+        (lambda: poly_parse("x", XY) ** -1, ValueError, "negative exponent"),
+        (
+            lambda: poly_parse("x*y", XY).substitute({"x": poly_parse("y", XY), "y": poly_parse("z", XZ)}),
+            ArityMismatch,
+            "substitution images",
+        ),
+        (lambda: poly_parse("x*y", XY).project(XZ), UnknownVariable, "not in target ring"),
+        (
+            lambda: multivariate_divide(poly_parse("x", XY), [Polynomial.zero(XY)], MonomialOrder("lex", XY)),
+            ValueError,
+            "zero divisor",
+        ),
+    ],
+    ids=["monomial-arity", "zero-lead", "across-rings", "negative-power", "two-image-rings",
+         "project", "zero-divisor"],
+)
+def test_misuse_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -478,3 +478,16 @@ def test_closed_form_check_catches_a_dropped_base(monkeypatch):
     monkeypatch.setattr(cfinite, "rational_roots", drop_three)
     with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=1"):
         solve_closed_form(system, system.index((0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: rational_roots(UniPoly()), "zero polynomial"),
+        (lambda: ExpPoly((Q(1),)).eval(-1), "n >= 0"),
+    ],
+    ids=["roots-of-zero", "negative-index"],
+)
+def test_misuse_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

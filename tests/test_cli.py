@@ -276,6 +276,8 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         ("simulate", "--loop", "vars: x\ninit: x 0\nbody:\n  x = x\n"),
         ("simulate", "--loop", "vars: x\ninit: x = 0; x = 1\nbody:\n  x = x\n"),
         ("simulate", "--loop", "vars: x, y\ninit: x = 0; y = 0\nbody:\n  (x, y = (y, x)\n"),
+        ("simulate", "--loop", "vars: x\ninit\nx = 1\nbody:\n  x = x + 1\n"),
+        ("simulate", "--loop", "vars: x\ninit: x = 1\nbody:\n  x = x + 1\nvars\n"),
     ],
     ids=[
         "order-kind", "duplicate-ring", "priority", "no-generators", "ideal-json",
@@ -283,6 +285,7 @@ def test_irrational_eigenvalue_reported(capsys, tmp_path):
         "moment-variable", "exponent-literal", "lrs-coeffs-string", "lrs-init-string",
         "ring-string", "generators-string", "priority-string", "ring-object", "lrs-object",
         "before-section", "init-clause", "duplicate-init", "tuple-target",
+        "bare-init", "bare-vars-last",
     ],
 )
 def test_malformed_input_file_is_parse_error(capsys, tmp_path, command, flag, text):
@@ -306,6 +309,13 @@ def test_detect_zero_reads_order_flag(capsys, tmp_path):
     code, out, err = _run(capsys, "detect-zero", "--ideal", str(path), "--order", "degrevlex")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "OrderMismatch"
+
+
+def test_groebner_text_of_zero_ideal(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"ring": ["x", "y"], "generators": ["0"]}))
+    code, out, _ = _run(capsys, "groebner", "--ideal", str(path), "--format", "text")
+    assert (code, out) == (0, "<0>\n")
 
 
 def test_groebner_explicit_degrevlex(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from loopideal import groebner
 from loopideal import (
     BudgetExceeded,
     IdealBasis,
@@ -22,6 +23,25 @@ from loopideal import (
 
 def _basis(texts, ring, order):
     return buchberger([poly_parse(t, ring) for t in texts], order)
+
+
+@pytest.fixture
+def signatures_reduced(monkeypatch):
+    """Fails the test when one `buchberger` call reduces a signature twice;
+    yields the signatures reduced per call, keyed by the call's reducers."""
+    reduced = {}
+    reduce = groebner._reduce
+
+    def spy(work, order, pick):
+        s_key, i, reducers = pick.args[:3]
+        _, seen = reduced.setdefault(id(reducers), (reducers, set()))
+        assert (s_key, i) not in seen, f"signature {(s_key, i)} reduced twice"
+        seen.add((s_key, i))
+        return reduce(work, order, pick)
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    yield reduced
+    assert reduced
 
 
 def test_buchberger_two_linear_forms():
@@ -45,7 +65,7 @@ def test_buchberger_principal_ideal_monic():
     assert [g.format(order) for g in b.generators] == ["x^2*y - 1/2*y"]
 
 
-def test_buchberger_idempotent_and_input_order_independent():
+def test_buchberger_idempotent_and_input_order_independent(signatures_reduced):
     ring = VarRing(["x", "y", "z"])
     order = MonomialOrder("degrevlex", ring)
     gens = ["x*y - z", "y*z - x", "x*z - y", "x^2 - y^2"]
@@ -140,7 +160,7 @@ def test_intersect_self_and_zero():
     assert ideal_intersect(b, zero).is_zero_ideal()
 
 
-def test_intersect_members_fuzzed():
+def test_intersect_members_fuzzed(signatures_reduced):
     rng = random.Random(55)
     ring = VarRing(["x", "y"])
     order = MonomialOrder("degrevlex", ring)
@@ -245,7 +265,7 @@ def test_intersect_keeps_non_default_priority():
     assert ideal_member(poly_parse("x*y^2 - 2*y^2 - x^2 + 2*x", ring), inter)
 
 
-def test_eliminate_result_is_reduced_in_target_order_fuzzed():
+def test_eliminate_result_is_reduced_in_target_order_fuzzed(signatures_reduced):
     rng = random.Random(66)
     ring = VarRing(["a", "b", "x", "y"])
     pool = ["x - a^2", "y - a*b", "a*b - 1", "x*y - b", "b^2 - y", "a + b - x", "x^2 - 2*y"]
@@ -264,3 +284,27 @@ def test_eliminate_result_is_reduced_in_target_order_fuzzed():
             assert out.order == order.restricted(out.ring)
             again = buchberger(list(out.generators), out.order)
             assert out.generators == again.generators
+
+
+XY = VarRing(["x", "y"])
+LEX = MonomialOrder("lex", XY)
+UNREDUCED = IdealBasis(XY, LEX, (poly_parse("x^2 - y", XY), poly_parse("x*y", XY)))
+X_BASIS = buchberger([poly_parse("x", XY)], LEX)
+YZ = VarRing(["y", "z"])
+Y_BASIS = buchberger([poly_parse("y", YZ)], MonomialOrder("lex", YZ))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ideal_member(poly_parse("x", XY), UNREDUCED), "requires a reduced basis"),
+        (lambda: variety_is_finite(UNREDUCED), "requires a reduced basis"),
+        (lambda: eliminate(X_BASIS, {"x", "y"}), "every ring variable"),
+        (lambda: ideal_intersect(X_BASIS, Y_BASIS), "common ring"),
+        (lambda: ideal_equal(X_BASIS, Y_BASIS), "common ring"),
+    ],
+    ids=["member-unreduced", "finite-unreduced", "eliminate-all", "intersect-rings", "equal-rings"],
+)
+def test_misuse_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

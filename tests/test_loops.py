@@ -387,3 +387,36 @@ def test_lrs_validation():
         LRSInstance((Q(0), Q(1)), (Q(1), Q(1)))
     with pytest.raises(ValueError):
         LRSInstance((), ())
+
+
+X = VarRing(["x"])
+XV = Polynomial.var(X, "x")
+FOREIGN_XV = Polynomial.var(VarRing(["x", "y"]), "x")
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Assignment((), ((Q(1), ()),)), ValueError, "nonempty tuple of distinct"),
+        (lambda: Assignment(("x", "x"), ((Q(1), (XV, XV)),)), ValueError, "nonempty tuple of distinct"),
+        (lambda: Assignment(("x",), ()), ValueError, "at least one branch"),
+        (lambda: Assignment(("x",), ((Q(1), (XV, XV)),)), ArityMismatch, "branch arity"),
+        (lambda: Assignment(("x",), ((Q(1, 2), (XV,)),)), ProbabilitySumError, "sum to 1/2"),
+        (lambda: LoopProgram(X, (Q(0), Q(1)), ()), ArityMismatch, "one initial value"),
+        (
+            lambda: LoopProgram(X, (Q(0),), (Assignment(("x",), ((Q(1), (FOREIGN_XV,)),)),)),
+            ArityMismatch,
+            "foreign ring",
+        ),
+        (
+            lambda: expected_moment(LoopProgram(X, (Q(0),), ()), (1, 0), 2),
+            ArityMismatch,
+            "monomial arity",
+        ),
+    ],
+    ids=["no-targets", "repeated-target", "no-branches", "branch-arity", "probability-sum",
+         "init-count", "foreign-ring", "moment-arity"],
+)
+def test_misuse_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

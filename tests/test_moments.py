@@ -7,6 +7,7 @@ from loopideal import (
     ClosureBudgetExceeded,
     P2PInstance,
     Polynomial,
+    VarRing,
     degree_targets,
     enumerate_distribution,
     lift_polynomial_expectation,
@@ -155,3 +156,15 @@ def test_degree_targets_order():
     ring = VarRing(["x", "y"])
     assert degree_targets(ring, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: moment_closure(parse_loop("vars: x\ninit: x = 0\nbody:\n"), []), "at least one target"),
+        (lambda: degree_targets(VarRing(["x"]), 0), "degree must be at least 1"),
+    ],
+    ids=["no-targets", "degree-0"],
+)
+def test_misuse_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as Q
+from itertools import islice
+from math import prod
 
 import pytest
 
 from loopideal import reductions
+from loopideal.loops import lrs_terms
 from loopideal import (
+    IdealBasis,
     LRSInstance,
     MonomialOrder,
     NotASkolemReduction,
@@ -81,8 +85,9 @@ def test_augment_witness_rejects_foreign_system(xy_system):
             augment_witness(P2PInstance(system, tuple(map(Q, target))))
 
 
-def test_witness_identities_report_a_wrong_witness(monkeypatch):
-    # the witness update s0 * x0 * 2 in place of s0 * x0 breaks both identities
+def test_witness_identities_report_a_wrong_witness(monkeypatch, lrs_order3):
+    # the witness update s{k-1} * x{k-1} * 2 in place of s{k-1} * x{k-1}
+    # breaks both identities
     monkeypatch.setattr(reductions, "augment_witness", lambda p2p: reductions._witness(p2p, 2))
     lrs = LRSInstance((Q(2),), (Q(1),))  # u(n) = 2^n
     report = verify_witness_identities(lrs, 3)
@@ -91,6 +96,31 @@ def test_witness_identities_report_a_wrong_witness(monkeypatch):
         {"n": 1, "i": 0, "identity": "product", "lhs": "2", "rhs": "1"},
     )
     assert report.first_zero is None
+    # orders 2 and 3, against s_i(n) = prod_{l<n} x0(l) * prod_{l<i} x_l(n)
+    # recomputed from the states of the wrong witness
+    fibonacci = LRSInstance((Q(1), Q(1)), (Q(1), Q(2)))
+    for lrs, horizon in ((fibonacci, 5), (lrs_order3, 4)):
+        k = lrs.order
+        states = simulate(reductions._witness(skolem_to_p2p(lrs), 2), horizon)
+        u = list(islice(lrs_terms(lrs), horizon + k))
+        expected = []
+        for n, st in enumerate(states):
+            for i in range(k):
+                xi, si = st[i], st[k + i]
+                s_direct = prod(before[0] for before in states[:n]) * prod(st[:i])
+                if xi != si * u[n + i]:
+                    expected.append(
+                        {"n": n, "i": i, "identity": "value", "lhs": str(xi),
+                         "rhs": str(si * u[n + i])}
+                    )
+                if si != s_direct:
+                    expected.append(
+                        {"n": n, "i": i, "identity": "product", "lhs": str(si),
+                         "rhs": str(s_direct)}
+                    )
+        assert any(v["i"] == k - 1 > 0 and v["identity"] == "product" for v in expected)
+        report = verify_witness_identities(lrs, horizon)
+        assert report.violations == tuple(expected)
 
 
 def test_witness_identities_order3(lrs_order3):
@@ -254,6 +284,9 @@ def test_detect_eventual_zero_rejects_wrong_order():
     basis2 = buchberger([poly_parse("f", ring)], MonomialOrder("lex", ring, ["g", "f"]))
     with pytest.raises(OrderMismatch):
         detect_eventual_zero(basis2)
+    unreduced = IdealBasis(ring, MonomialOrder("lex", ring, ["f", "g"]), (poly_parse("f", ring),))
+    with pytest.raises(OrderMismatch, match="requires a reduced basis"):
+        detect_eventual_zero(unreduced)
 
 
 def test_detect_eventual_zero_renamed_flag():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from loopideal import (
+    ArityMismatch,
     ClosureBudgetExceeded,
     ExpPoly,
     IdealBasis,
@@ -726,3 +727,30 @@ def test_identically_vanishing_exponential_polynomial():
     assert any(v != 0 for v in values)
     zero = [sum(Q(0) * b**n for b in bases) for n in range(6)]
     assert all(v == 0 for v in zero)
+
+
+XY = VarRing(["x", "y"])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: multiplicative_lattice([Q(2), Q(0)]), ValueError, "bases must be positive"),
+        (lambda: relations_ideal([ExpPoly((Q(1),))], XY), ArityMismatch, "1 forms for 2 names"),
+        (lambda: psi_map(poly_parse("x", VarRing(["x"])), XY), ValueError, "not a moment variable"),
+        (lambda: psi_map(poly_parse("E[2*x]", VarRing(["E[2*x]"])), XY), ValueError, "monic monomial"),
+        (
+            lambda: restrict_to_order_one(buchberger([poly_parse("x", XY)], MonomialOrder("lex", XY))),
+            ValueError,
+            "not a moment ring variable",
+        ),
+        (lambda: empirical_relations([[Q(1)], [Q(2)]], XY, 0), ValueError, "degree must be at least 1"),
+        (lambda: empirical_relations([[Q(1)]], XY, 1), ArityMismatch, "1 value rows for 2 names"),
+        (lambda: empirical_relations([[Q(1)], [Q(1), Q(2)]], XY, 1), ArityMismatch, "ragged"),
+    ],
+    ids=["lattice-base", "forms-arity", "psi-plain-name", "psi-non-monic", "restrict-plain-ring",
+         "empirical-degree", "empirical-rows", "empirical-ragged"],
+)
+def test_misuse_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -4,7 +4,8 @@ A sequence produced by a moment system is annihilated by some monic
 polynomial; splitting off its rational roots, found by p-adic lifting and
 confirmed by exact deflation, yields an exponential polynomial
 `sum_i p_i(n) * base_i^n`, with the multiplicity of the root 0 becoming an
-explicit transient prefix.
+explicit transient prefix.  A moment sequence is solved in ints, on its
+integer multiple e * D^n * v(n) (see `MomentSystem`), and mapped back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -287,27 +288,33 @@ class ExpPoly:
 def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     """Exact exponential-polynomial closed form of one moment sequence.
 
-    The sequence's minimal annihilator is computed from the matrix-power
-    values; a nonconstant cofactor after rational root extraction means an
-    irrational eigenvalue actually occurs in this sequence, which the
-    rational pipeline refuses with a typed error.  The answer is verified
-    against 2*order + 4 sequence terms before being returned.
+    It is found on the integer sequence w(n) = e * D^n * v(n) of the
+    system's power iteration (see `MomentSystem`), whose annihilator has the
+    roots D*r: eigenvalues of an integer matrix, so the rational ones are
+    integers.  A nonconstant cofactor after rational root extraction means
+    an irrational eigenvalue actually occurs in this sequence, which the
+    rational pipeline refuses with a typed error.  The integer answer, with
+    columns (D*r)^n * n^j, is verified against 2*order + 4 terms before
+    being returned; its bases over D and coefficients over e are v's.
     """
     order = system.size
     count = 2 * order + 4
-    terms = [system.vector_at(n)[symbol_index] for n in range(count)]
+    terms = [system._integer_at(n)[symbol_index] for n in range(count)]
     ann = minimal_recurrence(terms, order)
     roots, cofactor = rational_roots(ann)
-    if cofactor.degree >= 1:
+    scale = system._scale
+    if (deg := cofactor.degree) >= 1:
+        # name the cofactor of v's own annihilator: L -> L*D, over D^deg
+        cofactor = UniPoly(c / scale ** (deg - k) for k, c in enumerate(cofactor.coeffs))
         raise IrrationalEigenvalue(
             "minimal annihilator has a nonconstant rootless cofactor "
             f"({cofactor.format('L')}); closed forms over the rationals "
             "cannot represent this sequence"
         )
     mult0 = next((m for r, m in roots if r == 0), 0)
-    nonzero = [(r, m) for r, m in roots if r != 0]
-    # the ansatz sum_{i,j} c_{i,j} n^j base_i^n, one row per n >= mult0, each
-    # column from the row before (its base times) or the column before (times n)
+    nonzero = [(int(r), m) for r, m in roots if r != 0]
+    # the ansatz sum_{i,j} c_{i,j} n^j root_i^n, one row per n >= mult0, each
+    # column from the row before (its root times) or the column before (times n)
     cols = [(r, j) for r, m in nonzero for j in range(m)]
     table = [[r**mult0 * mult0**j for r, j in cols]]
     for n in range(mult0 + 1, count):
@@ -318,10 +325,14 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     sol = linalg.solve(table[: len(cols)], terms[mult0 : mult0 + len(cols)])
     if sol is None:
         raise NoRecurrenceFound("coefficient ansatz is inconsistent")
+    # in ints: the rows times the solution's numerators over a common denominator
+    common = lcm(*(c.denominator for c in sol))
+    nums = [c.numerator * (common // c.denominator) for c in sol]
     for n, row in enumerate(table, mult0):
-        if sum(map(mul, row, sol)) != terms[n]:
+        if sum(map(mul, row, nums)) != common * terms[n]:
             raise NoRecurrenceFound(f"closed form disagrees with the sequence at n={n}")
-    # `cols` runs along `nonzero`, which is sorted by base
-    coeffs = iter(sol)
-    tail = [(r, UniPoly(islice(coeffs, m))) for r, m in nonzero]
-    return ExpPoly(tuple(terms[:mult0]), tuple((r, c) for r, c in tail if not c.is_zero()))
+    # `cols` runs along `nonzero`, which is sorted by root, and so by base as D > 0
+    coeffs = (c / system._start for c in sol)
+    tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in nonzero]
+    transient = (Fraction(terms[n], system._start * scale**n) for n in range(mult0))
+    return ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .algebra import Polynomial, VarRing, mono_one, mono_value
 from .errors import ClosureBudgetExceeded
@@ -26,12 +27,47 @@ def lift_polynomial_expectation(loop: LoopProgram, p: Polynomial) -> Polynomial:
     Assignments are folded in reverse order; a probabilistic assignment
     contributes the probability-weighted sum of its branch substitutions.
     """
-    for stmt in reversed(loop.body):
-        acc = Polynomial.zero(loop.variables)
-        for pr, exprs in stmt.branches:
-            mapping = {nm: e for nm, e in zip(stmt.targets, exprs)}
-            acc = acc + p.substitute(mapping) * pr
-        p = acc
+    return _lift(_branch_memos(loop), p.lift(loop.variables))
+
+
+def _branch_memos(loop: LoopProgram) -> list[list[tuple]]:
+    """Per statement, per branch: its probability and a memo of monomial
+    images for `_image`, seeded with those of 1 and of each variable."""
+    ring = loop.variables
+    one = mono_one(ring.arity)
+    xs = {nm: one[:i] + (1,) + one[i + 1 :] for i, nm in enumerate(ring.names)}
+    seed = {one: Polynomial.const(ring, 1)} | {x: Polynomial.monomial(ring, x) for x in xs.values()}
+    return [
+        [(pr, seed | {xs[nm]: e for nm, e in zip(stmt.targets, exprs)}) for pr, exprs in stmt.branches]
+        for stmt in loop.body
+    ]
+
+
+def _image(memo: dict, m: tuple[int, ...]) -> Polynomial:
+    """The image of monomial m under the branch that `memo` belongs to: one
+    product of two memoized images, of m's power x^k of its first variable
+    and the rest of m, or, for m = x^k, of x^(k//2) and x^(k - k//2).  The
+    recursion is at most arity + log2(degree) deep."""
+    q = memo.get(m)
+    if q is None:
+        i = next(i for i, k in enumerate(m) if k)
+        j = m[i] // 2 if m.count(0) == len(m) - 1 else 0
+        rest = m[:i] + (j,) + m[i + 1 :]
+        power = (0,) * i + (m[i] - j,) + (0,) * (len(m) - i - 1)
+        q = memo[m] = _image(memo, rest) * _image(memo, power)
+    return q
+
+
+def _lift(memos: list[list[tuple]], p: Polynomial) -> Polynomial:
+    """`lift_polynomial_expectation` with the branch images in `memos`."""
+    for branches in reversed(memos):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for pr, memo in branches:
+            for m, c in p.terms.items():
+                w = pr * c
+                for e, d in _image(memo, m).terms.items():
+                    acc[e] = acc.get(e, 0) + w * d
+        p = Polynomial._make(p.ring, {e: c for e, c in acc.items() if c})
     return p
 
 
@@ -46,17 +82,28 @@ class MomentSystem:
     `transition[i]` lists the nonzero (column, coefficient) pairs of row i.
     Symbol 0 is the constant moment E[1], whose row is the unit row; the
     initial vector holds each symbol evaluated at the init state.
+
+    The iteration runs in ints: with D the lcm of the transition's
+    denominators and e that of the initial vector's, A = D * transition and
+    u = e * initial are integer, and v(n) = A^n u / (e * D^n).  `_integer_at`
+    caches the vectors A^n u.
     """
 
     symbols: list[tuple[int, ...]]
     transition: list[list[tuple[int, Fraction]]]
     initial: list[Fraction]
-    _cache: list[list[Fraction]] = field(init=False, repr=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
+    _scale: int = field(init=False, repr=False)
+    _start: int = field(init=False, repr=False)
+    _rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
+    _cache: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._cache = [list(self.initial)]
         self._index = {e: i for i, e in enumerate(self.symbols)}
+        d = self._scale = lcm(*(a.denominator for row in self.transition for _, a in row))
+        e = self._start = lcm(*(x.denominator for x in self.initial))
+        self._rows = [[(j, a.numerator * (d // a.denominator)) for j, a in row] for row in self.transition]
+        self._cache = [[x.numerator * (e // x.denominator) for x in self.initial]]
 
     @property
     def size(self) -> int:
@@ -65,16 +112,17 @@ class MomentSystem:
     def index(self, symbol: tuple[int, ...]) -> int:
         return self._index[tuple(symbol)]
 
-    def vector_at(self, n: int) -> list[Fraction]:
-        """Moment vector after n iterations (cached sparse power iteration)."""
+    def _integer_at(self, n: int) -> list[int]:
+        """A^n u, the moment vector after n iterations times e * D^n."""
         while len(self._cache) <= n:
             prev = self._cache[-1]
-            nxt = [
-                sum((a * prev[j] for j, a in row), Fraction(0))
-                for row in self.transition
-            ]
-            self._cache.append(nxt)
+            self._cache.append([sum(a * prev[j] for j, a in row) for row in self._rows])
         return self._cache[n]
+
+    def vector_at(self, n: int) -> list[Fraction]:
+        """Moment vector after n iterations (cached sparse power iteration)."""
+        den = self._start * self._scale**n
+        return [Fraction(x, den) for x in self._integer_at(n)]
 
 
 def moment_closure(
@@ -95,6 +143,7 @@ def moment_closure(
     work = [unit] + [tuple(t) for t in targets]
     symbols: set[tuple[int, ...]] = set(work)
     lifted: dict[tuple[int, ...], Polynomial] = {}
+    memos = _branch_memos(loop)  # shared by every symbol's lift
     while work:
         sym = work.pop()
         # every discovered symbol waits in `work`, so this sees each growth
@@ -103,7 +152,7 @@ def moment_closure(
                 f"moment closure exceeded {budget} symbols; "
                 "monomial degrees keep growing under lifting"
             )
-        q = lift_polynomial_expectation(loop, Polynomial.monomial(ring, sym))
+        q = _lift(memos, Polynomial.monomial(ring, sym))
         lifted[sym] = q
         for e in q.terms:
             if e not in symbols:

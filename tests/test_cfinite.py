@@ -370,6 +370,53 @@ def test_irrational_eigenvalue_rejected():
         solve_closed_form(system, system.index((1, 0)))
 
 
+@pytest.mark.parametrize(
+    "degree, symbol, cofactor",
+    [(1, (1, 0), "L^2 - 1/2"), (3, (3, 0), "L^2 - 1/8")],
+)
+def test_irrational_eigenvalue_message_names_the_sequences_own_cofactor(degree, symbol, cofactor):
+    # the transition's denominators scale the integer annihilator's roots;
+    # the message names the cofactor of the moment sequence itself
+    loop = parse_loop("vars: x, y\ninit: x = 1; y = 1/3\nbody:\n  (x, y) = (1/2*y, x)\n")
+    system = moment_closure(loop, degree_targets(loop.variables, degree))
+    with pytest.raises(IrrationalEigenvalue) as caught:
+        solve_closed_form(system, system.index(symbol))
+    assert str(caught.value) == (
+        f"minimal annihilator has a nonconstant rootless cofactor ({cofactor}); "
+        "closed forms over the rationals cannot represent this sequence"
+    )
+
+
+# distinct denominators in the initial values, coefficients and probabilities;
+# a reset (root 0, so transients), a tuple swap and negative bases
+_PAST_WINDOW_LOOPS = [
+    "vars: x, y, z\ninit: x = -1/2; y = 2/7; z = 5/3\nbody:\n"
+    "  x = -1/3*x + y [2/9] 3/4*x - 1/5\n"
+    "  (y, z) = (1/6, -2/5*z + y)\n",
+    "vars: u, v\ninit: u = 3/11; v = -1/13\nbody:\n"
+    "  (u, v) = (v + 1/4, u) [2/3] (-1/2*u, -1/2*v + 1/3)\n",
+]
+
+
+@pytest.mark.parametrize("text", _PAST_WINDOW_LOOPS, ids=["reset", "swap"])
+def test_closed_forms_hold_past_the_check_window(text):
+    loop = parse_loop(text)
+    system = moment_closure(loop, degree_targets(loop.variables, 2))
+    horizon = 2 * system.size + 12
+    forms = [solve_closed_form(system, j) for j in range(system.size)]
+    assert any(b < 0 for form in forms for b, _ in form.tail)
+    assert any(form.transient for form in forms) == ("y = 2/7" in text)
+    dense = [[Q(0)] * system.size for _ in range(system.size)]
+    for i, row in enumerate(system.transition):
+        for j, a in row:
+            dense[i][j] = a
+    vec = list(system.initial)
+    for n in range(horizon + 1):
+        assert system.vector_at(n) == vec, n
+        assert [form.eval(n) for form in forms] == vec, n
+        vec = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in dense]
+
+
 def test_expoly_eval_examples():
     half_n = ExpPoly((), ((Q(1), _upoly(0, Q(1, 2))),))
     assert half_n.eval(4) == 2

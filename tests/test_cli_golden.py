@@ -52,6 +52,9 @@ CASES = {
     "closed-forms-branches": (
         "closed-forms", "--loop", "branches.loop", "--degree", "1",
     ),
+    "closed-forms-branches-degree-2": (
+        "closed-forms", "--loop", "branches.loop", "--degree", "2",
+    ),
     "invariants-branches": (
         "invariants", "--loop", "branches.loop", "--degree", "1",
     ),

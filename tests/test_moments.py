@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from loopideal import (
+    Assignment,
     ClosureBudgetExceeded,
+    LoopProgram,
     P2PInstance,
     Polynomial,
     VarRing,
@@ -61,6 +63,14 @@ def test_closure_budget_exceeded_on_flag_loop(xy_system):
     target = tuple(1 if i == f_index else 0 for i in range(loop.variables.arity))
     with pytest.raises(ClosureBudgetExceeded):
         moment_closure(loop, [target], budget=100)
+
+
+def test_closure_budget_exceeded_on_repeated_squaring():
+    # E[x^(2^k)] lifts to E[x^(2^(k+1))]: the degree doubles with each symbol,
+    # so a monomial's image is built by halving its degree, not one x at a time
+    loop = parse_loop("vars: x\ninit: x = 2\nbody:\n  x = x^2\n")
+    with pytest.raises(ClosureBudgetExceeded):
+        moment_closure(loop, [(1,)])
 
 
 def test_unit_moment_is_conserved(two_walks):
@@ -135,6 +145,71 @@ def test_transition_rows_are_the_lifted_terms():
             assert all(a for _, a in row), (trial, sym)
             assert len(dict(row)) == len(row)
             assert dict(row) == {system.index(e): c for e, c in lifted.terms.items()}, (trial, sym)
+
+
+def _reference_lift(loop, p):
+    """The expectation transformer as a fold: per statement, from the last,
+    the probability-weighted sum of p with each branch substituted."""
+    for stmt in reversed(loop.body):
+        acc = Polynomial.zero(loop.variables)
+        for pr, exprs in stmt.branches:
+            acc = acc + p.substitute(dict(zip(stmt.targets, exprs))) * pr
+        p = acc
+    return p
+
+
+_SPLITS = ([Q(1)], [Q(1, 2)] * 2, [Q(1, 3), Q(2, 3)], [Q(1, 3)] * 3, [Q(1, 4), Q(1, 4), Q(1, 2)])
+
+
+def _fuzz_tuple_loop(rng):
+    """1-3 statements of 1-3 branches over x, y, z, with simultaneous images:
+    x and y go to affine forms in x, y (a swap among them), z to a multiple
+    of z plus a quadratic in x, y, so every moment closure is finite."""
+    ring = VarRing(["x", "y", "z"])
+    x, y, z = (Polynomial.var(ring, nm) for nm in ring.names)
+
+    def coeff():
+        return Q(rng.choice([-1, 0, 1, 2, Q(1, 2), Q(-1, 3)]))
+
+    def affine():
+        return x * coeff() + y * coeff() + coeff()
+
+    def quadratic():
+        return x * y * coeff() + x * x * coeff() + affine()
+
+    shapes = [
+        (("x", "y"), lambda: rng.choice([(y, x), (affine(), affine()), (y, affine())])),
+        (("z", "x"), lambda: (z * coeff() + quadratic(), affine())),
+        (("z",), lambda: (z * coeff() + quadratic(),)),
+        (("y",), lambda: (affine(),)),
+    ]
+    body = []
+    for _ in range(rng.randint(1, 3)):
+        targets, images = rng.choice(shapes)
+        split = rng.choice([s for s in _SPLITS if len(s) <= 3])
+        body.append(Assignment(targets, tuple((pr, images()) for pr in split)))
+    init = tuple(Q(rng.choice([0, 1, -1, Q(1, 2)])) for _ in range(3))
+    return LoopProgram(ring, init, tuple(body))
+
+
+def test_lift_and_closure_rows_match_the_substitution_fold():
+    rng = random.Random(2024)
+    simultaneous = 0
+    for trial in range(40):
+        loop = _fuzz_tuple_loop(rng)
+        simultaneous += any(len(stmt.targets) > 1 for stmt in loop.body)
+        ring = loop.variables
+        system = moment_closure(loop, degree_targets(ring, rng.randint(1, 3)))
+        for sym, row in zip(system.symbols, system.transition):
+            want = _reference_lift(loop, Polynomial.monomial(ring, sym))
+            assert dict(row) == {system.index(e): c for e, c in want.terms.items()}, (trial, sym)
+        p = sum(
+            (Polynomial.monomial(ring, sym, Q(rng.randint(-3, 3), rng.randint(1, 4)))
+             for sym in rng.sample(degree_targets(ring, 3), 4)),
+            Polynomial.zero(ring),
+        )
+        assert lift_polynomial_expectation(loop, p) == _reference_lift(loop, p), trial
+    assert simultaneous >= 20
 
 
 def test_deterministic_degeneration(xy_system):

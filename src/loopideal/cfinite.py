@@ -4,8 +4,10 @@ A sequence produced by a moment system is annihilated by some monic
 polynomial; splitting off its rational roots, found by p-adic lifting and
 confirmed by exact deflation, yields an exponential polynomial
 `sum_i p_i(n) * base_i^n`, with the multiplicity of the root 0 becoming an
-explicit transient prefix.  A moment sequence is solved in ints, on its
-integer multiple e * D^n * v(n) (see `MomentSystem`), and mapped back.
+explicit transient prefix.  The sequences of one moment system are solved
+together in ints, on their integer multiples e * D^n * v(n) (see
+`MomentSystem`): each keeps its own annihilator, but the roots are shared and
+every coefficient comes from one elimination; each is then mapped back.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import mul
 
 from . import linalg
 from .algebra import format_terms
-from .errors import IrrationalEigenvalue, NoRecurrenceFound
+from .errors import IrrationalEigenvalue, NoRecurrenceFound, ToolkitError
 from .moments import MomentSystem
 
 
@@ -288,21 +290,39 @@ class ExpPoly:
 def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     """Exact exponential-polynomial closed form of one moment sequence.
 
-    It is found on the integer sequence w(n) = e * D^n * v(n) of the
-    system's power iteration (see `MomentSystem`), whose annihilator has the
-    roots D*r: eigenvalues of an integer matrix, so the rational ones are
-    integers.  A nonconstant cofactor after rational root extraction means
-    an irrational eigenvalue actually occurs in this sequence, which the
-    rational pipeline refuses with a typed error.  The integer answer, with
-    columns (D*r)^n * n^j, is verified against 2*order + 4 terms before
-    being returned; its bases over D and coefficients over e are v's.
+    The first call solves every coordinate and keeps each form, or the error
+    that refuses it, on the system.  The sequences are the integer ones
+    w(n) = e * D^n * v(n) of the system's power iteration (see
+    `MomentSystem`), whose rational roots D*r are integers.  Each minimal
+    annihilator is deflated by the roots found so far, and only a
+    nonconstant remainder goes to `rational_roots`; a nonconstant rootless
+    cofactor means an irrational eigenvalue, refused with a typed error.
+    One `rref` fits every solvable coordinate to one ansatz: the columns
+    n^j * (D*r)^n of each root at its largest multiplicity, on the rows from
+    the largest multiplicity of the root 0 on, a confluent Vandermonde matrix
+    in distinct nonzero integers.  Each answer, on its own columns, is
+    verified against 2*order + 4 terms; its bases over D and coefficients
+    over e are v's.
     """
-    order = system.size
-    count = 2 * order + 4
-    terms = [system._integer_at(n)[symbol_index] for n in range(count)]
-    ann = minimal_recurrence(terms, order)
-    roots, cofactor = rational_roots(ann)
-    scale = system._scale
+    if system._forms is None:
+        system._forms = _solve_all(system)
+    form = system._forms[symbol_index]
+    if isinstance(form, ToolkitError):
+        raise type(form)(*form.args)
+    return form
+
+
+def _split(ann: UniPoly, known: list[int], scale: int) -> tuple[int, dict[int, int]]:
+    """The multiplicity of the root 0 of a monic integer annihilator, and of
+    each nonzero root, all of which must be rational; the new ones are
+    appended to `known`."""
+    ip = linalg._integer_row(ann.coeffs)
+    mult0 = next(i for i, c in enumerate(ip) if c)
+    ip, roots = ip[mult0:], {}
+    for r in known:
+        while (quotient := _deflate(ip, [-r, 1])) is not None:
+            ip, roots[r] = quotient, roots.get(r, 0) + 1
+    new, cofactor = rational_roots(UniPoly(ip)) if len(ip) > 1 else ([], UniPoly(ip))
     if (deg := cofactor.degree) >= 1:
         # name the cofactor of v's own annihilator: L -> L*D, over D^deg
         cofactor = UniPoly(c / scale ** (deg - k) for k, c in enumerate(cofactor.coeffs))
@@ -311,28 +331,50 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
             f"({cofactor.format('L')}); closed forms over the rationals "
             "cannot represent this sequence"
         )
-    mult0 = next((m for r, m in roots if r == 0), 0)
-    nonzero = [(int(r), m) for r, m in roots if r != 0]
-    # the ansatz sum_{i,j} c_{i,j} n^j root_i^n, one row per n >= mult0, each
-    # column from the row before (its root times) or the column before (times n)
-    cols = [(r, j) for r, m in nonzero for j in range(m)]
-    table = [[r**mult0 * mult0**j for r, j in cols]]
-    for n in range(mult0 + 1, count):
+    known += [int(r) for r, _ in new]
+    return mult0, roots | {int(r): m for r, m in new}
+
+
+def _solve_all(system: MomentSystem) -> list:
+    """Each coordinate's closed form, or the error that refuses it."""
+    order, scale, e = system.size, system._scale, system._start
+    count = 2 * order + 4
+    seqs = list(zip(*map(system._integer_at, range(count))))
+    known, out = [], []
+    for terms in seqs:
+        try:
+            out.append(_split(minimal_recurrence(list(terms), order), known, scale))
+        except (IrrationalEigenvalue, NoRecurrenceFound) as exc:
+            out.append(exc)
+    solved = [i for i, f in enumerate(out) if isinstance(f, tuple)]
+    # the ansatz sum_{r,j} c_{r,j} n^j r^n, each root at its largest multiplicity,
+    # one row per n, each column from the row before (its root times) or the
+    # column before (times n)
+    top = {r: max((out[i][1].get(r, 0) for i in solved), default=0) for r in known}
+    cols = [(r, j) for r in sorted(known) for j in range(top[r])]
+    table = [[0**j for _, j in cols]]
+    for n in range(1, count):
         row = []
         for k, (r, j) in enumerate(cols):
             row.append(row[-1] * n if j else table[-1][k] * r)
         table.append(row)
-    sol = linalg.solve(table[: len(cols)], terms[mult0 : mult0 + len(cols)])
-    if sol is None:
-        raise NoRecurrenceFound("coefficient ansatz is inconsistent")
-    # in ints: the rows times the solution's numerators over a common denominator
-    common = lcm(*(c.denominator for c in sol))
-    nums = [c.numerator * (common // c.denominator) for c in sol]
-    for n, row in enumerate(table, mult0):
-        if sum(map(mul, row, nums)) != common * terms[n]:
-            raise NoRecurrenceFound(f"closed form disagrees with the sequence at n={n}")
-    # `cols` runs along `nonzero`, which is sorted by root, and so by base as D > 0
-    coeffs = (c / system._start for c in sol)
-    tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in nonzero]
-    transient = (Fraction(terms[n], system._start * scale**n) for n in range(mult0))
-    return ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
+    start = max((out[i][0] for i in solved), default=0)
+    red, _ = linalg.rref([table[n] + [seqs[i][n] for i in solved] for n in range(start, start + len(cols))])
+    for k, i in enumerate(solved):
+        (mult0, roots), terms = out[i], seqs[i]
+        own = [c for c, (r, j) in enumerate(cols) if j < roots.get(r, 0)]
+        sol = [red[c][len(cols) + k] for c in own]
+        # in ints: the rows times the solution's numerators over a common denominator
+        common = lcm(*(c.denominator for c in sol))
+        nums = [c.numerator * (common // c.denominator) for c in sol]
+        rows = ([table[n][c] for c in own] for n in range(mult0, count))
+        bad = [n for n, row in enumerate(rows, mult0) if sum(map(mul, row, nums)) != common * terms[n]]
+        if bad:
+            out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad[0]}")
+            continue
+        # `own` runs along the roots in order, and so along the bases as D > 0
+        coeffs = (c / e for c in sol)
+        tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in sorted(roots.items())]
+        transient = (Fraction(terms[n], e * scale**n) for n in range(mult0))
+        out[i] = ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
+    return out

@@ -8,6 +8,7 @@ codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,10 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser as it was, so one serves every call of `main`
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _COMMANDS[args.command][0]

@@ -86,7 +86,8 @@ class MomentSystem:
     The iteration runs in ints: with D the lcm of the transition's
     denominators and e that of the initial vector's, A = D * transition and
     u = e * initial are integer, and v(n) = A^n u / (e * D^n).  `_integer_at`
-    caches the vectors A^n u.
+    caches the vectors A^n u, and `_forms` every coordinate's closed form, or
+    its error, once `solve_closed_form` has run.
     """
 
     symbols: list[tuple[int, ...]]
@@ -97,6 +98,7 @@ class MomentSystem:
     _start: int = field(init=False, repr=False)
     _rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
     _cache: list[list[int]] = field(init=False, repr=False)
+    _forms: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {e: i for i, e in enumerate(self.symbols)}
@@ -104,6 +106,7 @@ class MomentSystem:
         e = self._start = lcm(*(x.denominator for x in self.initial))
         self._rows = [[(j, a.numerator * (d // a.denominator)) for j, a in row] for row in self.transition]
         self._cache = [[x.numerator * (e // x.denominator) for x in self.initial]]
+        self._forms = None
 
     @property
     def size(self) -> int:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import islice, permutations
 from math import gcd
 
 import pytest
@@ -13,6 +15,7 @@ from loopideal import (
     UniPoly,
     VarRing,
     degree_targets,
+    format_loop,
     minimal_recurrence,
     moment_closure,
     parse_loop,
@@ -509,12 +512,11 @@ def test_solve_matches_pivot_reading():
 
 
 def test_closed_form_check_catches_a_dropped_base(monkeypatch):
-    # z = 2^n + 3^n; with the root 3 dropped, the ansatz 2^n fits n = 0 only
-    loop = parse_loop(
-        "vars: x, y, z\ninit: x = 1; y = 1; z = 2\n"
-        "body:\n  (x, y, z) = (2*x, 3*y, 2*x + 3*y)\n"
-    )
-    system = moment_closure(loop, [(0, 0, 1)])
+    # z = 2^n + 3^n; with the root 3 dropped, the shared fit over the roots 1
+    # and 2 (of E[1] and E[x]) gives z's own column 2^n the coefficient 3,
+    # which disagrees with z at n = 0
+    text = "vars: x, y, z\ninit: x = 1; y = 1; z = 2\nbody:\n  (x, y, z) = (2*x, 3*y, 2*x + 3*y)\n"
+    system = moment_closure(parse_loop(text), [(0, 0, 1)])
     assert str(solve_closed_form(system, system.index((0, 0, 1)))) == "(1)*2^n + (1)*3^n"
     found = rational_roots
 
@@ -523,8 +525,156 @@ def test_closed_form_check_catches_a_dropped_base(monkeypatch):
         return [(r, m) for r, m in roots if r != 3], cofactor
 
     monkeypatch.setattr(cfinite, "rational_roots", drop_three)
-    with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=1"):
+    # the first solve fills the system's cache, so the check needs a fresh one
+    system = moment_closure(parse_loop(text), [(0, 0, 1)])
+    with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=0$"):
         solve_closed_form(system, system.index((0, 0, 1)))
+
+
+_FIBONACCI = "vars: x, y, z\ninit: x = 0; y = 1; z = 1\nbody:\n  (x, y, z) = (y, x + y, 2*z)\n"
+_IRRATIONAL = (
+    "minimal annihilator has a nonconstant rootless cofactor (L^2 - L - 1); "
+    "closed forms over the rationals cannot represent this sequence"
+)
+
+
+@pytest.mark.parametrize("order", list(permutations([(1, 0, 0), (0, 1, 0), (0, 0, 1)])))
+def test_irrational_coordinates_leave_the_others_solvable(order):
+    # E[x] and E[y] are Fibonacci sequences, E[z] = 2^n: each is refused or
+    # solved on its own, whichever is asked for first
+    loop = parse_loop(_FIBONACCI)
+    system = moment_closure(loop, degree_targets(loop.variables, 1))
+    for sym in order * 2:
+        if sym == (0, 0, 1):
+            assert str(solve_closed_form(system, system.index(sym))) == "(1)*2^n"
+        else:
+            with pytest.raises(IrrationalEigenvalue) as caught:
+                solve_closed_form(system, system.index(sym))
+            assert str(caught.value) == _IRRATIONAL
+
+
+@pytest.mark.parametrize("first", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0)])
+def test_irrational_message_names_only_the_leftover_cofactor(first):
+    # E[w] is annihilated by (L - 2)(L - 3)(L^2 - L - 1): the root 2 is E[z]'s,
+    # the root 3 its own, and the message names the quadratic alone
+    loop = parse_loop(
+        "vars: x, y, z, w\ninit: x = 0; y = 1; z = 1; w = 1\n"
+        "body:\n  (x, y, z, w) = (y, x + y, 2*z, x + 2*z + 3*w)\n"
+    )
+    system = moment_closure(loop, degree_targets(loop.variables, 1))
+    for sym in (first, (0, 0, 0, 1)):
+        if sym == (0, 0, 1, 0):
+            assert str(solve_closed_form(system, system.index(sym))) == "(1)*2^n"
+        else:
+            with pytest.raises(IrrationalEigenvalue) as caught:
+                solve_closed_form(system, system.index(sym))
+            assert str(caught.value) == _IRRATIONAL
+
+
+def _reference_closed_form(system, symbol_index):
+    """One coordinate solved on its own: its annihilator, `rational_roots`
+    on all of it, and `linalg.solve` on its own ansatz, in Fractions."""
+    order = system.size
+    terms = [system.vector_at(n)[symbol_index] for n in range(2 * order + 4)]
+    roots, cofactor = rational_roots(minimal_recurrence(terms, order))
+    if cofactor.degree >= 1:
+        raise IrrationalEigenvalue(
+            "minimal annihilator has a nonconstant rootless cofactor "
+            f"({cofactor.format('L')}); closed forms over the rationals "
+            "cannot represent this sequence"
+        )
+    mult0 = next((m for r, m in roots if r == 0), 0)
+    cols = [(r, j) for r, m in roots if r != 0 for j in range(m)]
+    table = [[Q(n) ** j * r**n for r, j in cols] for n in range(len(terms))]
+    sol = linalg.solve(table[mult0 : mult0 + len(cols)], terms[mult0 : mult0 + len(cols)])
+    for n in range(mult0, len(terms)):
+        if sum((a * c for a, c in zip(table[n], sol)), Q(0)) != terms[n]:
+            raise NoRecurrenceFound(f"closed form disagrees with the sequence at n={n}")
+    coeffs = iter(sol)
+    tail = [(r, UniPoly(islice(coeffs, m))) for r, m in roots if r != 0]
+    return ExpPoly(tuple(terms[:mult0]), tuple((r, c) for r, c in tail if not c.is_zero()))
+
+
+def _outcome(solve, system, j):
+    try:
+        return solve(system, j).to_json()
+    except (IrrationalEigenvalue, NoRecurrenceFound) as exc:
+        return exc.name, str(exc)
+
+
+def _fuzz_shared_roots_loop(rng):
+    """Three variables under one simultaneous affine assignment, upper
+    triangular unless z also reads x: resets and copies (root 0, so
+    transients of several lengths), negative bases, equal diagonal entries
+    (repeated roots), and sometimes a second branch or irrational roots."""
+    names = ["x", "y", "z"]
+
+    def image():
+        out = []
+        for i, nm in enumerate(names):
+            terms = [f"{rng.choice([0, 0, 0, 1, -1, 2, -2, 3, Q(1, 2), Q(-1, 3)])}*{nm}"]
+            terms += [f"{rng.choice([0, 0, 1, -1, 2])}*{names[j]}" for j in range(i + 1, 3)]
+            if nm == "z" and rng.random() < 0.25:
+                terms.append(f"{rng.choice([1, -1, 2])}*x")
+            terms.append(str(rng.choice([0, 1, -1, Q(1, 3), 5])))
+            out.append(" + ".join(terms))
+        return "(" + ", ".join(out) + ")"
+
+    body = image()
+    if rng.random() < 0.3:
+        body += f" [{rng.choice([Q(1, 2), Q(1, 3), Q(3, 4)])}] {image()}"
+    init = "; ".join(f"{nm} = {rng.choice([0, 1, -2, Q(1, 2), 3])}" for nm in names)
+    return parse_loop(f"vars: x, y, z\ninit: {init}\nbody:\n  (x, y, z) = {body}\n")
+
+
+def test_shared_solve_matches_the_per_symbol_reference():
+    rng = random.Random(25)
+    seen = set()
+    for case in range(40):
+        loop = _fuzz_shared_roots_loop(rng)
+        targets = degree_targets(loop.variables, rng.choice([1, 2]))
+        system = moment_closure(loop, targets)
+        reference = moment_closure(loop, targets)
+        order = list(range(system.size))
+        rng.shuffle(order)
+        forms = []
+        for j in order:
+            got = _outcome(solve_closed_form, system, j)
+            assert got == _outcome(_reference_closed_form, reference, j), (case, format_loop(loop), j)
+            if isinstance(got, dict):
+                forms.append(got)
+        if len({len(f["transient"]) for f in forms} - {0}) > 1:
+            seen.add("transients of two lengths")
+        if any(t["base"].startswith("-") for f in forms for t in f["tail"]):
+            seen.add("negative base")
+        if any(len(t["coeffs"]) > 1 for f in forms for t in f["tail"]):
+            seen.add("repeated root")
+        if len(forms) < system.size:
+            seen.add("irrational")
+    assert seen == {"transients of two lengths", "negative base", "repeated root", "irrational"}
+
+
+def test_one_system_takes_one_annihilator_per_coordinate_and_one_rref(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cfinite, "minimal_recurrence")
+    counted(linalg, "rref")
+    counted(linalg, "solve")
+    loop = parse_loop(_PAST_WINDOW_LOOPS[0])
+    system = moment_closure(loop, degree_targets(loop.variables, 2))
+    for _ in range(2):
+        for j in range(system.size):
+            solve_closed_form(system, j)
+    assert calls == {"minimal_recurrence": system.size, "rref": 1}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from loopideal import (
     poly_parse,
     simulate,
 )
+from loopideal import cli
 from loopideal.cli import main
 
 WALK2 = """\
@@ -113,6 +114,20 @@ def test_simulate_missing_file_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = _run(capsys, "simulate", "--nope", "x")
     assert code == 2
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch, walk2_file):
+    _run(capsys, "simulate", "--loop", walk2_file, "--horizon", "1")
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or cli.argparse.ArgumentParser())
+    # two commands with different flags, then a usage error, in one process
+    code, out, _ = _run(capsys, "closed-forms", "--loop", str(GOLDEN / "two_walks.loop"), "--degree", "2", "--format", "text")
+    assert (code, out) == (0, (GOLDEN / "closed-forms.text.out").read_text())
+    code, out, _ = _run(capsys, "simulate", "--loop", str(GOLDEN / "rational.loop"), "--horizon", "12")
+    assert (code, out) == (0, (GOLDEN / "simulate-rational.json.out").read_text())
+    code, _, err = _run(capsys, "closed-forms", "--horizon", "3")
+    assert code == 2 and "usage" in err
+    assert built == []
 
 
 def test_domain_error_is_exit_1_with_json(capsys, tmp_path):

@@ -11,7 +11,8 @@ as (numerator, denominator) pairs.  The division tells most
 non-dividing leads from a term by an AND of two-bit-per-variable
 divisibility masks before it compares exponents.  No floating point
 appears anywhere.  Monomials are plain exponent tuples, one entry per ring
-variable.
+variable.  Every monomial value at a point (`eval`, so `substitute`, and
+`mono_value`, `**` and the moment lift) comes from one memoized `_image`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
@@ -147,11 +148,34 @@ def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
 
 def mono_value(e: tuple[int, ...], point) -> Fraction:
     """The monomial e evaluated at `point`, one value per ring variable."""
-    v = Fraction(1)
-    for x, k in zip(point, e):
-        if k:
-            v *= x**k
-    return v
+    return Fraction(_image(_memo(Fraction(1), point), _used(e)))
+
+
+def _used(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Monomial e as its used (variable, exponent) pairs: an `_image` key."""
+    return tuple(filter(itemgetter(1), enumerate(e)))
+
+
+def _memo(one, point) -> dict:
+    """A memo of monomial images for `_image`, seeded with the value `one`
+    of 1 and point[i] of variable i: numbers, or polynomials of one ring."""
+    return {(): one} | {((i, 1),): x for i, x in enumerate(point)}
+
+
+def _image(memo: dict, m: tuple[tuple[int, int], ...]):
+    """The value of monomial m (see `_used`) at the point `memo` was seeded
+    from: one product of two memoized images, of m's first half of its used
+    variables and the rest, or, for m = x^k, of x^(k//2) and x^(k - k//2).
+    The recursion is at most log2(used variables) + log2(degree) deep."""
+    q = memo.get(m)
+    if q is None:
+        if len(m) > 1:
+            a, b = m[: len(m) // 2], m[len(m) // 2 :]
+        else:
+            ((i, k),) = m
+            a, b = ((i, k // 2),), ((i, k - k // 2),)
+        q = memo[m] = _image(memo, a) * _image(memo, b)
+    return q
 
 
 def format_terms(pairs) -> str:
@@ -414,14 +438,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.const(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _image(_memo(Polynomial.const(self.ring, 1), (self,)), _used((k,)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -440,28 +457,16 @@ class Polynomial:
     def eval(self, point) -> "Fraction | Polynomial":
         """The value at `point`, one value per ring variable.
 
-        The values may be numbers or polynomials of one ring; each power
-        `point[i] ** k` is computed once per call.
+        The values may be numbers or polynomials of one ring; one `_image`
+        memo serves every term, so each shared power is computed once.
         """
         point = tuple(point)
         if len(point) != self.ring.arity:
             raise ArityMismatch(
                 f"point arity {len(point)} != ring arity {self.ring.arity}"
             )
-        total = Fraction(0)
-        powers = {}
-        # not `mono_value`, which would take each power again per term: a
-        # power of a polynomial image (`substitute`) is a full expansion
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    x = powers.get((i, k))
-                    if x is None:
-                        x = powers[i, k] = point[i] ** k
-                    v = v * x
-            total = total + v
-        return total
+        memo = _memo(Fraction(1), point)
+        return sum((c * _image(memo, _used(e)) for e, c in self.terms.items()), Fraction(0))
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials, fully expanded.

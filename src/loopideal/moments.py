@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .algebra import Polynomial, VarRing, mono_one, mono_value
+from .algebra import Polynomial, VarRing, _image, _memo, _used, mono_one
 from .errors import ClosureBudgetExceeded
 from .loops import LoopProgram
 
@@ -31,31 +32,16 @@ def lift_polynomial_expectation(loop: LoopProgram, p: Polynomial) -> Polynomial:
 
 
 def _branch_memos(loop: LoopProgram) -> list[list[tuple]]:
-    """Per statement, per branch: its probability and a memo of monomial
-    images for `_image`, seeded with those of 1 and of each variable."""
+    """Per statement, per branch: its probability and an `algebra._image`
+    memo at the branch's point, each target's expression and every other
+    variable itself."""
     ring = loop.variables
-    one = mono_one(ring.arity)
-    xs = {nm: one[:i] + (1,) + one[i + 1 :] for i, nm in enumerate(ring.names)}
-    seed = {one: Polynomial.const(ring, 1)} | {x: Polynomial.monomial(ring, x) for x in xs.values()}
+    one = Polynomial.const(ring, 1)
+    xs = {nm: Polynomial.var(ring, nm) for nm in ring.names}
     return [
-        [(pr, seed | {xs[nm]: e for nm, e in zip(stmt.targets, exprs)}) for pr, exprs in stmt.branches]
+        [(pr, _memo(one, (xs | dict(zip(stmt.targets, exprs))).values())) for pr, exprs in stmt.branches]
         for stmt in loop.body
     ]
-
-
-def _image(memo: dict, m: tuple[int, ...]) -> Polynomial:
-    """The image of monomial m under the branch that `memo` belongs to: one
-    product of two memoized images, of m's power x^k of its first variable
-    and the rest of m, or, for m = x^k, of x^(k//2) and x^(k - k//2).  The
-    recursion is at most arity + log2(degree) deep."""
-    q = memo.get(m)
-    if q is None:
-        i = next(i for i, k in enumerate(m) if k)
-        j = m[i] // 2 if m.count(0) == len(m) - 1 else 0
-        rest = m[:i] + (j,) + m[i + 1 :]
-        power = (0,) * i + (m[i] - j,) + (0,) * (len(m) - i - 1)
-        q = memo[m] = _image(memo, rest) * _image(memo, power)
-    return q
 
 
 def _lift(memos: list[list[tuple]], p: Polynomial) -> Polynomial:
@@ -65,7 +51,7 @@ def _lift(memos: list[list[tuple]], p: Polynomial) -> Polynomial:
         for pr, memo in branches:
             for m, c in p.terms.items():
                 w = pr * c
-                for e, d in _image(memo, m).terms.items():
+                for e, d in _image(memo, _used(m)).terms.items():
                     acc[e] = acc.get(e, 0) + w * d
         p = Polynomial._make(p.ring, {e: c for e, c in acc.items() if c})
     return p
@@ -135,6 +121,9 @@ def moment_closure(
 ) -> MomentSystem:
     """Close `targets` (plus E[1]) under the expectation transformer.
 
+    Symbols are lifted lowest total degree first, so growing degrees fill
+    the budget with cheap lifts before the costly high ones.
+
     Raises ClosureBudgetExceeded when the closure does not stabilize within
     `budget` symbols, which signals that some moment degree keeps growing
     and the loop sits outside the linear-recurrence-moment class.
@@ -143,12 +132,12 @@ def moment_closure(
         raise ValueError("at least one target moment required")
     ring = loop.variables
     unit = mono_one(ring.arity)
-    work = [unit] + [tuple(t) for t in targets]
-    symbols: set[tuple[int, ...]] = set(work)
+    symbols: set[tuple[int, ...]] = {unit, *map(tuple, targets)}
+    work = sorted((sum(e), e) for e in symbols)  # a heap, lowest degree first
     lifted: dict[tuple[int, ...], Polynomial] = {}
     memos = _branch_memos(loop)  # shared by every symbol's lift
     while work:
-        sym = work.pop()
+        _, sym = heappop(work)
         # every discovered symbol waits in `work`, so this sees each growth
         if len(symbols) > budget:
             raise ClosureBudgetExceeded(
@@ -160,7 +149,7 @@ def moment_closure(
         for e in q.terms:
             if e not in symbols:
                 symbols.add(e)
-                work.append(e)
+                heappush(work, (sum(e), e))
 
     ordered = sorted(symbols, key=_symbol_sort_key)
     assert ordered[0] == unit
@@ -168,7 +157,8 @@ def moment_closure(
     transition = [
         [(index[e], c) for e, c in lifted[sym].terms.items()] for sym in ordered
     ]
-    initial = [mono_value(sym, loop.init) for sym in ordered]
+    at_init = _memo(Fraction(1), loop.init)
+    initial = [_image(at_init, _used(sym)) for sym in ordered]
     return MomentSystem(ordered, transition, initial)
 
 

@@ -14,7 +14,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import MAX_POWER_COST, _divisor_data, _primitive_form, parse_rational
+from loopideal.algebra import MAX_POWER_COST, _divisor_data, _primitive_form, mono_value, parse_rational
 
 
 def test_parse_paper_generator():
@@ -90,6 +90,7 @@ def test_power_expansion_is_bounded():
     # a monomial, a constant or zero base is never refused
     big = Polynomial.monomial(ring, (100000, 100000), 2**100000)
     assert poly_parse("(2*x*y)^100000", ring) == big
+    assert poly_parse("x^1000000", ring) == Polynomial.monomial(ring, (1000000, 0))
     assert poly_parse("3^1000 + 0^1000", ring) == 3**1000
     assert poly_parse("(x+y)^0", ring) == 1
 
@@ -149,6 +150,16 @@ def test_eval_examples():
     xy = VarRing(["x", "y"])
     assert poly_parse("x^2*y", xy).eval([Q(2), Q(3)]) == 12
 
+    # a monomial in 3,000 variables is split by halves of its used variables,
+    # so its image stays a few dozen calls deep
+    wide = VarRing([f"v{i}" for i in range(3000)])
+    e = tuple(1 + i % 3 for i in range(3000))
+    point = [Q(-1) if i % 7 == 0 else Q(1) for i in range(3000)]
+    sign = Q((-1) ** sum(k for k, x in zip(e, point) if x < 0))
+    assert Polynomial.monomial(wide, e, 3).eval(point) == 3 * sign
+    assert mono_value(e, point) == sign
+    assert Polynomial.monomial(wide, e, 3) ** 2 == Polynomial.monomial(wide, tuple(2 * k for k in e), 9)
+
 
 def test_eval_arity_mismatch():
     with pytest.raises(ArityMismatch):
@@ -178,11 +189,26 @@ def test_substitute_into_super_ring():
     assert q == poly_parse("x^2*t^2 + 1", big)
 
 
+def _term_by_term(p, images, ring):
+    """p at the polynomial point `images` of `ring`, expanded term by term
+    with `*` and `+` only: a reference that shares no code with `eval`."""
+    total = Polynomial.zero(ring)
+    for e, c in p.terms.items():
+        v = Polynomial.const(ring, c)
+        for x, k in zip(images, e):
+            for _ in range(k):
+                v = v * x
+        total = total + v
+    return total
+
+
 def test_substitute_is_eval_at_polynomial_points():
     ring = VarRing(["x", "y"])
     p = poly_parse("x^2*y - 3*x + 1/2", ring)
     images = [poly_parse("y + 1", ring), poly_parse("2*x", ring)]
-    assert p.substitute(dict(zip(ring.names, images))) == p.eval(images)
+    want = _term_by_term(p, images, ring)
+    assert p.substitute(dict(zip(ring.names, images))) == want
+    assert p.eval(images) == want
     const = poly_parse("5", ring).substitute({"x": images[1]})
     assert isinstance(const, Polynomial) and const == 5
 
@@ -268,6 +294,17 @@ def test_evaluation_homomorphism_fuzzed():
         point = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
         assert (p * q).eval(point) == p.eval(point) * q.eval(point)
         assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+        power = Polynomial.const(ring, 1)
+        for k in range(7):
+            assert p**k == power, k
+            power = power * p
+        corner = [Q(rng.choice([0, -1, -2, Q(-1, 2), Q(3, 2)])) for _ in range(2)]
+        e = tuple(rng.randint(0, 4) for _ in range(2))
+        plain = Q(1)
+        for x, k in zip(corner, e):
+            for _ in range(k):
+                plain *= x
+        assert mono_value(e, corner) == plain
 
 
 def test_division_contract_fuzzed():

@@ -1,4 +1,5 @@
 import json
+import signal
 import sys
 from fractions import Fraction as Q
 from math import comb
@@ -374,6 +375,23 @@ def test_moment_count_over_the_closure_budget_is_refused(capsys, command, degree
     blob = json.loads(err)
     assert blob["error"] == "ClosureBudgetExceeded"
     assert f"at least {comb(3 + degree, 3)} symbols" in blob["detail"]
+
+
+def test_closure_of_a_non_affine_loop_reaches_its_budget_in_seconds(capsys):
+    # lowest total degree first, the closure of mixed.loop's squares fills its
+    # symbol budget with cheap low-degree lifts before the costly high ones
+    def past_guard(*_):
+        raise AssertionError("invariants ran past its 30 s guard")
+
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.alarm(30)
+    try:
+        code, out, err = _run(capsys, "invariants", "--loop", str(GOLDEN / "mixed.loop"), "--degree", "1")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ClosureBudgetExceeded"
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from loopideal import (
 )
 from loopideal.algebra import mono_str
 from test_acceptance import _fuzz_affine_loop
+from test_algebra import _term_by_term
 
 
 def test_lift_examples(two_walks):
@@ -149,11 +150,15 @@ def test_transition_rows_are_the_lifted_terms():
 
 def _reference_lift(loop, p):
     """The expectation transformer as a fold: per statement, from the last,
-    the probability-weighted sum of p with each branch substituted."""
+    the probability-weighted sum of p at each branch's images, expanded term
+    by term (`_term_by_term`, which shares no code with the lift)."""
+    ring = loop.variables
     for stmt in reversed(loop.body):
-        acc = Polynomial.zero(loop.variables)
+        acc = Polynomial.zero(ring)
         for pr, exprs in stmt.branches:
-            acc = acc + p.substitute(dict(zip(stmt.targets, exprs))) * pr
+            image = dict(zip(stmt.targets, exprs))
+            point = [image.get(nm, Polynomial.var(ring, nm)) for nm in ring.names]
+            acc = acc + _term_by_term(p, point, ring) * pr
         p = acc
     return p
 

@@ -6,12 +6,13 @@ polynomials can be shared freely.  Coefficients are `fractions.Fraction`
 `_reduce`, the one reduction loop, shared by `multivariate_divide` and
 `groebner.buchberger`, which runs on Python ints: integer numerators over
 one running denominator, reduced by primitive integer polynomials
-(`_primitive_form`, memoized per order), and returns the terms it keeps
-as (numerator, denominator) pairs.  The division tells most
-non-dividing leads from a term by an AND of two-bit-per-variable
-divisibility masks before it compares exponents.  No floating point
-appears anywhere.  Monomials are plain exponent tuples, one entry per ring
-variable.  Every monomial value at a point (`eval`, so `substitute`, and
+(`_primitive_form`, memoized per layout), and returns the terms it keeps
+as (numerator, denominator) pairs.  No floating point appears anywhere.
+Monomials are plain exponent tuples, one entry per ring variable, except
+inside the kernel, where each is one int (`Layout`): packed exponent
+fields below the order key, so that a product is one addition, a
+divisibility test one subtraction and one AND, and a comparison one int
+comparison.  Every monomial value at a point (`eval`, so `substitute`, and
 `mono_value`, `**` and the moment lift) comes from one memoized `_image`.
 """
 
@@ -21,7 +22,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, mul
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
@@ -121,20 +122,6 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(le, a, b))
 
 
-def mono_mask(e: tuple[int, ...]) -> int:
-    """Divisibility mask of e: bit 2i is set when e[i] >= 1 and bit 2i + 1
-    when e[i] >= 2.  If a divides b, mono_mask(a) & ~mono_mask(b) == 0."""
-    m = 0
-    for i, k in enumerate(e):
-        if k:
-            m |= (1 if k == 1 else 3) << 2 * i
-    return m
-
-
-def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_str(e: tuple[int, ...], ring: VarRing) -> str:
     """Render an exponent tuple as e.g. 'x^2*y'; the unit monomial is '1'."""
     parts = []
@@ -210,16 +197,15 @@ class MonomialOrder:
     highest to lowest.  `eliminating(drop)` gives a block order for variable
     elimination; `drop` is empty for a plain order.
 
-    A key is a flat tuple of ints, so keys compare as plain tuples and the
-    heap key (the negated key, which a min-heap pops largest monomial
-    first) is one tuple operation away.  Keys, heap keys and divisibility
-    masks are memoized since the same monomials recur constantly during
-    basis computations.
+    A key is a flat tuple of ints, so keys compare as plain tuples; each
+    entry is linear in the exponents, which `Layout` packs into one int.
+    Keys are memoized since the same monomials recur constantly during
+    basis computations, and so is the layout of each width.
     """
 
     __slots__ = (
         "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx",
-        "_keys", "_heap_keys", "_masks",
+        "_keys", "_layouts",
     )
 
     def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
@@ -243,8 +229,7 @@ class MonomialOrder:
         self._top_rev = tuple(i for i in reversed(idx) if self.ring.names[i] in drop)
         self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._heap_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._masks: dict[tuple[int, ...], int] = {}
+        self._layouts: dict[int, Layout] = {}
 
     def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         if self.kind == "lex":
@@ -259,18 +244,12 @@ class MonomialOrder:
             k = self._keys[e] = self._key(e)
         return k
 
-    def heap_key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        k = self._heap_keys.get(e)
-        if k is None:
-            k = self._heap_keys[e] = tuple(map(neg, self.key(e)))
-        return k
-
-    def mask(self, e: tuple[int, ...]) -> int:
-        """`mono_mask(e)`, memoized."""
-        m = self._masks.get(e)
-        if m is None:
-            m = self._masks[e] = mono_mask(e)
-        return m
+    def layout(self, width: int) -> "Layout":
+        """The packed monomials of this order at field width `width`, memoized."""
+        lay = self._layouts.get(width)
+        if lay is None:
+            lay = self._layouts[width] = Layout(self, width)
+        return lay
 
     def eliminating(self, drop: Iterable[str]) -> "MonomialOrder":
         """Block order for eliminating the variables in `drop`.
@@ -321,7 +300,7 @@ class Polynomial:
 
     `terms` maps exponent tuples to nonzero Fractions; the zero polynomial
     has an empty term map.  Instances are treated as immutable, which lets
-    `_division` memoize, per order, the integer form the division kernel
+    `_division` memoize, per layout, the integer form the division kernel
     uses when the polynomial is a divisor.
     """
 
@@ -728,13 +707,121 @@ def parse_branches(
     return _Parser(text, ring).branches(arity)
 
 
+# -- the division kernel on packed monomials -----------------------------------
+
+
+class _Overflow(Exception):
+    """A monomial the kernel formed has an exponent too wide for its layout."""
+
+
+class Layout:
+    """Monomials of one order as single ints, with fields of `width` bits.
+
+    A monomial e is the int K * 2**pbits + P.  P holds e[i] in the field at
+    bit i * width, whose top bit is a guard that every valid monomial keeps
+    clear.  K is the order key as one signed int: `order._key` is linear in
+    the exponents, and each of its entries is a digit of K in a power-of-two
+    base above four times the largest entry any valid monomial has, so K
+    compares as the key does, and so do sums of up to four keys with signs,
+    such as the signature bounds in `groebner`.  Hence:
+
+    - the int is `sum(e[i] * units[i])`, linear in e, so the product of two
+      monomials is the sum of their ints, and their quotient the difference;
+    - ints compare as the monomials do in the order;
+    - d divides e iff `((e | guards) - d) & guards == guards`, the field-wise
+      test e[i] >= d[i], which never borrows across a field;
+    - a product or sum of valid monomials is valid iff its guard bits are
+      clear, since a field's carry stops at its guard bit.
+
+    `_reduce` and `groebner.buchberger` raise `_Overflow` when a monomial
+    they form has a guard bit set, and `_widened` runs the call again at
+    twice the width.
+    """
+
+    __slots__ = (
+        "width", "pbits", "guards", "_field_max", "_ones", "_shifts", "_units", "_packs",
+        "_unpacks",
+    )
+
+    def __init__(self, order: MonomialOrder, width: int):
+        n = order.ring.arity
+        self.width = width
+        self.pbits = n * width
+        self._field_max = (1 << (width - 1)) - 1
+        self._shifts = tuple(range(0, self.pbits, width))
+        self._ones = sum(1 << s for s in self._shifts)
+        self.guards = self._ones << (width - 1)
+        rows = [order._key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        largest = max(sum(map(abs, digit)) for digit in zip(*rows)) * self._field_max
+        base = (4 * largest).bit_length()
+        m = len(rows[0])
+        self._units = tuple(
+            (sum(d << base * (m - 1 - j) for j, d in enumerate(row)) << self.pbits) + (1 << s)
+            for row, s in zip(rows, self._shifts)
+        )
+        self._packs: dict[tuple[int, ...], int] = {}
+        self._unpacks: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, e: tuple[int, ...]) -> int:
+        """The int of e; each exponent must fit below its field's guard bit."""
+        m = self._packs.get(e)
+        if m is None:
+            m = self._packs[e] = sum(map(mul, e, self._units))
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of the monomial m; `pack` inverts it."""
+        e = self._unpacks.get(m)
+        if e is None:
+            e = self._unpacks[m] = self._exponents(m)
+            self._packs[e] = m
+        return e
+
+    def _exponents(self, m: int) -> tuple[int, ...]:
+        field = self._field_max
+        return tuple([(m >> s) & field for s in self._shifts])
+
+    def cofactor(self, h: int, o: int) -> int:
+        """lcm(h, o) / h, as a monomial: 0 (the unit) when o divides h.
+
+        Field i of `(o | guards) - h` is 2**(width - 1) + o[i] - h[i], so its
+        guard bit is set iff o[i] >= h[i], and then the bits below it hold
+        o[i] - h[i]; masking each such field gives max(o[i] - h[i], 0).
+        """
+        d = (o | self.guards) - h
+        ge = d & self.guards
+        q = d & (ge - (ge >> (self.width - 1)))
+        return sum(map(mul, self._exponents(q), self._units)) if q else 0
+
+    def support(self, m: int) -> int:
+        """The guard bits of m's nonzero fields: monomials are coprime iff
+        theirs do not meet."""
+        return ((m | self.guards) - self._ones) & self.guards
+
+
+def _widened(run, order: MonomialOrder, top: int):
+    """`run(layout)` and the layout it finished on: first at the least width
+    of 8, 16, 32, ... bits whose fields hold 2 * top below the guard bit, so
+    that the inputs' largest exponent `top` fits with room to grow, then at
+    twice the width after each `_Overflow`."""
+    width = 8
+    while top >> (width - 2):
+        width *= 2
+    while True:
+        layout = order.layout(width)
+        try:
+            return run(layout), layout
+        except _Overflow:
+            width *= 2
+
+
 # `_reduce` divides the work numerators and denominator by their common
 # content whenever the denominator has grown this many bits since the last
 # such check.
 _CONTENT_BITS = 64
 
 
-def _primitive_form(pairs: dict, lead: tuple[int, ...]) -> tuple[dict, Fraction]:
+def _primitive_form(pairs: dict, lead) -> tuple[dict, Fraction]:
     """The coprime integer coefficients, the one at `lead` positive, of the
     polynomial `pairs` maps to (numerator, denominator), and their scale.
 
@@ -750,42 +837,59 @@ def _primitive_form(pairs: dict, lead: tuple[int, ...]) -> tuple[dict, Fraction]
     return {e: c // content for e, c in ints.items()}, Fraction(content, den)
 
 
-def _divisor_data(d: Polynomial, order) -> tuple:
-    """Lead monomial and its mask, lead coefficient, tail and scale of d
-    as a divisor.
+def _top(d: Polynomial) -> int:
+    """The largest exponent in d, memoized with d's divisor forms."""
+    memo = d._division
+    if memo is None:
+        memo = d._division = {}
+    top = memo.get(None)
+    if top is None:
+        top = memo[None] = max(map(max, d.terms), default=0)
+    return top
+
+
+def _divisor_data(d: Polynomial, layout: Layout) -> tuple:
+    """Lead monomial, lead coefficient, tail and scale of d as a divisor,
+    on `layout`'s packed monomials.
 
     The integer form is `_primitive_form` with d's lead positive:
-    d == (num / den) * (lc * x^lm + sum(tc * x^te)), where the ints lc > 0
-    and tc have no common factor and (num, den) is in lowest terms.
-    Memoized on d per order, since Buchberger divides by the same basis
-    elements over and over.
+    d == (num / den) * (lc * x^lead + sum(tc * x^te)), where the ints lc > 0
+    and tc have no common factor and (num, den) is in lowest terms; the tail
+    is a list of (te, tc).  Every exponent of d must fit the layout
+    (`_top`).  Memoized on d per layout, since Buchberger divides by the
+    same basis elements over and over.
     """
     memo = d._division
     if memo is None:
         memo = d._division = {}
-    data = memo.get(order)
+    data = memo.get(layout)
     if data is None:
         if not d.terms:
             raise ValueError("zero divisor")
-        lm = d.leading_term(order)[0]
-        ints, scale = _primitive_form({e: c.as_integer_ratio() for e, c in d.terms.items()}, lm)
-        tail = [(e, c) for e, c in ints.items() if e != lm]
-        data = memo[order] = (lm, order.mask(lm), ints[lm], tail, *scale.as_integer_ratio())
+        pack = layout.pack
+        pairs = {pack(e): c.as_integer_ratio() for e, c in d.terms.items()}
+        lead = max(pairs)
+        ints, scale = _primitive_form(pairs, lead)
+        lc = ints.pop(lead)
+        tail = list(ints.items())
+        data = memo[layout] = (lead, lc, tail, *scale.as_integer_ratio())
     return data
 
 
-def _reduce(work: dict, order, pick) -> dict:
-    """Reduce `work`, the integer terms of a polynomial, by the reducers
-    `pick` chooses: the remainder terms kept, largest first, each mapped to
-    the pair (numerator, denominator) of its coefficient; {} when nothing
-    remains.
+def _reduce(work: dict, guards: int, pick) -> dict:
+    """Reduce `work`, the integer terms of a polynomial keyed by packed
+    monomials (`Layout`), by the reducers `pick` chooses: the remainder
+    terms kept, largest first, each mapped to the pair (numerator,
+    denominator) of its coefficient; {} when nothing remains.
 
     The largest remaining term e goes first.  `pick(e)` returns a reducer
     whose first entries are (lead, lc, tail, sink): a primitive integer
-    polynomial lc * x^lead + sum(tc * x^te) with lc > 0 and lead dividing e,
-    its tail a list of (te, tc), and a dict or None; or None to keep e in
-    the remainder.  A heap of `order.heap_key` finds that term; a term
-    cancelled meanwhile has no entry left in `work` and is skipped.
+    polynomial lc * x^lead + sum(tc * x^te) with lc > 0 and lead dividing
+    e, its tail a list of (te, tc), and a dict or None; or None to keep e
+    in the remainder.  A heap of negated monomials finds that term; a term
+    cancelled meanwhile has no entry left in `work` and is skipped.  Each
+    monomial new to `work` is checked against the layout's `guards`, and
+    `_Overflow` is raised if it has outgrown its fields.
 
     The loop runs on ints.  The polynomial is `work / den`, integer
     numerators over one running denominator that starts at 1.  Cancelling
@@ -795,14 +899,13 @@ def _reduce(work: dict, order, pick) -> dict:
     multiplier w / den of the reducer shifted by `shift` goes to
     sink[shift] as the pair (w, den) when the sink is a dict.
     """
-    heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
+    heap = [-e for e in work]
     heapify(heap)
     den = 1
     content_at = _CONTENT_BITS
-    remainder: dict[tuple[int, ...], tuple[int, int]] = {}
+    remainder: dict[int, tuple[int, int]] = {}
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         w = work.pop(e, None)
         if w is None:
             continue
@@ -811,7 +914,7 @@ def _reduce(work: dict, order, pick) -> dict:
             remainder[e] = (w, den)
             continue
         lm, lc, tail, sink = r[:4]
-        shift = tuple(map(sub, e, lm))
+        shift = e - lm
         if lc != 1:
             g = gcd(w, lc)
             m = lc // g
@@ -823,11 +926,14 @@ def _reduce(work: dict, order, pick) -> dict:
             # each monomial leaves the heap once, so each shift is new
             sink[shift] = (w, den)
         for te, tc in tail:
-            pe = tuple(map(add, te, shift))
+            pe = te + shift
             old = work.get(pe)
             if old is None:
+                # a guard bit set: no valid monomial, so never one in `work`
+                if pe & guards:
+                    raise _Overflow
                 work[pe] = -w * tc
-                heappush(heap, (heap_key(pe), pe))
+                heappush(heap, -pe)
             else:
                 s = old - w * tc
                 if s:
@@ -850,31 +956,43 @@ def multivariate_divide(
 
     Returns (quotients, remainder) with p == sum(q_i * d_i) + r and no
     monomial of r divisible by any divisor's leading monomial.  `_reduce`
-    runs on p's integer numerators over the lcm of its denominators, and
-    gives each term to the first divisor whose leading monomial divides it,
-    in the primitive integer form from `_divisor_data`.  A divisor whose
-    lead mask (`MonomialOrder.mask`) has a bit the term's mask lacks cannot
-    divide it and is passed over with one integer AND; the exponent
-    comparison runs only on the rest.  The quotients and the remainder
-    pairs the kernel kept become Fractions only on the way out.
+    runs on p's integer numerators over the lcm of its denominators, on
+    packed monomials (`Layout`) wide enough for the largest exponent of p
+    and the divisors, and gives each term to the first divisor whose
+    leading monomial divides it, in the primitive integer form from
+    `_divisor_data`; the divisibility test is one subtraction and one AND.  If a
+    product outgrows the fields, the division runs again at twice the width
+    (`_widened`).  The quotients and the remainder pairs the kernel kept
+    are unpacked and become Fractions only on the way out.
     """
     den = lcm(*(c.denominator for c in p.terms.values()))
-    work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    mask = order.mask
-    data = [_divisor_data(d, order) for d in divisors]
-    reducers = [(lm, lc, tail, {}, lmask) for lm, lmask, lc, tail, _, _ in data]
+    top = max(map(max, p.terms), default=0)
+    if divisors:
+        top = max(top, *map(_top, divisors))
 
-    def pick(e):
-        off = ~mask(e)
-        for r in reducers:
-            if not r[4] & off and all(map(le, r[0], e)):
-                return r
-        return None
+    def run(layout):
+        pack, guards = layout.pack, layout.guards
+        work = {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+        data = [_divisor_data(d, layout) for d in divisors]
+        reducers = [(lead, lc, tail, {}) for lead, lc, tail, _, _ in data]
 
-    rem = _reduce(work, order, pick)
-    ring = p.ring
+        def pick(e):
+            e |= guards
+            for r in reducers:
+                if (e - r[0]) & guards == guards:
+                    return r
+            return None
+
+        return _reduce(work, guards, pick), reducers, data
+
+    (rem, reducers, data), layout = _widened(run, order, top)
+    ring, unpack = p.ring, layout.unpack
     quotients = [
-        Polynomial._make(ring, {e: Fraction(w * dnm, d * num * den) for e, (w, d) in r[3].items()})
-        for r, (_, _, _, _, num, dnm) in zip(reducers, data)
+        Polynomial._make(
+            ring, {unpack(e): Fraction(w * dnm, d * num * den) for e, (w, d) in r[3].items()}
+        )
+        for r, (_, _, _, num, dnm) in zip(reducers, data)
     ]
-    return quotients, Polynomial._make(ring, {e: Fraction(w, d * den) for e, (w, d) in rem.items()})
+    return quotients, Polynomial._make(
+        ring, {unpack(e): Fraction(w, d * den) for e, (w, d) in rem.items()}
+    )

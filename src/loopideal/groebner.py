@@ -10,6 +10,9 @@ Its regular reduction and `multivariate_divide`, which membership and
 the final reduced form divide by, run one integer reduction loop,
 `algebra._reduce`; they differ only in the reducer each term is given.
 Each element is stored once, as that reducer: its primitive integer form.
+The signature loop and the kernel run on packed monomials
+(`algebra.Layout`), one int each, with fields as wide as the inputs need
+and twice as wide, from the start, whenever a monomial outgrows them.
 
 Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
@@ -24,22 +27,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import repeat
-from operator import le, sub
+from operator import itemgetter
 
 from .algebra import (
+    Layout,
     MonomialOrder,
     Polynomial,
     VarRing,
     _divisor_data,
+    _Overflow,
     _primitive_form,
     _reduce,
+    _top,
+    _widened,
     fresh_name,
-    mono_divides,
-    mono_lcm,
-    mono_mask,
-    mono_mul,
-    mono_one,
     multivariate_divide,
     poly_parse,
 )
@@ -80,30 +81,36 @@ class IdealBasis:
         return cls(ring, order, gens, reduced=False)
 
 
-def _divides_any(syzygies: list, u: tuple[int, ...]) -> bool:
-    """Whether some monomial in `syzygies`, a list of (mask, monomial),
-    divides u."""
-    off = ~mono_mask(u)
-    return any(not m & off and all(map(le, v, u)) for m, v in syzygies)
+def _divides_any(syzygies: list, u: int, guards: int) -> bool:
+    """Whether some packed monomial in `syzygies` divides u."""
+    u |= guards
+    for v in syzygies:
+        if (u - v) & guards == guards:
+            return True
+    return False
 
 
-def _reducer(s_key: tuple, i: int, reducers: list, order, e: tuple[int, ...]):
-    """The first element of `reducers` whose lead divides the term e and
-    whose multiple with lead e has a signature below (s_key, i), or None.
+def _reducer(bound: int, reducers: list, guards: int, pbits: int, ibits: int, e: int):
+    """The first element of `reducers` whose lead divides the packed term
+    e and whose multiple with lead e has a signature below the one
+    `bound` encodes, or None.
 
     `reducers` holds each basis element as (lead, lead coefficient, tail,
-    None, lead mask, ratio) in insertion order, the reducer `_reduce`
-    takes; that multiple's signature is below (s_key, i) when key(e) +
-    ratio is.
+    None, ratio) in insertion order, the reducer `_reduce` takes.
+    With K(m) = m >> pbits the order key of a packed monomial m as an int,
+    `bound` is K(s) * 2**ibits + i for the signature u*e_i, s the packed
+    u*lm(f_i); an element's ratio is the same with K(s) - K(lead) in place
+    of K(s), and the multiple's signature is below (s, i) when the ratio is
+    below `bound - K(e) * 2**ibits`.
     """
-    off = ~order.mask(e)
-    bound = None
+    t = e | guards
+    below = None
     for r in reducers:
-        if r[4] & off or not all(map(le, r[0], e)):
+        if (t - r[0]) & guards != guards:
             continue
-        if bound is None:
-            bound = (*map(sub, s_key, order.key(e)), i)
-        if r[5] < bound:
+        if below is None:
+            below = bound - ((e >> pbits) << ibits)
+        if r[4] < below:
             return r
     return None
 
@@ -150,76 +157,103 @@ def buchberger(
     rewriter.  When the heap is empty every S-polynomial reduces to zero,
     and the elements are a Groebner basis.
 
+    The loop runs on packed monomials (`algebra.Layout`): each monomial,
+    lead, signature and syzygy is one int, keys and ratios are ints, and
+    products, quotients and divisibility tests are a few int operations.
+    The fields start wide enough for the inputs' largest exponent; when a
+    monomial the loop forms outgrows them, the loop runs again from the
+    start at twice the width (`algebra._widened`), so the result never
+    depends on the width.
+
     The reduced basis takes the elements by ascending lead.  One goes when
     a kept lead divides its lead; otherwise it is made monic and its
-    remainder by the kept ones is kept.  A divisor is never larger than the
-    monomial it divides, so no larger lead divides any of its terms, and
-    the kept ones before it are already reduced (Cox, Little and O'Shea,
-    *Ideals, Varieties, and Algorithms*, ch. 2 §7).  The kept elements
-    are returned largest lead first.
+    remainder by the kept ones (`multivariate_divide`) is kept.  A divisor
+    is never larger than the monomial it divides, so no larger lead
+    divides any of its terms, and the kept ones before it are already
+    reduced (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 2 §7).  The kept elements are returned largest lead first.
 
     Raises BudgetExceeded, saying how far the run got, when a signature
     is due after `budget` signatures were reduced; the signatures that a
     criterion removes, including the dropped multiples, do not count.
     """
     ring = order.ring
-    inputs = []
-    for g in gens:
-        g = g.lift(ring)
-        if not g.is_zero():
-            lm, _, lc, tail, _, _ = _divisor_data(g, order)
-            inputs.append((lm, lc, tail))
-    if not inputs:
+    polys = [g for g in (g.lift(ring) for g in gens) if not g.is_zero()]
+    if not polys:
         return IdealBasis(ring, order, (), reduced=True)
-    key, _key = order.key, order._key
-    inputs.sort(key=lambda f: key(f[0]))
+    top = max(map(_top, polys))
+    reducers, layout = _widened(partial(_signature_basis, polys, budget), order, top)
 
-    # per element: its reducer (lead, lead coefficient, tail, None, lead
-    # mask, ratio), which holds its terms, and its signature (u, i)
-    reducers, sigs = [], []
+    unpack, guards = layout.unpack, layout.guards
+    kept, leads = [], []
+    for lm, lc, tail, *_ in sorted(reducers, key=itemgetter(0)):
+        if _divides_any(leads, lm, guards):
+            continue
+        g = Polynomial._make(ring, {unpack(e): Fraction(c, lc) for e, c in ((lm, lc), *tail)})
+        kept.append(multivariate_divide(g, kept, order)[1])
+        leads.append(lm)
+    return IdealBasis(ring, order, tuple(reversed(kept)), reduced=True)
+
+
+def _signature_basis(polys: list[Polynomial], budget: int, layout: Layout) -> list:
+    """`buchberger`'s signature loop on `layout`'s packed monomials: the
+    elements of a Groebner basis as reducers (lead, lc, tail, None, ratio).
+    Raises `_Overflow` when a monomial outgrows the layout."""
+    guards, pbits = layout.guards, layout.pbits
+    inputs = sorted((_divisor_data(g, layout)[:3] for g in polys), key=itemgetter(0))
+    ibits = len(inputs).bit_length()
+
+    # per element: its reducer (lead, lead coefficient, tail, None, ratio),
+    # which holds its terms, the support of its lead, and its signature
+    # (u, i); the unit monomial is 0
+    reducers, supports, sigs = [], [], []
     by_index = [[] for _ in inputs]
     syzygies = [[] for _ in inputs]
-    one = mono_one(ring.arity)
-    queue = [(key(f[0]), i, one) for i, f in enumerate(inputs)]
+    queue = [(f[0], i, 0) for i, f in enumerate(inputs)]
     heapify(queue)
     steps = 0
     while queue:
-        s_key, i, u = heappop(queue)
-        if _divides_any(syzygies[i], u):
+        s, i, u = heappop(queue)
+        if _divides_any(syzygies[i], u, guards):
             continue
         best = None
+        ug = u | guards
         for k in by_index[i]:
-            if mono_divides(sigs[k][0], u) and (
-                best is None or reducers[k][5] >= reducers[best][5]
+            if (ug - sigs[k][0]) & guards == guards and (
+                best is None or reducers[k][4] >= reducers[best][4]
             ):
                 best = k
-        pick = partial(_reducer, s_key, i, reducers, order)
+        bound = ((s >> pbits) << ibits) + i
+        pick = partial(_reducer, bound, reducers, guards, pbits, ibits)
         if best is None:
-            (lm, lc, tail), shift = inputs[i], one
+            (lm, lc, tail), shift = inputs[i], 0
         else:
             lm, lc, tail = reducers[best][:3]
-            shift = tuple(map(sub, u, sigs[best][0]))
-            if pick(mono_mul(lm, shift)) is None:
+            shift = u - sigs[best][0]
+            if any((e + shift) & guards for e, _ in ((lm, lc), *tail)):
+                raise _Overflow
+            if pick(lm + shift) is None:
                 # singular: an element already has this signature and lead
                 continue
-        work = {mono_mul(e, shift): c for e, c in ((lm, lc), *tail)}
+        work = {e + shift: c for e, c in ((lm, lc), *tail)}
         if steps >= budget:
-            queued = len({entry[:2] for entry in queue} | {(s_key, i)})
+            queued = len({entry[:2] for entry in queue} | {(s, i)})
             raise BudgetExceeded(
                 f"Groebner computation stopped at its budget of {budget} signature "
                 f"reductions: {steps} signatures reduced, basis of {len(reducers)} "
                 f"elements, {queued} signatures queued"
             )
-        rem = _reduce(work, order, pick)
+        rem = _reduce(work, guards, pick)
         steps += 1
         if not rem:
             # no listed syzygy divides u, or u would have gone when it left the heap
-            syzygies[i].append((mono_mask(u), u))
+            syzygies[i].append(u)
             continue
         lm = next(iter(rem))
         p, _ = _primitive_form(rem, lm)
-        ratio = (*map(sub, s_key, key(lm)), i)
-        for (k_lm, _, _, _, _, k_ratio), (k_u, k_i) in zip(reducers, sigs):
+        ratio = (((s >> pbits) - (lm >> pbits)) << ibits) + i
+        support = layout.support(lm)
+        for (k_lm, *_, k_ratio), k_support, (k_u, k_i) in zip(reducers, supports, sigs):
             if k_ratio == ratio:
                 continue
             # h has the larger signature at the lcm, o the other
@@ -227,31 +261,28 @@ def buchberger(
                 h_lm, h_u, h_i, o_lm = lm, u, i, k_lm
             else:
                 h_lm, h_u, h_i, o_lm = k_lm, k_u, k_i, lm
-            t = mono_lcm(lm, k_lm)
             if k_i != i:
-                z = mono_mul(o_lm, h_u)
-                if not _divides_any(syzygies[h_i], z):
-                    syzygies[h_i].append((mono_mask(z), z))
-                if t == mono_mul(h_lm, o_lm):
+                z = o_lm + h_u
+                if z & guards:
+                    raise _Overflow
+                if not _divides_any(syzygies[h_i], z, guards):
+                    syzygies[h_i].append(z)
+                if not support & k_support:
                     # coprime leads: the J-pair is the Koszul syzygy's signature
                     continue
-            if t != h_lm:
-                j_u = mono_mul(tuple(map(sub, t, h_lm)), h_u)
-                # `_key`: signature monomials stay out of `order.key`'s memo
-                heappush(queue, (_key(mono_mul(j_u, inputs[h_i][0])), h_i, j_u))
+            q = layout.cofactor(h_lm, o_lm)
+            if q:
+                j_u = q + h_u
+                j_s = j_u + inputs[h_i][0]
+                if (j_u | j_s) & guards:
+                    raise _Overflow
+                heappush(queue, (j_s, h_i, j_u))
         by_index[i].append(len(reducers))
         tail = [(e, c) for e, c in p.items() if e != lm]
-        reducers.append((lm, p[lm], tail, None, order.mask(lm), ratio))
+        reducers.append((lm, p[lm], tail, None, ratio))
+        supports.append(support)
         sigs.append((u, i))
-
-    kept, leads = [], []
-    for lm, lc, tail, *_ in sorted(reducers, key=lambda r: key(r[0])):
-        if any(map(mono_divides, leads, repeat(lm))):
-            continue
-        g = Polynomial._make(ring, {e: Fraction(c, lc) for e, c in ((lm, lc), *tail)})
-        kept.append(multivariate_divide(g, kept, order)[1])
-        leads.append(lm)
-    return IdealBasis(ring, order, tuple(reversed(kept)), reduced=True)
+    return reducers
 
 
 def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:

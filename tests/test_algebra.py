@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from math import gcd
+from operator import add, le, sub
 
 import pytest
 
@@ -270,7 +271,7 @@ def test_primitive_form_has_positive_lead_fuzzed():
             ints, scale = _primitive_form({e: c.as_integer_ratio() for e, c in q.terms.items()}, lm)
             assert ints[lm] > 0 and gcd(*ints.values()) == 1
             assert {e: scale * c for e, c in ints.items()} == q.terms
-            assert _divisor_data(q, order)[2] == ints[lm]
+            assert _divisor_data(q, order.layout(8))[1] == ints[lm]
     assert negative
 
 
@@ -472,19 +473,55 @@ def test_order_laws_fuzzed():
                 assert order.key(a) > order.key(unit)
 
 
-def test_divisibility_mask_never_rejects_a_divisor():
+def test_packed_layout_matches_tuple_monomials():
+    """Packed monomials (`Layout`) against the tuple definitions, up to and
+    at the width limit: divisibility, product with overflow detection, lcm
+    by the cofactor, coprimality, and keys and differences of keys."""
     rng = random.Random(405)
-    order = MonomialOrder("degrevlex", VarRing(["x", "y", "z"]))
-    monos = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(60)]
-    rejected = 0
-    for a in monos:
-        for b in monos:
-            if order.mask(a) & ~order.mask(b):
-                assert not all(i <= j for i, j in zip(a, b))
-                rejected += 1
-    # and it rejects most non-divisors
-    assert rejected > len(monos) ** 2 // 2
-    assert order.mask((0, 1, 2)) == 0b110100
+    ring = VarRing(["w", "x", "y", "z"])
+    orders = [
+        MonomialOrder("lex", ring),
+        MonomialOrder("degrevlex", ring),
+        MonomialOrder("degrevlex", ring, ["z", "x", "w", "y"]),
+        MonomialOrder("lex", ring, ["y", "z", "x", "w"]).eliminating({"x", "z"}),
+        MonomialOrder("degrevlex", ring).eliminating({"w"}),
+    ]
+    for order in orders:
+        for width in (8, 16):
+            layout = order.layout(width)
+            assert order.layout(width) is layout
+            top = (1 << (width - 1)) - 1
+            # exponents just below and at the limit, and small ones
+            pool = [0, 0, 1, 2, 3, top // 2, top - 2, top - 1, top]
+            monos = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(24)]
+            monos += [(0, 0, 0, 0), (top,) * 4]
+            g = layout.guards
+            packed = [layout.pack(a) for a in monos]
+            for a, pa in zip(monos, packed):
+                assert layout.unpack(pa) == a and not pa & g
+                for b, pb in zip(monos, packed):
+                    assert (((pb | g) - pa) & g == g) == all(map(le, a, b))
+                    ab = tuple(map(add, a, b))
+                    if max(ab) <= top:
+                        assert pa + pb == layout.pack(ab) and not (pa + pb) & g
+                    else:
+                        assert (pa + pb) & g
+                    # the lcm is a's multiple by the cofactor lcm(a, b) / a
+                    m = tuple(map(max, a, b))
+                    assert layout.cofactor(pa, pb) == layout.pack(tuple(map(sub, m, a)))
+                    assert pa + layout.cofactor(pa, pb) == layout.pack(m)
+                    coprime = not any(i and j for i, j in zip(a, b))
+                    assert (not layout.support(pa) & layout.support(pb)) == coprime
+                    ka, kb = order.key(a), order.key(b)
+                    assert (pa < pb) == (ka < kb) and (pa == pb) == (a == b)
+                    assert (pa >> layout.pbits < pb >> layout.pbits) == (ka < kb)
+            # the signature bounds compare differences of keys
+            for _ in range(300):
+                (a, pa), (b, pb), (c, pc), (d, pd) = rng.sample(list(zip(monos, packed)), 4)
+                left = tuple(map(sub, order.key(a), order.key(b)))
+                right = tuple(map(sub, order.key(c), order.key(d)))
+                ka, kb, kc, kd = (m >> layout.pbits for m in (pa, pb, pc, pd))
+                assert (ka - kb < kc - kd) == (left < right)
 
 
 def test_block_order_is_told_from_plain():

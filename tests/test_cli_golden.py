@@ -23,6 +23,7 @@ CASES = {
     ),
     "closed-forms": ("closed-forms", "--loop", "two_walks.loop", "--degree", "2"),
     "groebner-lex": ("groebner", "--ideal", "flag_ideal.json", "--order", "lex"),
+    "groebner-wide": ("groebner", "--ideal", "wide_ideal.json", "--order", "lex"),
     "member": ("member", "--ideal", "flag_ideal.json", "--poly", "g*(g-1)*f"),
     "empirical": (
         "empirical", "--loop", "flag.loop", "--degree", "3", "--horizon", "25",

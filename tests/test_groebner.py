@@ -28,16 +28,19 @@ def _basis(texts, ring, order):
 @pytest.fixture
 def signatures_reduced(monkeypatch):
     """Fails the test when one `buchberger` call reduces a signature twice;
-    yields the signatures reduced per call, keyed by the call's reducers."""
+    yields the signatures reduced per call, keyed by the call's reducers.
+
+    `pick` is `groebner._reducer` bound to the signature (its packed key
+    and index in one int) and the call's reducer list."""
     reduced = {}
     reduce = groebner._reduce
 
-    def spy(work, order, pick):
-        s_key, i, reducers = pick.args[:3]
+    def spy(work, guards, pick):
+        signature, reducers = pick.args[:2]
         _, seen = reduced.setdefault(id(reducers), (reducers, set()))
-        assert (s_key, i) not in seen, f"signature {(s_key, i)} reduced twice"
-        seen.add((s_key, i))
-        return reduce(work, order, pick)
+        assert signature not in seen, f"signature {signature} reduced twice"
+        seen.add(signature)
+        return reduce(work, guards, pick)
 
     monkeypatch.setattr(groebner, "_reduce", spy)
     yield reduced

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from time import perf_counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import mono_divides, mono_lcm
+from loopideal.algebra import mono_divides
 
 sympy = pytest.importorskip("sympy")
 
@@ -91,7 +92,7 @@ def _assert_s_pairs_reduce_to_zero(basis) -> None:
     leads = [g.leading_term(order) for g in gens]
     for i, (f, (lf, cf)) in enumerate(zip(gens, leads)):
         for g, (lg, cg) in zip(gens[i + 1 :], leads[i + 1 :]):
-            lcm = mono_lcm(lf, lg)
+            lcm = tuple(map(max, lf, lg))
             s = Polynomial.monomial(basis.ring, tuple(a - b for a, b in zip(lcm, lf)), 1 / cf) * f
             s -= Polynomial.monomial(basis.ring, tuple(a - b for a, b in zip(lcm, lg)), 1 / cg) * g
             _, rem = multivariate_divide(s, gens, order)
@@ -188,7 +189,7 @@ def test_lcm_class_with_coprime_and_non_coprime_pair():
     gens = [poly_parse(t, RING) for t in ("y^2 + z", "x*y^2 + y*z - 1", "x + y - z")]
     leads = [g.leading_term(order)[0] for g in gens]
     assert leads == [(0, 2, 0), (1, 2, 0), (1, 0, 0)]
-    assert mono_lcm(leads[0], leads[2]) == mono_lcm(leads[1], leads[2])
+    assert tuple(map(max, leads[0], leads[2])) == tuple(map(max, leads[1], leads[2]))
     out = buchberger(gens, order)
     assert _ours(out) == _sympy_basis(gens, order)
     _assert_s_pairs_reduce_to_zero(out)
@@ -256,3 +257,90 @@ def test_point_intersection_input_matches_sympy(order):
         assert _ours(out) == _sympy_basis(gens, order)
         _assert_s_pairs_reduce_to_zero(out)
         assert all(g.eval(point) == 0 for g in out.generators)
+
+
+def _sympy_remainder(p: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
+    _, r = sympy.reduced(
+        _to_sympy(p),
+        [_to_sympy(d) for d in divisors],
+        *[SYMBOLS[nm] for nm in order.priority],
+        order=SYMPY_ORDER[order.kind],
+        domain="QQ",
+    )
+    return _from_sympy(r, order.ring)
+
+
+@pytest.mark.parametrize(
+    "gens, priority, drop",
+    [
+        (["x - y^60", "x^3 - z"], ["x", "y", "z"], ()),
+        (["x - y^63", "x^3 - y*z^2", "z^9 - 1"], ["x", "y", "z"], ()),
+        (["y - x^50", "y^5 - z"], ["x", "y", "z"], ("y",)),
+        (["x - y^120", "x^300 - z"], ["z", "x", "y"], ("x",)),
+    ],
+)
+def test_exponents_outgrow_the_starting_width(gens, priority, drop):
+    # the inputs' exponents fit the first field width (up to 63 in 8-bit
+    # fields, up to 8191 in 16-bit ones), the lex or block order makes tail
+    # terms with larger ones, and the call widens its fields and starts
+    # again; the results match sympy's
+    start = perf_counter()
+    plain = MonomialOrder("lex", RING, priority)
+    order = plain.eliminating(drop)
+    polys = [poly_parse(g, RING) for g in gens]
+    out = buchberger(polys, order)
+    limit = 127 if max(max(map(max, p.terms)) for p in polys) <= 63 else 32767
+    assert max(max(map(max, g.terms)) for g in out.generators) > limit
+    _assert_s_pairs_reduce_to_zero(out)
+    if drop:
+        out = eliminate(IdealBasis(RING, plain, tuple(polys)), set(drop))
+        kept = [g.project(out.ring) for g in _free_part(polys, list(drop), RING)]
+        assert _ours(out) == _sympy_basis(kept, out.order)
+    else:
+        assert _ours(out) == _sympy_basis(polys, order)
+        # a remainder by a Groebner basis is unique
+        p = poly_parse("x^3*y^2 + x*z^2 + y^7 - 1", RING)
+        quotients, rem = multivariate_divide(p, list(out.generators), order)
+        assert rem == _sympy_remainder(p, out.generators, order)
+        assert sum((q * d for q, d in zip(quotients, out.generators)), rem) == p
+    assert perf_counter() - start < 20
+
+
+def test_division_outgrows_the_starting_width():
+    # x^k leaves the remainder y^(60*k): past 127, the largest exponent of
+    # 8-bit fields, from inputs whose exponents are at most 60
+    start = perf_counter()
+    order = MonomialOrder("lex", RING)
+    d = poly_parse("x - y^60 + z", RING)
+    p = poly_parse("x^3*y^2 + x*z^2 - 1", RING)
+    for dividend in (p, p ** 2):
+        (q,), rem = multivariate_divide(dividend, [d], order)
+        assert max(map(max, rem.terms)) > 127
+        assert rem == _sympy_remainder(dividend, [d], order)
+        assert q * d + rem == dividend
+    assert perf_counter() - start < 20
+
+
+@pytest.mark.parametrize(
+    "gens, kind, priority",
+    [
+        (["x*y^63*z^46 - y^61*z - y", "-y^42 - y^3*z"], "lex", ["x", "y", "z"]),
+        (
+            ["-x^41*y^41 + x^2*y^54*z^2 - x^3*y^2*z^2", "-y^49*z^2 + x*y^3*z^2"],
+            "degrevlex",
+            ["y", "z", "x"],
+        ),
+    ],
+)
+def test_signatures_outgrow_the_starting_width(gens, kind, priority):
+    # every element here fits 8-bit fields, but a J-pair's signature or a
+    # Koszul syzygy does not: the signature loop alone widens the fields
+    start = perf_counter()
+    order = MonomialOrder(kind, RING, priority)
+    polys = [poly_parse(g, RING) for g in gens]
+    out = buchberger(polys, order)
+    assert sorted(order._layouts) == [8, 16]
+    assert max(max(map(max, g.terms)) for g in out.generators) <= 127
+    assert _ours(out) == _sympy_basis(polys, order)
+    _assert_s_pairs_reduce_to_zero(out)
+    assert perf_counter() - start < 20

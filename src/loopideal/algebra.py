@@ -1,8 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Values are immutable after construction and all operations are pure, so
-polynomials can be shared freely.  Coefficients are `fractions.Fraction`
-(always in lowest terms, positive denominator) everywhere except inside
+Values change after construction only in memos whose entries depend on
+their keys alone, and all operations are pure, so polynomials can be shared
+freely, also between threads.  Coefficients are `fractions.Fraction` (always
+in lowest terms, positive denominator) everywhere except inside
 `_reduce`, the one reduction loop, shared by `multivariate_divide` and
 `groebner.buchberger`, which runs on Python ints: integer numerators over
 one running denominator, reduced by primitive integer polynomials
@@ -199,13 +200,12 @@ class MonomialOrder:
 
     A key is a flat tuple of ints, so keys compare as plain tuples; each
     entry is linear in the exponents, which `Layout` packs into one int.
-    Keys are memoized since the same monomials recur constantly during
-    basis computations, and so is the layout of each width.
+    Basis work compares those ints, so a key is computed afresh on each
+    call; only the layout of each width is memoized.
     """
 
     __slots__ = (
-        "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx",
-        "_keys", "_layouts",
+        "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx", "_layouts",
     )
 
     def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
@@ -228,21 +228,14 @@ class MonomialOrder:
         self._hash = hash((self.kind, self.ring, self.priority, drop))
         self._top_rev = tuple(i for i in reversed(idx) if self.ring.names[i] in drop)
         self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
-        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._layouts: dict[int, Layout] = {}
 
-    def _key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+    def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         if self.kind == "lex":
             low = tuple([e[i] for i in self._low_idx])
         else:
             low = _grevlex(e, self._low_idx)
         return (*_grevlex(e, self._top_rev), *low) if self.drop else low
-
-    def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        k = self._keys.get(e)
-        if k is None:
-            k = self._keys[e] = self._key(e)
-        return k
 
     def layout(self, width: int) -> "Layout":
         """The packed monomials of this order at field width `width`, memoized."""
@@ -719,7 +712,7 @@ class Layout:
 
     A monomial e is the int K * 2**pbits + P.  P holds e[i] in the field at
     bit i * width, whose top bit is a guard that every valid monomial keeps
-    clear.  K is the order key as one signed int: `order._key` is linear in
+    clear.  K is the order key as one signed int: `order.key` is linear in
     the exponents, and each of its entries is a digit of K in a power-of-two
     base above four times the largest entry any valid monomial has, so K
     compares as the key does, and so do sums of up to four keys with signs,
@@ -751,7 +744,7 @@ class Layout:
         self._shifts = tuple(range(0, self.pbits, width))
         self._ones = sum(1 << s for s in self._shifts)
         self.guards = self._ones << (width - 1)
-        rows = [order._key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        rows = [order.key(tuple(int(i == j) for j in range(n))) for i in range(n)]
         largest = max(sum(map(abs, digit)) for digit in zip(*rows)) * self._field_max
         base = (4 * largest).bit_length()
         m = len(rows[0])

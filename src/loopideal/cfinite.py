@@ -138,6 +138,21 @@ def _deflate(ip: list[int], divisor: list[int]) -> list[int] | None:
     return None if any(rem) else out[::-1]
 
 
+def _peel(coeffs, roots) -> tuple[list[int], list[int]]:
+    """`coeffs` (rationals, constant first) as a primitive integer polynomial
+    with the root 0, then each of `roots`, divided out as often as it
+    divides, and the multiplicities of 0 and then of each of `roots`."""
+    ip = linalg._integer_row(coeffs)
+    mults = [next(i for i, c in enumerate(ip) if c)]
+    ip = ip[mults[0] :]
+    for r in roots:
+        linear, mult = [-r.numerator, r.denominator], 0
+        while (quotient := _deflate(ip, linear)) is not None:
+            ip, mult = quotient, mult + 1
+        mults.append(mult)
+    return ip, mults
+
+
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """The primitive part of lc(b)^k * a mod b, the pseudo-remainder."""
     rem = list(a)
@@ -213,22 +228,10 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    # clear denominators; root 0 is the run of zero low-order coefficients
-    ip = linalg._integer_row(p.coeffs)
-    mult0 = next(i for i, c in enumerate(ip) if c)
-    ip = ip[mult0:]
-    if mult0:
-        roots.append((Fraction(0), mult0))
-    for root in _root_candidates(ip):
-        mult = 0
-        linear = [-root.numerator, root.denominator]
-        while (quotient := _deflate(ip, linear)) is not None:
-            ip = quotient
-            mult += 1
-        if mult:
-            roots.append((root, mult))
-    roots.sort(key=lambda rm: rm[0])
+    ip, (mult0,) = _peel(p.coeffs, [])
+    candidates = _root_candidates(ip)
+    ip, (_, *mults) = _peel(ip, candidates)
+    roots = sorted((r, m) for r, m in zip([Fraction(0), *candidates], [mult0, *mults]) if m)
     # the same cofactor as deflating p itself: its lead is p's
     return roots, UniPoly(c * p.coeffs[-1] / ip[-1] for c in ip)
 
@@ -316,12 +319,8 @@ def _split(ann: UniPoly, known: list[int], scale: int) -> tuple[int, dict[int, i
     """The multiplicity of the root 0 of a monic integer annihilator, and of
     each nonzero root, all of which must be rational; the new ones are
     appended to `known`."""
-    ip = linalg._integer_row(ann.coeffs)
-    mult0 = next(i for i, c in enumerate(ip) if c)
-    ip, roots = ip[mult0:], {}
-    for r in known:
-        while (quotient := _deflate(ip, [-r, 1])) is not None:
-            ip, roots[r] = quotient, roots.get(r, 0) + 1
+    ip, (mult0, *mults) = _peel(ann.coeffs, known)
+    roots = {r: m for r, m in zip(known, mults) if m}
     new, cofactor = rational_roots(UniPoly(ip)) if len(ip) > 1 else ([], UniPoly(ip))
     if (deg := cofactor.degree) >= 1:
         # name the cofactor of v's own annihilator: L -> L*D, over D^deg
@@ -337,9 +336,11 @@ def _split(ann: UniPoly, known: list[int], scale: int) -> tuple[int, dict[int, i
 
 def _solve_all(system: MomentSystem) -> list:
     """Each coordinate's closed form, or the error that refuses it."""
-    order, scale, e = system.size, system._scale, system._start
+    order = system.size
     count = 2 * order + 4
-    seqs = list(zip(*map(system._integer_at, range(count))))
+    dens, vectors = zip(*islice(system._integer_powers(), count))
+    e, scale = dens[0], dens[1] // dens[0]  # e and D
+    seqs = list(zip(*vectors))
     known, out = [], []
     for terms in seqs:
         try:
@@ -375,6 +376,6 @@ def _solve_all(system: MomentSystem) -> list:
         # `own` runs along the roots in order, and so along the bases as D > 0
         coeffs = (c / e for c in sol)
         tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in sorted(roots.items())]
-        transient = (Fraction(terms[n], e * scale**n) for n in range(mult0))
+        transient = (Fraction(terms[n], dens[n]) for n in range(mult0))
         out[i] = ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
     return out

@@ -4,6 +4,7 @@ integer relations."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 
@@ -30,13 +31,9 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        prow, p = m[r], m[r][c]
         for i in range(len(m)):
-            a = m[i][c]
-            if i != r and a:
-                g = gcd(p, a)
-                pg, ag = p // g, a // g
-                m[i] = _primitive([pg * x - ag * y for x, y in zip(m[i], prow)])
+            if i != r and m[i][c]:
+                m[i] = _cleared(m[i], m[r], c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -44,6 +41,16 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     red += [[Fraction(0)] * ncols for _ in m[r:]]
     return red, pivots
+
+
+def _cleared(v: list[int], row: list[int], c: int) -> list[int]:
+    """v with entry c cleared by `row`, which counts as zero past its end:
+    (p/g)*v - (a/g)*row over its content, for p = row[c] != 0, a = v[c] and
+    g = gcd(p, a)."""
+    p, a = row[c], v[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    return _primitive([p * x - a * y for x, y in zip_longest(v, row, fillvalue=0)])
 
 
 def _integer_row(row: list[Fraction]) -> list[int]:

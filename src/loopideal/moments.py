@@ -8,10 +8,11 @@ downstream.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import lcm
 
 from .algebra import Polynomial, VarRing, _image, _memo, _used, mono_one
@@ -71,27 +72,20 @@ class MomentSystem:
 
     The iteration runs in ints: with D the lcm of the transition's
     denominators and e that of the initial vector's, A = D * transition and
-    u = e * initial are integer, and v(n) = A^n u / (e * D^n).  `_integer_at`
-    caches the vectors A^n u, and `_forms` every coordinate's closed form, or
-    its error, once `solve_closed_form` has run.
+    u = e * initial are integer, and v(n) = A^n u / (e * D^n); each walk of
+    `_integer_powers` starts from u.  A system keeps only `_forms`, every
+    coordinate's closed form or its error once `solve_closed_form` has run,
+    which does not depend on the order of calls.
     """
 
     symbols: list[tuple[int, ...]]
     transition: list[list[tuple[int, Fraction]]]
     initial: list[Fraction]
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False)
-    _scale: int = field(init=False, repr=False)
-    _start: int = field(init=False, repr=False)
-    _rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
-    _cache: list[list[int]] = field(init=False, repr=False)
     _forms: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {e: i for i, e in enumerate(self.symbols)}
-        d = self._scale = lcm(*(a.denominator for row in self.transition for _, a in row))
-        e = self._start = lcm(*(x.denominator for x in self.initial))
-        self._rows = [[(j, a.numerator * (d // a.denominator)) for j, a in row] for row in self.transition]
-        self._cache = [[x.numerator * (e // x.denominator) for x in self.initial]]
         self._forms = None
 
     @property
@@ -101,17 +95,21 @@ class MomentSystem:
     def index(self, symbol: tuple[int, ...]) -> int:
         return self._index[tuple(symbol)]
 
-    def _integer_at(self, n: int) -> list[int]:
-        """A^n u, the moment vector after n iterations times e * D^n."""
-        while len(self._cache) <= n:
-            prev = self._cache[-1]
-            self._cache.append([sum(a * prev[j] for j, a in row) for row in self._rows])
-        return self._cache[n]
+    def _integer_powers(self) -> Iterator[tuple[int, list[int]]]:
+        """(e * D^n, A^n u) for n = 0, 1, ...: the moment vector after n
+        iterations as integers over one denominator."""
+        d = lcm(*(a.denominator for row in self.transition for _, a in row))
+        den = lcm(*(x.denominator for x in self.initial))
+        rows = [[(j, a.numerator * (d // a.denominator)) for j, a in row] for row in self.transition]
+        vec = [x.numerator * (den // x.denominator) for x in self.initial]
+        while True:
+            yield den, vec
+            vec, den = [sum(a * vec[j] for j, a in row) for row in rows], den * d
 
     def vector_at(self, n: int) -> list[Fraction]:
-        """Moment vector after n iterations (cached sparse power iteration)."""
-        den = self._start * self._scale**n
-        return [Fraction(x, den) for x in self._integer_at(n)]
+        """Moment vector after n iterations (sparse power iteration)."""
+        den, vec = next(islice(self._integer_powers(), n, None))
+        return [Fraction(x, den) for x in vec]
 
 
 def moment_closure(

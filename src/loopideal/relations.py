@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import comb, lcm
 
 from . import linalg
@@ -299,9 +299,8 @@ def empirical_relations(
             continue
         v = col + [0] * len(standard) + [1]
         for _, pivot, row in standard:
-            a, p = v[pivot], row[pivot]
-            if a:
-                v = linalg._primitive([p * x - a * y for x, y in zip_longest(v, row, fillvalue=0)])
+            if v[pivot]:
+                v = linalg._cleared(v, row, pivot)
         pivot = next((i for i, x in enumerate(v[:count]) if x), None)
         if pivot is None:
             monos = [s for s, _, _ in standard] + [m]

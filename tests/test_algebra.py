@@ -39,6 +39,17 @@ def test_parse_fraction_coefficients():
     assert poly_parse("1/2*x + 3/4", ring).eval([Q(1)]) == Q(5, 4)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="`algebra._image` splits a pure power in halves recursively, "
+    "log2(exponent) calls deep, so a 1,100-bit exponent passes the recursion limit",
+)
+def test_parse_power_with_a_huge_exponent():
+    exponent = 2**1100
+    assert poly_parse(f"x^{exponent}", VarRing(["x"])).terms == {(exponent,): 1}
+
+
 def test_parse_moment_variable_names():
     ring = VarRing(["E[x]", "E[x^2*y]"])
     p = poly_parse("E[x^2*y] - E[x]^2", ring)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import islice, permutations
@@ -10,8 +12,10 @@ from loopideal import cfinite, linalg
 from loopideal import (
     ExpPoly,
     IrrationalEigenvalue,
+    MomentSystem,
     NoRecurrenceFound,
     Polynomial,
+    ToolkitError,
     UniPoly,
     VarRing,
     degree_targets,
@@ -675,6 +679,44 @@ def test_one_system_takes_one_annihilator_per_coordinate_and_one_rref(monkeypatc
         for j in range(system.size):
             solve_closed_form(system, j)
     assert calls == {"minimal_recurrence": system.size, "rref": 1}
+
+
+def test_threads_solving_one_system_get_the_single_threaded_forms():
+    # a fresh system per round, solved by four threads at once: a system
+    # keeps only its solved forms, so every thread gets what one thread gets
+    loop = parse_loop(
+        "vars: x, y\ninit: x = 1; y = 2\nbody:\n  x = 2*x + 1 [1/3] x - 1\n  y = 3*y + x\n"
+    )
+    base = moment_closure(loop, degree_targets(loop.variables, 2))
+    expected = [solve_closed_form(base, i) for i in range(base.size)]
+    threads = 4
+    results = [None] * threads
+
+    def solve(k, system, started):
+        # wait running, not blocked, so that the threads start solving together
+        started.append(k)
+        while len(started) < threads:
+            pass
+        try:
+            results[k] = [solve_closed_form(system, i) for i in range(system.size)]
+        except ToolkitError as exc:
+            results[k] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(300):
+            system = MomentSystem(base.symbols, base.transition, base.initial)
+            started, results[:] = [], [None] * threads
+            workers = [threading.Thread(target=solve, args=(k, system, started)) for k in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+            assert results == [expected] * threads, round_
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(

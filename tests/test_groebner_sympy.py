@@ -1,6 +1,8 @@
 """Cross-checks of the Groebner engine against sympy over QQ."""
 
+import linecache
 import random
+import sys
 from fractions import Fraction as Q
 from time import perf_counter
 
@@ -17,7 +19,8 @@ from loopideal import (
     multivariate_divide,
     poly_parse,
 )
-from loopideal.algebra import mono_divides
+from loopideal.algebra import _Overflow, mono_divides
+from loopideal.groebner import _signature_basis
 
 sympy = pytest.importorskip("sympy")
 
@@ -341,6 +344,61 @@ def test_signatures_outgrow_the_starting_width(gens, kind, priority):
     out = buchberger(polys, order)
     assert sorted(order._layouts) == [8, 16]
     assert max(max(map(max, g.terms)) for g in out.generators) <= 127
+    assert _ours(out) == _sympy_basis(polys, order)
+    _assert_s_pairs_reduce_to_zero(out)
+    assert perf_counter() - start < 20
+
+
+def _traced_overflows(call):
+    """`call()`, and the guard checks in `groebner._signature_basis` that
+    raised `_Overflow` meanwhile, each as the source line of its condition."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "exception" and arg[0] is _Overflow:
+            seen.add(linecache.getline(frame.f_code.co_filename, frame.f_lineno - 1).strip())
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is _signature_basis.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+@pytest.mark.parametrize(
+    "gens, kind, priority, check",
+    [
+        # a rewriter's tail term times the shift to the J-pair's signature
+        # outgrows 8-bit fields before the multiple is reduced
+        (
+            ["x^55*y^2*z^2 - 2*y^41*z", "-x^2*y^44*z^62 + x*y"],
+            "lex",
+            ["y", "x", "z"],
+            "if any((e + shift) & guards for e, _ in ((lm, lc), *tail)):",
+        ),
+        # the other lead times a signature, a Koszul syzygy, outgrows them
+        (
+            ["-x^52*y^2*z^2 + x^2", "x*y^3*z^61 + 2*y^2*z^46"],
+            "degrevlex",
+            ["x", "z", "y"],
+            "if z & guards:",
+        ),
+    ],
+    ids=["rewritten-multiple", "koszul-syzygy"],
+)
+def test_each_signature_overflow_check_widens_the_fields(gens, kind, priority, check):
+    start = perf_counter()
+    order = MonomialOrder(kind, RING, priority)
+    polys = [poly_parse(g, RING) for g in gens]
+    out, seen = _traced_overflows(lambda: buchberger(polys, order))
+    assert check in seen
+    assert sorted(order._layouts) == [8, 16]
     assert _ours(out) == _sympy_basis(polys, order)
     _assert_s_pairs_reduce_to_zero(out)
     assert perf_counter() - start < 20

@@ -3,7 +3,9 @@
 Expectations of monomials in program variables are closed under the loop's
 one-step expectation transformer whenever lifting stays inside a finite
 monomial set; the transition matrix of that set drives every closed form
-downstream.
+downstream.  The transformer runs in Python ints (`_lift`), as
+`loops._integer_steps` does; `Fraction`s appear only in what it hands back:
+the `MomentSystem.transition` rows and `lift_polynomial_expectation`'s value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, islice
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import Polynomial, VarRing, _image, _memo, _used, mono_one
 from .errors import ClosureBudgetExceeded
@@ -29,33 +31,59 @@ def lift_polynomial_expectation(loop: LoopProgram, p: Polynomial) -> Polynomial:
     Assignments are folded in reverse order; a probabilistic assignment
     contributes the probability-weighted sum of its branch substitutions.
     """
-    return _lift(_branch_memos(loop), p.lift(loop.variables))
+    top, den = _numerators(p.lift(loop.variables))
+    nums, den = _lift(_statements(loop), top.terms, den)
+    return Polynomial._make(top.ring, {e: Fraction(c, den) for e, c in nums.items()})
 
 
-def _branch_memos(loop: LoopProgram) -> list[list[tuple]]:
-    """Per statement, per branch: its probability and an `algebra._image`
-    memo at the branch's point, each target's expression and every other
-    variable itself."""
+def _numerators(p: Polynomial) -> tuple[Polynomial, int]:
+    """p as a polynomial of integer numerators over the lcm of its
+    denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return Polynomial._make(p.ring, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}), den
+
+
+def _statements(loop: LoopProgram) -> list[tuple[int, list[tuple]]]:
+    """Per statement: the lcm W of its branch probabilities' denominators
+    and, per branch, its integer weight over W and two `algebra._image`
+    memos at the branch's point (each target's expression, every other
+    variable itself), one of integer numerator polynomials and one of
+    their int denominators."""
     ring = loop.variables
-    one = Polynomial.const(ring, 1)
+    one = Polynomial._make(ring, {mono_one(ring.arity): 1})
     xs = {nm: Polynomial.var(ring, nm) for nm in ring.names}
-    return [
-        [(pr, _memo(one, (xs | dict(zip(stmt.targets, exprs))).values())) for pr, exprs in stmt.branches]
-        for stmt in loop.body
-    ]
+    out = []
+    for stmt in loop.body:
+        scale = lcm(*(pr.denominator for pr, _ in stmt.branches))
+        branches = []
+        for pr, exprs in stmt.branches:
+            tops, dens = zip(*map(_numerators, (xs | dict(zip(stmt.targets, exprs))).values()))
+            branches.append((pr.numerator * (scale // pr.denominator), _memo(one, tops), _memo(1, dens)))
+        out.append((scale, branches))
+    return out
 
 
-def _lift(memos: list[list[tuple]], p: Polynomial) -> Polynomial:
-    """`lift_polynomial_expectation` with the branch images in `memos`."""
-    for branches in reversed(memos):
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for pr, memo in branches:
-            for m, c in p.terms.items():
-                w = pr * c
-                for e, d in _image(memo, _used(m)).terms.items():
-                    acc[e] = acc.get(e, 0) + w * d
-        p = Polynomial._make(p.ring, {e: c for e, c in acc.items() if c})
-    return p
+def _lift(statements: list, nums: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]:
+    """`lift_polynomial_expectation` of nums / den in ints: (numerators,
+    denominator) in lowest terms.  Per statement, from the last, every
+    branch image of every monomial is an integer polynomial over an int
+    denominator; their weighted sum goes over one denominator, the lcm of
+    the images' times W times the incoming one, and its content is divided
+    out once."""
+    for scale, branches in reversed(statements):
+        used = [(_used(m), c) for m, c in nums.items()]
+        parts = [(w * c, _image(tops, u), _image(dens, u)) for w, tops, dens in branches for u, c in used]
+        common = lcm(*(d for _, _, d in parts))
+        acc: dict[tuple[int, ...], int] = {}
+        for f, img, d in parts:
+            f *= common // d
+            for e, a in img.terms.items():
+                acc[e] = acc.get(e, 0) + f * a
+        den *= common * scale
+        g = gcd(den, *acc.values())
+        nums = {e: a // g for e, a in acc.items() if a}
+        den //= g
+    return nums, den
 
 
 def _symbol_sort_key(e: tuple[int, ...]):
@@ -108,6 +136,8 @@ class MomentSystem:
 
     def vector_at(self, n: int) -> list[Fraction]:
         """Moment vector after n iterations (sparse power iteration)."""
+        if n < 0:
+            raise ValueError("defined for n >= 0")
         den, vec = next(islice(self._integer_powers(), n, None))
         return [Fraction(x, den) for x in vec]
 
@@ -132,8 +162,8 @@ def moment_closure(
     unit = mono_one(ring.arity)
     symbols: set[tuple[int, ...]] = {unit, *map(tuple, targets)}
     work = sorted((sum(e), e) for e in symbols)  # a heap, lowest degree first
-    lifted: dict[tuple[int, ...], Polynomial] = {}
-    memos = _branch_memos(loop)  # shared by every symbol's lift
+    lifted: dict[tuple[int, ...], tuple[dict, int]] = {}
+    statements = _statements(loop)  # shared by every symbol's lift
     while work:
         _, sym = heappop(work)
         # every discovered symbol waits in `work`, so this sees each growth
@@ -142,9 +172,8 @@ def moment_closure(
                 f"moment closure exceeded {budget} symbols; "
                 "monomial degrees keep growing under lifting"
             )
-        q = _lift(memos, Polynomial.monomial(ring, sym))
-        lifted[sym] = q
-        for e in q.terms:
+        nums, _ = lifted[sym] = _lift(statements, {sym: 1}, 1)
+        for e in nums:
             if e not in symbols:
                 symbols.add(e)
                 heappush(work, (sum(e), e))
@@ -153,7 +182,7 @@ def moment_closure(
     assert ordered[0] == unit
     index = {e: i for i, e in enumerate(ordered)}
     transition = [
-        [(index[e], c) for e, c in lifted[sym].terms.items()] for sym in ordered
+        [(index[e], Fraction(c, den)) for e, c in nums.items()] for nums, den in map(lifted.get, ordered)
     ]
     at_init = _memo(Fraction(1), loop.init)
     initial = [_image(at_init, _used(sym)) for sym in ordered]

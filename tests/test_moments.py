@@ -1,5 +1,8 @@
 import random
+import signal
 from fractions import Fraction as Q
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -166,15 +169,16 @@ def _reference_lift(loop, p):
 _SPLITS = ([Q(1)], [Q(1, 2)] * 2, [Q(1, 3), Q(2, 3)], [Q(1, 3)] * 3, [Q(1, 4), Q(1, 4), Q(1, 2)])
 
 
-def _fuzz_tuple_loop(rng):
+def _fuzz_tuple_loop(rng, splits=tuple(s for s in _SPLITS if len(s) <= 3), coeff=None, statements=(1, 3)):
     """1-3 statements of 1-3 branches over x, y, z, with simultaneous images:
     x and y go to affine forms in x, y (a swap among them), z to a multiple
-    of z plus a quadratic in x, y, so every moment closure is finite."""
+    of z plus a quadratic in x, y, so every moment closure is finite.
+    `splits`, `coeff` and `statements` override the branch probabilities,
+    the coefficients and the range of the statement count."""
     ring = VarRing(["x", "y", "z"])
     x, y, z = (Polynomial.var(ring, nm) for nm in ring.names)
 
-    def coeff():
-        return Q(rng.choice([-1, 0, 1, 2, Q(1, 2), Q(-1, 3)]))
+    coeff = coeff or (lambda: Q(rng.choice([-1, 0, 1, 2, Q(1, 2), Q(-1, 3)])))
 
     def affine():
         return x * coeff() + y * coeff() + coeff()
@@ -189,9 +193,9 @@ def _fuzz_tuple_loop(rng):
         (("y",), lambda: (affine(),)),
     ]
     body = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(*statements)):
         targets, images = rng.choice(shapes)
-        split = rng.choice([s for s in _SPLITS if len(s) <= 3])
+        split = rng.choice(splits)
         body.append(Assignment(targets, tuple((pr, images()) for pr in split)))
     init = tuple(Q(rng.choice([0, 1, -1, Q(1, 2)])) for _ in range(3))
     return LoopProgram(ring, init, tuple(body))
@@ -215,6 +219,54 @@ def test_lift_and_closure_rows_match_the_substitution_fold():
         )
         assert lift_polynomial_expectation(loop, p) == _reference_lift(loop, p), trial
     assert simultaneous >= 20
+
+
+def _in_lowest_terms(c):
+    return type(c) is Q and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def test_lift_carries_the_running_denominator_across_coprime_weights():
+    # branch weights over 7 and 11 and coefficients over 5, 9 and 49 give the
+    # statements denominators of different primes, so a dropped, doubled or
+    # misplaced factor of the running denominator changes a value
+    rng = random.Random(29)
+    splits = ([Q(2, 7), Q(5, 7)], [Q(3, 11), Q(8, 11)], [Q(2, 7), Q(3, 11), Q(34, 77)])
+
+    def coeff():
+        return Q(rng.choice([-4, -1, 1, 2, 3]), rng.choice([5, 9, 49]))
+
+    for trial in range(12):
+        loop = _fuzz_tuple_loop(rng, splits, coeff, statements=(2, 3))
+        ring = loop.variables
+        system = moment_closure(loop, degree_targets(ring, rng.randint(1, 2)))
+        for sym, row in zip(system.symbols, system.transition):
+            assert all(_in_lowest_terms(a) for _, a in row), (trial, sym)
+            want = _reference_lift(loop, Polynomial.monomial(ring, sym))
+            assert dict(row) == {system.index(e): c for e, c in want.terms.items()}, (trial, sym)
+        p = sum(
+            (Polynomial.monomial(ring, sym, coeff()) for sym in rng.sample(degree_targets(ring, 2), 4)),
+            Polynomial.zero(ring),
+        )
+        lifted = lift_polynomial_expectation(loop, p)
+        assert all(map(_in_lowest_terms, lifted.terms.values())), trial
+        assert lifted == _reference_lift(loop, p), trial
+
+
+def test_closure_of_the_flag_loop_reaches_its_budget_in_seconds():
+    # f's lift multiplies it by a quadratic in x and y, so the degree-1
+    # targets have no closure; 1,600 symbols of integer lifts take seconds
+    def past_guard(*_):
+        raise AssertionError("moment_closure ran past its 15 s guard")
+
+    loop = parse_loop((Path(__file__).parent / "golden" / "flag.loop").read_text())
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.alarm(15)
+    try:
+        with pytest.raises(ClosureBudgetExceeded):
+            moment_closure(loop, degree_targets(loop.variables, 1), budget=1600)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_deterministic_degeneration(xy_system):
@@ -242,8 +294,10 @@ def test_degree_targets_order():
     [
         (lambda: moment_closure(parse_loop("vars: x\ninit: x = 0\nbody:\n"), []), "at least one target"),
         (lambda: degree_targets(VarRing(["x"]), 0), "degree must be at least 1"),
+        (lambda: moment_closure(parse_loop("vars: x\ninit: x = 0\nbody:\n  x = x + 1\n"), [(1,)]).vector_at(-1),
+         "defined for n >= 0"),
     ],
-    ids=["no-targets", "degree-0"],
+    ids=["no-targets", "degree-0", "negative-step"],
 )
 def test_misuse_raises(call, match):
     with pytest.raises(ValueError, match=match):

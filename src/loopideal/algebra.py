@@ -13,8 +13,8 @@ Monomials are plain exponent tuples, one entry per ring variable, except
 inside the kernel, where each is one int (`Layout`): packed exponent
 fields below the order key, so that a product is one addition, a
 divisibility test one subtraction and one AND, and a comparison one int
-comparison.  Every monomial value at a point (`eval`, so `substitute`, and
-`mono_value`, `**` and the moment lift) comes from one memoized `_image`.
+comparison.  Each monomial's value at a point (`eval`, so `substitute`,
+`mono_value`, the moment lift) is one memoized `_image`, split by variables.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ _NAME_RE = re.compile(_NAME)
 _MOMENT_RE = re.compile(r"E\[[^\[\]]+\]")
 # p^k for a p of T > 1 terms has up to C(T - 1 + k, k) terms, with coefficients
 # up to k times p's `_words`, and p*q up to len(p)*len(q) terms.  One parse is
-# charged those term bounds times k, or times the longer words, for each '^'
-# and '*' it expands, and stops where the sum passes this.
+# charged those term bounds times k, or times the longer words, for each '^' and
+# '*' it expands, and a one-term p^k its coefficient's words; it stops past this.
 MAX_POWER_COST = 50_000
 
 
@@ -152,17 +152,16 @@ def _memo(one, point) -> dict:
 
 def _image(memo: dict, m: tuple[tuple[int, int], ...]):
     """The value of monomial m (see `_used`) at the point `memo` was seeded
-    from: one product of two memoized images, of m's first half of its used
-    variables and the rest, or, for m = x^k, of x^(k//2) and x^(k - k//2).
-    The recursion is at most log2(used variables) + log2(degree) deep."""
+    from: the product of the memoized images of m's first half of its used
+    variables and of the rest, log2(len(m)) calls deep, and x^k is x `** k`."""
     q = memo.get(m)
     if q is None:
         if len(m) > 1:
-            a, b = m[: len(m) // 2], m[len(m) // 2 :]
+            q = _image(memo, m[: len(m) // 2]) * _image(memo, m[len(m) // 2 :])
         else:
             ((i, k),) = m
-            a, b = ((i, k // 2),), ((i, k - k // 2),)
-        q = memo[m] = _image(memo, a) * _image(memo, b)
+            q = memo[((i, 1),)] ** k
+        memo[m] = q
     return q
 
 
@@ -408,9 +407,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """One term in one step, else square-and-multiply from self: int coefficients stay int."""
         if k < 0:
             raise ValueError("negative exponent")
-        return _image(_memo(Polynomial.const(self.ring, 1), (self,)), _used((k,)))
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial._make(self.ring, {tuple(x * k for x in e): c**k})
+        out = self if k else Polynomial.const(self.ring, 1)
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -504,7 +512,7 @@ class Polynomial:
 # -- parsing -----------------------------------------------------------------
 
 def _token_re(name: str) -> re.Pattern:
-    return re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{name})|(?P<op>[-+*^/()\[\],]))")
+    return re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{name})|(?P<op>[-+*^/()\[\],])|(?P<bad>\S))")
 
 
 # Over a ring with moment symbols `E[...]` such a symbol is one name token;
@@ -513,20 +521,12 @@ _TOKEN_RES = {False: _token_re(_NAME), True: _token_re(_NAME + r"(?:\[[^\[\]]+\]
 
 
 def _tokenize(text: str, bracketed: bool) -> list[tuple[str, str, int]]:
-    token_re = _TOKEN_RES[bracketed]
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if not m or m.end() == pos:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    # every match is one token, so only trailing whitespace goes unmatched
+    for m in _TOKEN_RES[bracketed].finditer(text):
+        if m["bad"]:
+            raise ParseError(f"unexpected character {m['bad']!r}", m.start("bad"))
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -625,8 +625,12 @@ class _Parser:
         if t > 1:
             # a huge k is charged k, so that comb never runs on it
             self.cost += k if k > MAX_POWER_COST else comb(t - 1 + k, k) * k * _words(p)
-            if self.cost > MAX_POWER_COST:
-                raise ParseError(f"power {k} of a {t}-term polynomial is too large to expand", pos)
+        elif t:
+            # a monomial's coefficient c grows to c^k, k times its bits beyond 1
+            (c,) = p.terms.values()
+            self.cost += -(-k * (c.numerator.bit_length() + c.denominator.bit_length() - 2) // 64)
+        if self.cost > MAX_POWER_COST:
+            raise ParseError(f"power {k} of a {t}-term polynomial is too large to expand", pos)
         return p ** k
 
     def primary(self) -> Polynomial:

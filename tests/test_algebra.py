@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction as Q
 from math import gcd
 from operator import add, le, sub
@@ -39,12 +40,6 @@ def test_parse_fraction_coefficients():
     assert poly_parse("1/2*x + 3/4", ring).eval([Q(1)]) == Q(5, 4)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="`algebra._image` splits a pure power in halves recursively, "
-    "log2(exponent) calls deep, so a 1,100-bit exponent passes the recursion limit",
-)
 def test_parse_power_with_a_huge_exponent():
     exponent = 2**1100
     assert poly_parse(f"x^{exponent}", VarRing(["x"])).terms == {(exponent,): 1}
@@ -78,6 +73,28 @@ def test_parse_errors_report_position():
         poly_parse("x ^ y", ring)
     with pytest.raises(ParseError):
         poly_parse("x /", ring)
+    with pytest.raises(ParseError) as err:
+        poly_parse("x +  ", ring)
+    assert err.value.position == 5
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x + @", 4), ("x +   @", 6), ("x\t\t@", 3), ("x +\n\n @", 6), (" \t\n$", 3), ("x\n+ 1 ;", 6)],
+)
+@pytest.mark.parametrize("names", [["x"], ["x", "E[x]"]])
+def test_bad_character_after_whitespace_is_reported_where_it_stands(text, position, names):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        poly_parse(text, VarRing(names))
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("names", [["x"], ["x", "E[x]"]])
+def test_trailing_whitespace_is_accepted(names):
+    ring = VarRing(names)
+    for text in ["x + 1 ", "x + 1\t", "x + 1\n", " x + 1 \t\n "]:
+        assert poly_parse(text, ring) == poly_parse("x + 1", ring)
+    assert parse_rational("3/4 \n\t") == Q(3, 4)
 
 
 def test_over_long_literal_is_parse_error():
@@ -99,12 +116,56 @@ def test_power_expansion_is_bounded():
     assert err.value.position == 6
     with pytest.raises(ParseError):
         poly_parse("(x+y)^" + "9" * 40, ring)
-    # a monomial, a constant or zero base is never refused
+    # a monomial or a constant base is charged the 64-bit words its
+    # coefficient grows to, k times its bits beyond 1: nothing for a unit
+    # coefficient, and nothing for a zero base
     big = Polynomial.monomial(ring, (100000, 100000), 2**100000)
     assert poly_parse("(2*x*y)^100000", ring) == big
     assert poly_parse("x^1000000", ring) == Polynomial.monomial(ring, (1000000, 0))
     assert poly_parse("3^1000 + 0^1000", ring) == 3**1000
     assert poly_parse("(x+y)^0", ring) == 1
+    huge = 2**1100
+    assert poly_parse(f"x^{huge}", ring) == Polynomial.monomial(ring, (huge, 0))
+    assert poly_parse(f"(-x)^{huge}", ring) == Polynomial.monomial(ring, (huge, 0))
+    assert poly_parse(f"0^{huge}", ring) == 0
+
+    def past_guard(*_):
+        raise AssertionError("the refusal ran past its 1 s guard")
+
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        for text, position in [("(2*x)^1000000000", 6), (f"2^{huge}", 2)]:
+            with pytest.raises(ParseError, match="too large to expand") as err:
+                poly_parse(text, ring)
+            assert err.value.position == position
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_power_is_the_repeated_product_fuzzed():
+    # a one-term power takes one step and any other square-and-multiply from
+    # the polynomial itself, so the integer numerator polynomials of the
+    # moment lift keep int coefficients
+    rng = random.Random(707)
+    ring = VarRing(["x", "y", "z"])
+    for _ in range(12):
+        for size in (0, 1, 2, 4):
+            terms = {}
+            while len(terms) < size:
+                e = tuple(rng.randint(0, 3) for _ in range(3))
+                terms[e] = rng.choice([-1, 1]) * rng.randint(1, 9)
+            with_ints = Polynomial._make(ring, terms)
+            with_fractions = Polynomial(ring, {e: Q(c, rng.randint(1, 6)) for e, c in terms.items()})
+            for p, kind in [(with_ints, int), (with_fractions, Q)]:
+                product = Polynomial._make(ring, {(0, 0, 0): kind(1)})
+                for k in range(8):
+                    power = p**k
+                    assert power == product, (p, k)
+                    if k:
+                        assert all(type(c) is kind for c in power.terms.values()), (p, k)
+                    product = product * p
 
 
 def test_product_and_coefficient_size_are_bounded():

@@ -394,14 +394,6 @@ def test_closure_of_a_non_affine_loop_reaches_its_budget_in_seconds(capsys):
     assert json.loads(err)["error"] == "ClosureBudgetExceeded"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="each lift multiplies the degree by 100000 and `algebra._image` "
-    "splits a pure power in halves recursively, so after a few dozen lifts, "
-    "far below the symbol budget, it passes the recursion limit; the "
-    "traceback replaces the JSON error",
-)
 def test_closure_of_a_huge_power_reaches_its_budget_in_seconds(capsys, tmp_path):
     def past_guard(*_):
         raise AssertionError("closed-forms ran past its 30 s guard")

@@ -119,8 +119,10 @@ def buchberger(
     gens: list[Polynomial],
     order: MonomialOrder,
     budget: int = DEFAULT_BUDGET,
+    drop: frozenset[str] = frozenset(),
 ) -> IdealBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens`; with `drop`,
+    only its elements before the first lead containing a variable of `drop`.
 
     A signature-based Buchberger: the RB algorithm of Eder and Roune
     ("Signature rewriting in Groebner basis computation", ISSAC 2013),
@@ -171,7 +173,8 @@ def buchberger(
     is never larger than the monomial it divides, so no larger lead
     divides any of its terms, and the kept ones before it are already
     reduced (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
-    ch. 2 §7).  The kept elements are returned largest lead first.
+    ch. 2 §7).  The pass stops at the first lead containing a variable
+    of `drop`.  The kept elements are returned largest lead first.
 
     Raises BudgetExceeded, saying how far the run got, when a signature
     is due after `budget` signatures were reduced; the signatures that a
@@ -185,8 +188,11 @@ def buchberger(
     reducers, layout = _widened(partial(_signature_basis, polys, budget), order, top)
 
     unpack, guards = layout.unpack, layout.guards
+    stop = layout.support(layout.pack(tuple(int(nm in drop) for nm in ring.names)))
     kept, leads = [], []
     for lm, lc, tail, *_ in sorted(reducers, key=itemgetter(0)):
+        if layout.support(lm) & stop:
+            break
         if _divides_any(leads, lm, guards):
             continue
         g = Polynomial._make(ring, {unpack(e): Fraction(c, lc) for e, c in ((lm, lc), *tail)})
@@ -304,17 +310,18 @@ def eliminate(
     restricted to the subring.  So the generators free of dropped variables
     are the reduced basis of the intersection with the subring in the
     target order (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
-    ch. 3 §1).
+    ch. 3 §1).  Their leads are the smallest and none of their terms
+    contains a dropped variable, so they come first in the reduced pass
+    and are reduced only by each other, and the pass stops at the first
+    lead past them.
     """
-    drop = set(drop)
+    drop = frozenset(drop)
     order = basis.order.eliminating(drop)
     if len(drop) == basis.ring.arity:
         raise ValueError("cannot eliminate every ring variable")
-    gb = buchberger(list(basis.generators), order, budget)
+    gb = buchberger(list(basis.generators), order, budget, drop)
     subring = VarRing([nm for nm in basis.ring.names if nm not in drop])
-    kept = tuple(
-        g.project(subring) for g in gb.generators if not (g.variables() & drop)
-    )
+    kept = tuple(g.project(subring) for g in gb.generators)
     return IdealBasis(subring, basis.order.restricted(subring), kept, reduced=True)
 
 

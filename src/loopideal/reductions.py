@@ -51,11 +51,6 @@ def skolem_to_p2p(lrs: LRSInstance) -> P2PInstance:
     Builds k coordinates x0..x{k-1} with x_i following u shifted by i and
     scaled by the accumulated product; the target is the zero vector.
     """
-    return _product_system(lrs, 1)
-
-
-def _product_system(lrs: LRSInstance, factor: int) -> P2PInstance:
-    """`skolem_to_p2p` with each product factor of the last update times `factor`."""
     k = lrs.order
     ring = VarRing([f"x{i}" for i in range(k)])
     init = []
@@ -68,7 +63,7 @@ def _product_system(lrs: LRSInstance, factor: int) -> P2PInstance:
     for i in range(k):
         term = Polynomial.const(ring, lrs.coeffs[i]) * Polynomial.var(ring, f"x{i}")
         for ell in range(i, k):
-            term = term * Polynomial.var(ring, f"x{ell}") * factor
+            term = term * Polynomial.var(ring, f"x{ell}")
         last = last + term
     exprs.append(last)
     body = (Assignment(ring.names, ((Fraction(1), tuple(exprs)),)),)
@@ -212,18 +207,20 @@ def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
 
 
 def skolem_to_spinv_direct(lrs: LRSInstance) -> LoopProgram:
-    """Direct integer-instance reduction with doubled product factors.
+    """Direct integer-instance reduction with a doubled last witness.
 
-    Requires integer coefficients and initial values.  The factor 2 in both
-    modified updates forces |s_{k-1}| to grow strictly while no zero has
-    been hit, so the reachable set is finite exactly when the recurrence
-    has a zero.
+    Requires integer coefficients and initial values.  The x-system is
+    `skolem_to_p2p`'s, which follows u, and only the witness update
+    s_{k-1}' = 2*s_{k-1}*x_{k-1} is doubled.  While no zero has been hit
+    every x is a nonzero integer, so |s_{k-1}| at least doubles each step
+    and no state repeats; after a zero the x's and then the s's become 0.
+    So the reachable set is finite exactly when the recurrence has a zero.
     """
     if not lrs.is_integer:
         raise NotIntegerInstance(
             "direct reduction needs integer coefficients and initial values"
         )
-    return _witness(_product_system(lrs, 2), 2)
+    return _witness(skolem_to_p2p(lrs), 2)
 
 
 def detect_eventual_zero(basis: IdealBasis) -> int | None:

@@ -114,22 +114,56 @@ def _tail_ideal(
     The lattice enters as t^a+ - t^a- for each vector a of the
     `multiplicative_lattice` basis; the lattice ideal is their saturation by
     the product of the t symbols, which they alone may not generate.
+
+    Only the free t symbols get a ring variable.  The basis is walked once,
+    each vector's binomial taken under the substitutions made so far; one
+    of the form t_i - t^c with t_i not in t^c defines t_i := t^c, which is
+    composed into every magnitude's monomial, and the binomial goes.  As
+    k[t_i, rest]/(t_i - t^c) is k[rest], and the substitution fixes every
+    x_j, the elimination ideal and its reduced basis are the same as with
+    one symbol per magnitude.  The other binomials are taken at the end,
+    under every substitution, with no common factor cancelled.
     """
     mags = sorted(
         {abs(base) for f in forms for base, _ in f.tail if abs(base) != 1},
         reverse=True,
     )
     has_sign = any(base < 0 for f in forms for base, _ in f.tail)
+    m = len(mags)
+    # image[i]: magnitude i's monomial in the free t symbols, as exponents
+    image = [[int(i == k) for k in range(m)] for i in range(m)]
+
+    def sides(vec):
+        """The exponents of t^a+ and t^a- under the substitutions so far."""
+        return [[sum(max(s * a, 0) * row[k] for a, row in zip(vec, image)) for k in range(m)] for s in (1, -1)]
+
+    kept = []
+    for vec in multiplicative_lattice(mags):
+        pos, neg = sides(vec)
+        for lhs, rhs in ((pos, neg), (neg, pos)):
+            if sum(lhs) == 1 and not rhs[i := lhs.index(1)]:
+                for row in image:
+                    row[:] = [r + row[i] * c for r, c in zip(row, rhs)]
+                    row[i] = 0
+                break
+        else:
+            kept.append(vec)
+    free = [k for k in range(m) if any(row[k] for row in image)]
     # the stems differ, so each fresh name only has to avoid the ring
     n_name = fresh_name("n", ring)
-    t_names = [fresh_name(f"t{i + 1}", ring) for i in range(len(mags))]
+    t_names = [fresh_name(f"t{k + 1}", ring) for k in free]
     w_name = fresh_name("w", ring) if has_sign else None
     aux = [n_name] + t_names + ([w_name] if w_name else [])
     big = VarRing(aux + list(ring.names))
     big_order = MonomialOrder(order.kind, big, aux + list(order.priority))
     n_var = Polynomial.var(big, n_name)
-    t_vars = {mag: Polynomial.var(big, t_names[i]) for i, mag in enumerate(mags)}
+    # the t symbols sit right after n in `big`
+    pad = (0,) * (big.arity - 1 - len(free))
 
+    def monomial(exps):
+        return Polynomial.monomial(big, (0, *(exps[k] for k in free), *pad))
+
+    t_vars = {mag: monomial(row) for mag, row in zip(mags, image)}
     gens = []
     for nm, f in zip(ring.names, forms):
         rhs = Polynomial.zero(big)
@@ -141,11 +175,9 @@ def _tail_ideal(
                 part = part * Polynomial.var(big, w_name)
             rhs = rhs + part
         gens.append(Polynomial.var(big, nm) - rhs)
-    # the t symbols sit right after n in `big`
-    pad = (0,) * (big.arity - 1 - len(mags))
-    for vec in multiplicative_lattice(mags):
-        pos, neg = ((0, *(max(s * a, 0) for a in vec), *pad) for s in (1, -1))
-        gens.append(Polynomial.monomial(big, pos) - Polynomial.monomial(big, neg))
+    for vec in kept:
+        pos, neg = sides(vec)
+        gens.append(monomial(pos) - monomial(neg))
     if w_name:
         w = Polynomial.var(big, w_name)
         gens.append(w * w - Polynomial.const(big, 1))

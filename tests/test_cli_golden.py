@@ -35,6 +35,9 @@ CASES = {
     "invariants-three-bases": (
         "invariants", "--loop", "three_bases.loop", "--degree", "2",
     ),
+    "invariants-signed-lattice": (
+        "invariants", "--loop", "signed_lattice.loop", "--degree", "2",
+    ),
     "closed-forms-ladder": (
         "closed-forms", "--loop", "ladder.loop", "--degree", "2",
     ),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from loopideal import groebner
+from loopideal import groebner, relations
 from loopideal import (
     BudgetExceeded,
     IdealBasis,
@@ -15,8 +15,11 @@ from loopideal import (
     ideal_equal,
     ideal_intersect,
     ideal_member,
+    moment_invariant_ideal,
     multivariate_divide,
+    parse_loop,
     poly_parse,
+    restrict_to_order_one,
     variety_is_finite,
 )
 
@@ -287,6 +290,48 @@ def test_eliminate_result_is_reduced_in_target_order_fuzzed(signatures_reduced):
             assert out.order == order.restricted(out.ring)
             again = buchberger(list(out.generators), out.order)
             assert out.generators == again.generators
+
+
+def _kept_of_full_basis(basis, drop):
+    """The elements of the full reduced basis in the block order that are
+    free of `drop`, projected to the subring."""
+    full = buchberger(list(basis.generators), basis.order.eliminating(drop))
+    subring = VarRing([nm for nm in basis.ring.names if nm not in drop])
+    return tuple(g.project(subring) for g in full.generators if not g.variables() & drop)
+
+
+def test_eliminate_keeps_the_full_basis_elements_free_of_the_dropped(monkeypatch, two_walks):
+    # eliminate stops its reduced pass at the first lead with a dropped
+    # variable; record every input that ideal_intersect and
+    # restrict_to_order_one pass it, and seeded ones, and check each
+    calls = []
+
+    def recording(basis, drop, budget=groebner.DEFAULT_BUDGET):
+        calls.append((basis, set(drop)))
+        return eliminate(basis, drop, budget)
+
+    monkeypatch.setattr(groebner, "eliminate", recording)
+    monkeypatch.setattr(relations, "eliminate", recording)
+    rng = random.Random(31)
+    ring = VarRing(["a", "b", "x", "y"])
+    pool = ["x - a^2", "y - a*b", "a*b - 1", "x*y - b", "b^2 - y", "a + b - x", "x^2 - 2*y", "a*x - y^2"]
+    for _ in range(12):
+        order = MonomialOrder(rng.choice(["degrevlex", "lex"]), ring, rng.sample(ring.names, 4))
+        drop = set(rng.sample(ring.names, rng.randint(1, 3)))
+        recording(IdealBasis(ring, order, tuple(poly_parse(t, ring) for t in rng.sample(pool, 3))), drop)
+    xy = VarRing(["x", "y"])
+    xy_pool = ["x^2 - y", "x*y - 1", "x + y", "y^2 - 2*y", "x - 3", "x*y^2 - x"]
+    for kind in ("degrevlex", "lex", "degrevlex"):
+        order = MonomialOrder(kind, xy)
+        a, b = (_basis(rng.sample(xy_pool, 2), xy, order) for _ in range(2))
+        ideal_intersect(a, b)
+    geometric = parse_loop("vars: x, y\ninit: x = 1; y = 1\nbody:\n  x = 2*x\n  y = 3*y\n")
+    for loop in (two_walks, geometric):
+        restrict_to_order_one(moment_invariant_ideal(loop, 2))
+    # the seeded calls, the intersections, and a tail ideal and a restriction per loop
+    assert len(calls) == 12 + 3 + 2 * 2
+    for basis, drop in calls:
+        assert eliminate(basis, drop).generators == _kept_of_full_basis(basis, drop), (basis, drop)
 
 
 XY = VarRing(["x", "y"])

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction as Q
 from itertools import islice
 from math import prod
@@ -225,8 +226,9 @@ def test_direct_reduction_updates(lrs_order3):
     loop = skolem_to_spinv_direct(lrs_order3)
     assert loop.variables.names == ("x0", "x1", "x2", "s0", "s1", "s2")
     exprs = loop.body[0].branches[0][1]
+    # the x-system is skolem_to_p2p's; only the last witness is doubled
     assert exprs[2] == poly_parse(
-        "4*x2^2 - 8*x1^2*x2 - 96*x0^2*x1*x2", loop.variables
+        "2*x2^2 - 2*x1^2*x2 - 12*x0^2*x1*x2", loop.variables
     )
     assert exprs[5] == poly_parse("2*x2*s2", loop.variables)
 
@@ -252,6 +254,51 @@ def test_direct_reduction_variety_contract():
     table = [[st[j] for st in states] for j in range(2)]
     emp = empirical_relations(table, neg.variables, 3)
     assert not variety_is_finite(emp)
+
+
+def test_direct_reduction_follows_the_recurrence():
+    # u(n) = n - 3 is zero at n = 3: from step 4 on the state is all zero
+    lrs = LRSInstance.from_json({"coeffs": ["2", "-1"], "init": ["-3", "-2"]})
+    states = simulate(skolem_to_spinv_direct(lrs), 5)
+    assert [st[0] for st in states[:4]] == [-3, 6, 18, 0]
+    assert states[3] != (0, 0, 0, 0) and states[4] == states[5] == (0, 0, 0, 0)
+
+
+DIRECT_STEPS = 8
+
+
+def _direct_contract_case(rng, order):
+    coeffs = [rng.randint(-3, 3) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+    init = [rng.randint(-3, 3) for _ in range(order)]
+    return LRSInstance(tuple(map(Q, reversed(coeffs))), tuple(map(Q, init)))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("seed", range(40))
+def test_direct_reduction_orbit_is_finite_exactly_on_a_zero(order, seed):
+    # With a first zero at z the state is all zero from step z + 1 on and
+    # first repeats at step z + 2; with none, every x is a nonzero integer,
+    # so |s_{k-1}| at least doubles each step.  So a state repeats within
+    # DIRECT_STEPS steps exactly when u(0..DIRECT_STEPS - 2) has a zero.
+    def past_guard(*_):
+        raise AssertionError("the direct orbit ran past its 10 s guard")
+
+    lrs = _direct_contract_case(random.Random(1000 * order + seed), order)
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.alarm(10)
+    try:
+        states = simulate(skolem_to_spinv_direct(lrs), DIRECT_STEPS)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    terms = list(islice(lrs_terms(lrs), DIRECT_STEPS - 1))
+    has_zero = 0 in terms
+    assert (len(set(states)) < len(states)) == has_zero, (lrs, terms)
+    if has_zero:
+        assert states[terms.index(0) + 1] == (0,) * (2 * order)
+    else:
+        s_last = [abs(st[-1]) for st in states]
+        assert all(2 * a <= b for a, b in zip(s_last, s_last[1:])), (lrs, terms)
 
 
 def _lex_flag_order(ring):

@@ -16,6 +16,7 @@ from loopideal import (
     UniPoly,
     VarRing,
     buchberger,
+    eliminate,
     empirical_relations,
     enumerate_distribution,
     ideal_equal,
@@ -254,6 +255,95 @@ def _pointwise_relations(forms, ring):
         ]
         result = ideal_intersect(result, IdealBasis(ring, order, tuple(point), reduced=True))
     return result
+
+
+def _reference_tail_ideal(forms, ring):
+    """`_tail_ideal` with one t per base magnitude and every lattice
+    binomial, passed to `eliminate` as they stand."""
+    mags = sorted({abs(b) for f in forms for b, _ in f.tail if abs(b) != 1}, reverse=True)
+    signed = any(b < 0 for f in forms for b, _ in f.tail)
+    aux = ["n"] + [f"t{i + 1}" for i in range(len(mags))] + (["w"] if signed else [])
+    big = VarRing(aux + list(ring.names))
+    order = MonomialOrder("degrevlex", big, aux + list(ring.names))
+    n = Polynomial.var(big, "n")
+    gens = []
+    for nm, f in zip(ring.names, forms):
+        rhs = Polynomial.zero(big)
+        for b, coeff in f.tail:
+            part = coeff(n)
+            if abs(b) != 1:
+                part = part * Polynomial.var(big, f"t{mags.index(abs(b)) + 1}")
+            if b < 0:
+                part = part * Polynomial.var(big, "w")
+            rhs = rhs + part
+        gens.append(Polynomial.var(big, nm) - rhs)
+    for vec in multiplicative_lattice(mags):
+        pos, neg = (
+            Polynomial.monomial(big, (0, *(max(s * a, 0) for a in vec)) + (0,) * (big.arity - 1 - len(vec)))
+            for s in (1, -1)
+        )
+        gens.append(pos - neg)
+    if signed:
+        w = Polynomial.var(big, "w")
+        gens.append(w * w - Polynomial.const(big, 1))
+    return eliminate(IdealBasis(big, order, tuple(gens)), set(aux))
+
+
+# powers, products and reciprocals; a chain; a pair that defines nothing;
+# signed bases
+TAIL_BASE_SETS = [
+    [2, 3, 6, 4, Q(1, 2), Q(1, 3), 9, Q(2, 3)],
+    [12, 2, Q(3, 4), Q(1, 2), Q(1, 3)],
+    [2, 4, 8],
+    [2, Q(1, 2)],
+    [-2, 4, Q(-1, 2), Q(1, 4), -1, 3],
+    [Q(1, 2), Q(-1, 4), 5, Q(-1, 5)],
+]
+
+
+def _seeded_tail_forms(rng):
+    pool = [Q(b) for b in rng.choice(TAIL_BASE_SETS)] + [Q(1)]
+    arity = rng.randint(1, 3)
+    forms = []
+    for _ in range(arity):
+        bases = rng.sample(pool, rng.randint(1, 2))
+        tail = tuple((b, _upoly(*rng.choice([(1,), (-2,), (Q(1, 2),), (1, 1), (0, -3)]))) for b in bases)
+        forms.append(ExpPoly((), tail))
+    return forms, VarRing(["a", "b", "c"][:arity])
+
+
+def test_tail_ideal_matches_one_symbol_per_magnitude():
+    # substituting each symbol a lattice binomial defines changes neither
+    # the elimination ideal nor its reduced basis
+    rng = random.Random(31)
+    # over 36, 2, 1/3, 1/6 the binomial t2*t4 - t3 defines t3, and then
+    # 36 * (1/3)^2 = 2^2 gives t1*t2^2*t4^2 - t2^2, whose common factor stays
+    cases = [
+        ([ExpPoly((), ((Q(b), _upoly(1)),)) for b in bases], VarRing("abcd"[: len(bases)]))
+        for bases in ([2, 4, 8], [2, Q(1, 2)], [Q(1, 2), Q(-1, 4), 2], [36, 2, Q(1, 3), Q(1, 6)])
+    ]
+    cases += [_seeded_tail_forms(rng) for _ in range(40)]
+    for case, (forms, ring) in enumerate(cases):
+        order = MonomialOrder("degrevlex", ring)
+        got = relations._tail_ideal(forms, ring, order, relations.DEFAULT_BUDGET)
+        assert got.to_json() == _reference_tail_ideal(forms, ring).to_json(), (case, forms)
+
+
+def test_tail_ideal_gives_a_defined_symbol_no_variable(monkeypatch):
+    # 4 = 2^2 and 8 = 2^3 leave only the symbol of 2; 2 and 1/2 define nothing
+    dropped = []
+
+    def recording(basis, drop, budget):
+        dropped.append(len(drop))
+        return eliminate(basis, drop, budget)
+
+    monkeypatch.setattr(relations, "eliminate", recording)
+    for bases, symbols in (([2, 4, 8], 1), ([2, Q(1, 2)], 2), ([Q(-1, 2), Q(1, 4)], 1)):
+        forms = [ExpPoly((), ((Q(b), _upoly(1)),)) for b in bases]
+        ring = VarRing(["a", "b", "c"][: len(bases)])
+        relations._tail_ideal(forms, ring, MonomialOrder("degrevlex", ring), relations.DEFAULT_BUDGET)
+        signs = any(b < 0 for b in bases)
+        assert dropped.pop() == 1 + symbols + signs, bases
 
 
 def _transient_edge_cases():

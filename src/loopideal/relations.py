@@ -1,11 +1,11 @@
 """Algebraic relations among closed forms and moment invariant ideals.
 
 The relations ideal of exponential polynomials is computed by adjoining a
-counter symbol plus one symbol per base magnitude, dividing out the
-binomial ideal of all multiplicative relations among the magnitudes (and a
-sign-torsion symbol when bases are negative), then eliminating the
-auxiliary symbols.  Transient prefixes are covered by intersecting with
-the maximal ideal of each prefix point in turn.
+counter symbol plus one symbol per column of one exponent table (the base
+magnitudes, and the sign when bases are negative), dividing out the
+binomial ideal of the columns' multiplicative relations, then eliminating
+the auxiliary symbols.  Transient prefixes are covered by intersecting
+with the maximal ideal of each prefix point in turn.
 """
 
 from __future__ import annotations
@@ -102,35 +102,41 @@ def _tail_ideal(
 ) -> IdealBasis:
     """Relations among the tails, each read as it stands, for all n >= 0.
 
-    Each form gives x_j - sum coeff(n)*t_|b|*w^[b<0] in a counter n, one
-    symbol t per base magnitude |b| != 1 for |b|^n and, when some base is
-    negative, a sign symbol w with w^2 = 1 for (-1)^n.  With the magnitude
-    lattice and the sign torsion divided out, the auxiliary variety is the
-    closure of the parametrization, so eliminating the auxiliaries yields
-    every for-all-n relation.  Past a transient of length T these are the
-    same: n -> n + T, t -> |b|^T*t, w -> (-1)^T*w maps them to the shifted
-    generators and each lattice binomial to a multiple of itself.
+    Each column c, the base magnitudes |b| != 1 and then, when some base is
+    negative, the sign -1, has a symbol t_c for c^n.  Each form gives
+    x_j - sum coeff(n)*b^n in a counter n, written term by term: n^k times
+    the monomial of b's magnitude and sign columns has coefficient -c_k.
+    The lattice is the magnitudes' `multiplicative_lattice` plus the sign's
+    torsion vector (0, ..., 0, 2), as prod |b_i|^a_i > 0.  With its ideal
+    divided out, the auxiliary variety is the closure of the
+    parametrization, so eliminating the auxiliaries yields every for-all-n
+    relation.  Past a transient of length T these are the same: n -> n + T,
+    t_c -> c^T*t_c maps them to the shifted generators and each lattice
+    binomial to a multiple of itself.
 
-    The lattice enters as t^a+ - t^a- for each vector a of the
-    `multiplicative_lattice` basis; the lattice ideal is their saturation by
-    the product of the t symbols, which they alone may not generate.
+    The lattice enters as t^a+ - t^a- for each basis vector a, t_s^2 - 1
+    for the sign; the lattice ideal is their saturation by the product of
+    the t symbols, which they alone may not generate.
 
     Only the free t symbols get a ring variable.  The basis is walked once,
     each vector's binomial taken under the substitutions made so far; one
     of the form t_i - t^c with t_i not in t^c defines t_i := t^c, which is
-    composed into every magnitude's monomial, and the binomial goes.  As
+    composed into every column's monomial, and the binomial goes.  As
     k[t_i, rest]/(t_i - t^c) is k[rest], and the substitution fixes every
     x_j, the elimination ideal and its reduced basis are the same as with
-    one symbol per magnitude.  The other binomials are taken at the end,
+    one symbol per column.  The other binomials are taken at the end,
     under every substitution, with no common factor cancelled.
     """
-    mags = sorted(
+    cols = sorted(
         {abs(base) for f in forms for base, _ in f.tail if abs(base) != 1},
         reverse=True,
     )
-    has_sign = any(base < 0 for f in forms for base, _ in f.tail)
-    m = len(mags)
-    # image[i]: magnitude i's monomial in the free t symbols, as exponents
+    lattice = multiplicative_lattice(cols)
+    if any(base < 0 for f in forms for base, _ in f.tail):
+        lattice = [(*vec, 0) for vec in lattice] + [(0,) * len(cols) + (2,)]
+        cols.append(-1)
+    m = len(cols)
+    # image[i]: column i's monomial in the free t symbols, as exponents
     image = [[int(i == k) for k in range(m)] for i in range(m)]
 
     def sides(vec):
@@ -138,7 +144,7 @@ def _tail_ideal(
         return [[sum(max(s * a, 0) * row[k] for a, row in zip(vec, image)) for k in range(m)] for s in (1, -1)]
 
     kept = []
-    for vec in multiplicative_lattice(mags):
+    for vec in lattice:
         pos, neg = sides(vec)
         for lhs, rhs in ((pos, neg), (neg, pos)):
             if sum(lhs) == 1 and not rhs[i := lhs.index(1)]:
@@ -150,37 +156,26 @@ def _tail_ideal(
             kept.append(vec)
     free = [k for k in range(m) if any(row[k] for row in image)]
     # the stems differ, so each fresh name only has to avoid the ring
-    n_name = fresh_name("n", ring)
-    t_names = [fresh_name(f"t{k + 1}", ring) for k in free]
-    w_name = fresh_name("w", ring) if has_sign else None
-    aux = [n_name] + t_names + ([w_name] if w_name else [])
+    aux = [fresh_name("n", ring)] + [fresh_name(f"t{k + 1}", ring) for k in free]
     big = VarRing(aux + list(ring.names))
     big_order = MonomialOrder(order.kind, big, aux + list(order.priority))
-    n_var = Polynomial.var(big, n_name)
-    # the t symbols sit right after n in `big`
-    pad = (0,) * (big.arity - 1 - len(free))
 
-    def monomial(exps):
-        return Polynomial.monomial(big, (0, *(exps[k] for k in free), *pad))
+    def monomial(*exps):
+        """The product of the t^exps, as `big`'s exponents after n."""
+        return (*(sum(e[k] for e in exps) for k in free), *mono_one(ring.arity))
 
-    t_vars = {mag: monomial(row) for mag, row in zip(mags, image)}
+    row_of = dict(zip(cols, image))
     gens = []
     for nm, f in zip(ring.names, forms):
-        rhs = Polynomial.zero(big)
+        terms = dict(Polynomial.var(big, nm).terms)
         for base, coeff in f.tail:
-            part = coeff(n_var)
-            if abs(base) != 1:
-                part = part * t_vars[abs(base)]
-            if base < 0:
-                part = part * Polynomial.var(big, w_name)
-            rhs = rhs + part
-        gens.append(Polynomial.var(big, nm) - rhs)
+            # b is |b| times its sign, and each factor but 1 has a column
+            t = monomial(*(row_of[c] for c in (abs(base), base / abs(base)) if c in row_of))
+            terms.update(((k, *t), -c) for k, c in enumerate(coeff.coeffs) if c)
+        gens.append(Polynomial._make(big, terms))
     for vec in kept:
-        pos, neg = sides(vec)
-        gens.append(monomial(pos) - monomial(neg))
-    if w_name:
-        w = Polynomial.var(big, w_name)
-        gens.append(w * w - Polynomial.const(big, 1))
+        pos, neg = (Polynomial.monomial(big, (0, *monomial(side))) for side in sides(vec))
+        gens.append(pos - neg)
     return eliminate(IdealBasis(big, big_order, tuple(gens)), set(aux), budget)
 
 

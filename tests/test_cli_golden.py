@@ -38,6 +38,9 @@ CASES = {
     "invariants-signed-lattice": (
         "invariants", "--loop", "signed_lattice.loop", "--degree", "2",
     ),
+    "invariants-sign-pair": (
+        "invariants", "--loop", "sign_pair.loop", "--degree", "2",
+    ),
     "closed-forms-ladder": (
         "closed-forms", "--loop", "ladder.loop", "--degree", "2",
     ),

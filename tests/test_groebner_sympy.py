@@ -28,8 +28,8 @@ SYMPY_ORDER = {"lex": "lex", "degrevlex": "grevlex"}
 RING = VarRing(["x", "y", "z"])
 # with the intersection's auxiliary variable t
 BIG = VarRing(["t", *RING.names])
-# `relations._tail_ideal`'s shape: a counter n, two magnitude symbols, a sign
-# symbol w, then the ring
+# `relations._tail_ideal`'s shape: a counter n, two magnitude columns' symbols,
+# the sign column's symbol (named w here), then the ring
 TAIL_AUX = ["n", "t1", "t2", "w"]
 TAIL = VarRing([*TAIL_AUX, "a", "b", "c"])
 SYMBOLS = {nm: sympy.Symbol(nm) for nm in [*BIG.names, *TAIL.names]}
@@ -214,10 +214,10 @@ def test_eliminate_in_lex_block_order():
 
 def test_tail_shaped_elimination_matches_sympy():
     # a - sum c*n^k*t^a*w^b per ring variable, the lattice binomial of the
-    # magnitudes 4 and 2 (t1 = t2^2) and w^2 - 1, as `relations._tail_ideal`
-    # builds them, with the four auxiliary symbols eliminated in a block
-    # order; three forms in the two free parameters n and t2 always meet
-    # in a relation
+    # magnitudes 4 and 2 (t1 = t2^2) and the sign column's w^2 - 1, as
+    # `relations._tail_ideal` builds them, with the four auxiliary symbols
+    # eliminated in a block order; three forms in the two free parameters
+    # n and t2 always meet in a relation
     rng = random.Random(76)
     var = {nm: Polynomial.var(TAIL, nm) for nm in TAIL.names}
     for _ in range(3):

@@ -322,6 +322,24 @@ def test_tail_ideal_matches_one_symbol_per_magnitude():
         ([ExpPoly((), ((Q(b), _upoly(1)),)) for b in bases], VarRing("abcd"[: len(bases)]))
         for bases in ([2, 4, 8], [2, Q(1, 2)], [Q(1, 2), Q(-1, 4), 2], [36, 2, Q(1, 3), Q(1, 6)])
     ]
+    one = _upoly(1)
+    cases += [
+        # a sign and no magnitude
+        ([ExpPoly((), ((Q(-1), one),))], VarRing(["a"])),
+        # 2 and -2 share one magnitude
+        ([ExpPoly((), ((Q(2), one), (Q(-2), one)))], VarRing(["a"])),
+        # magnitude 1 twice, signed and unsigned, beside 1/2
+        ([_const_form(1), _const_form(-1), _const_form(Q(1, 2))], VarRing(["a", "b", "c"])),
+        # a coefficient 1 + 2n^2 with an interior zero, beside 4; b and c pin it
+        (
+            [
+                ExpPoly((), ((Q(-2), _upoly(1, 0, 2)), (Q(4), one))),
+                _const_form(-2),
+                ExpPoly((), ((Q(1), _upoly(0, 1)),)),
+            ],
+            VarRing(["a", "b", "c"]),
+        ),
+    ]
     cases += [_seeded_tail_forms(rng) for _ in range(40)]
     for case, (forms, ring) in enumerate(cases):
         order = MonomialOrder("degrevlex", ring)
@@ -330,16 +348,19 @@ def test_tail_ideal_matches_one_symbol_per_magnitude():
 
 
 def test_tail_ideal_gives_a_defined_symbol_no_variable(monkeypatch):
-    # 4 = 2^2 and 8 = 2^3 leave only the symbol of 2; 2 and 1/2 define nothing
+    # 4 = 2^2 and 8 = 2^3 leave only the symbol of 2; 2 and 1/2 define nothing;
+    # -1 needs the sign's symbol alone.  Each coefficient 1 + 2n^2 has an
+    # interior zero, and no generator carries a zero coefficient.
     dropped = []
 
     def recording(basis, drop, budget):
         dropped.append(len(drop))
+        assert all(c for g in basis.generators for c in g.terms.values())
         return eliminate(basis, drop, budget)
 
     monkeypatch.setattr(relations, "eliminate", recording)
-    for bases, symbols in (([2, 4, 8], 1), ([2, Q(1, 2)], 2), ([Q(-1, 2), Q(1, 4)], 1)):
-        forms = [ExpPoly((), ((Q(b), _upoly(1)),)) for b in bases]
+    for bases, symbols in (([2, 4, 8], 1), ([2, Q(1, 2)], 2), ([Q(-1, 2), Q(1, 4)], 1), ([-1], 0)):
+        forms = [ExpPoly((), ((Q(b), _upoly(1, 0, 2)),)) for b in bases]
         ring = VarRing(["a", "b", "c"][: len(bases)])
         relations._tail_ideal(forms, ring, MonomialOrder("degrevlex", ring), relations.DEFAULT_BUDGET)
         signs = any(b < 0 for b in bases)

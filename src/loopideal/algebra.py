@@ -15,6 +15,8 @@ fields below the order key, so that a product is one addition, a
 divisibility test one subtraction and one AND, and a comparison one int
 comparison.  Each monomial's value at a point (`eval`, so `substitute`,
 `mono_value`, the moment lift) is one memoized `_image`, split by variables.
+A `MonomialOrder` is built once, plain or as a block order for elimination,
+and `Polynomial.project` is the one change of ring.
 """
 
 from __future__ import annotations
@@ -194,8 +196,8 @@ class MonomialOrder:
     """A total, multiplicative, well-founded order on monomials.
 
     `kind` is 'lex' or 'degrevlex'; `priority` lists the ring variables from
-    highest to lowest.  `eliminating(drop)` gives a block order for variable
-    elimination; `drop` is empty for a plain order.
+    highest to lowest.  A nonempty `drop` makes it the block order for
+    eliminating those variables that `eliminating` describes.
 
     A key is a flat tuple of ints, so keys compare as plain tuples; each
     entry is linear in the exponents, which `Layout` packs into one int.
@@ -207,26 +209,24 @@ class MonomialOrder:
         "kind", "ring", "priority", "drop", "_hash", "_top_rev", "_low_idx", "_layouts",
     )
 
-    def __init__(self, kind: str, ring: VarRing, priority: Iterable[str] | None = None):
+    def __init__(
+        self, kind: str, ring: VarRing, priority: Iterable[str] | None = None, drop: Iterable[str] = ()
+    ):
         if kind not in ("lex", "degrevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.ring = ring
         prio = tuple(priority) if priority is not None else ring.names
         if sorted(prio) != sorted(ring.names):
             raise ValueError("priority must be a permutation of the ring variables")
-        self.priority = prio
-        self._split(frozenset())
-
-    def _split(self, drop: frozenset) -> None:
-        """Index tuples of the top block `drop` (degrevlex, lowest variable
-        first) and of the rest (lex highest first, degrevlex lowest first)."""
-        idx = [self.ring.index(nm) for nm in self.priority]
-        low = [i for i in idx if self.ring.names[i] not in drop]
-        self.drop = drop
-        self._hash = hash((self.kind, self.ring, self.priority, drop))
-        self._top_rev = tuple(i for i in reversed(idx) if self.ring.names[i] in drop)
-        self._low_idx = tuple(low if self.kind == "lex" else reversed(low))
+        drop = frozenset(drop)
+        for nm in drop:
+            ring.index(nm)
+        self.kind, self.ring, self.priority, self.drop = kind, ring, prio, drop
+        self._hash = hash((kind, ring, prio, drop))
+        # the top block, lowest variable first, and the rest: lex highest
+        # first, degrevlex lowest first
+        self._top_rev = tuple(ring.index(nm) for nm in reversed(prio) if nm in drop)
+        low = [ring.index(nm) for nm in prio if nm not in drop]
+        self._low_idx = tuple(low if kind == "lex" else reversed(low))
         self._layouts: dict[int, Layout] = {}
 
     def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,13 +252,7 @@ class MonomialOrder:
         priority, i.e. exactly as `restricted` to them.
         """
         drop = frozenset(drop)
-        for nm in drop:
-            self.ring.index(nm)
-        if drop == self.drop:
-            return self
-        out = MonomialOrder(self.kind, self.ring, self.priority)
-        out._split(drop)
-        return out
+        return self if drop == self.drop else MonomialOrder(self.kind, self.ring, self.priority, drop)
 
     def restricted(self, subring: VarRing) -> "MonomialOrder":
         """The same kind and priority on a ring with a subset of the
@@ -343,14 +337,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> set[str]:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.ring.names[i])
-        return used
-
     def leading_term(self, order) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -430,6 +416,10 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
+        c = self.terms.get(mono_one(self.ring.arity), 0)
+        if len(self.terms) == (c != 0):
+            # a constant equals its value, so it hashes as its value
+            return hash(c)
         return hash((self.ring, frozenset(self.terms.items())))
 
     # -- evaluation & substitution ----------------------------------------
@@ -470,12 +460,10 @@ class Polynomial:
         ]
         return Polynomial.zero(target) + self.eval(images)
 
-    def lift(self, ring: VarRing) -> "Polynomial":
-        """Re-express the polynomial in a ring containing all its variables."""
-        return self if ring == self.ring else self.project(ring)
-
     def project(self, ring: VarRing) -> "Polynomial":
         """Re-express in another ring; fails if an occurring variable is not there."""
+        if ring == self.ring:
+            return self
         idx = [ring.index(nm) if nm in ring else None for nm in self.ring.names]
         terms = {}
         for e, c in self.terms.items():
@@ -489,7 +477,7 @@ class Polynomial:
                     )
                 new[idx[i]] = k
             terms[tuple(new)] = c
-        return Polynomial(ring, terms)
+        return Polynomial._make(ring, terms)
 
     # -- formatting ------------------------------------------------------
 
@@ -960,8 +948,13 @@ def multivariate_divide(
     `_divisor_data`; the divisibility test is one subtraction and one AND.  If a
     product outgrows the fields, the division runs again at twice the width
     (`_widened`).  The quotients and the remainder pairs the kernel kept
-    are unpacked and become Fractions only on the way out.
+    are unpacked and become Fractions only on the way out.  p and every
+    divisor must be in the order's ring (ArityMismatch).
     """
+    ring = order.ring
+    for q in (p, *divisors):
+        if q.ring is not ring and q.ring != ring:
+            raise ArityMismatch("the dividend or a divisor is not in the order's ring")
     den = lcm(*(c.denominator for c in p.terms.values()))
     top = max(map(max, p.terms), default=0)
     if divisors:
@@ -983,7 +976,7 @@ def multivariate_divide(
         return _reduce(work, guards, pick), reducers, data
 
     (rem, reducers, data), layout = _widened(run, order, top)
-    ring, unpack = p.ring, layout.unpack
+    unpack = layout.unpack
     quotients = [
         Polynomial._make(
             ring, {unpack(e): Fraction(w * dnm, d * num * den) for e, (w, d) in r[3].items()}

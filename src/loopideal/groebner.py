@@ -44,7 +44,7 @@ from .algebra import (
     multivariate_divide,
     poly_parse,
 )
-from .errors import BudgetExceeded, ParseError
+from .errors import ArityMismatch, BudgetExceeded, ParseError
 
 DEFAULT_BUDGET = 100_000
 
@@ -55,6 +55,10 @@ class IdealBasis:
     order: MonomialOrder
     generators: tuple[Polynomial, ...]
     reduced: bool = False
+
+    def __post_init__(self):
+        if self.order.ring != self.ring:
+            raise ArityMismatch("the basis order is over another ring")
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -181,7 +185,7 @@ def buchberger(
     criterion removes, including the dropped multiples, do not count.
     """
     ring = order.ring
-    polys = [g for g in (g.lift(ring) for g in gens) if not g.is_zero()]
+    polys = [g for g in (g.project(ring) for g in gens) if not g.is_zero()]
     if not polys:
         return IdealBasis(ring, order, (), reduced=True)
     top = max(map(_top, polys))
@@ -296,7 +300,7 @@ def ideal_member(p: Polynomial, basis: IdealBasis) -> bool:
     if not basis.reduced:
         raise ValueError("ideal_member requires a reduced basis")
     divisors = list(basis.generators)
-    return multivariate_divide(p.lift(basis.ring), divisors, basis.order)[1].is_zero()
+    return multivariate_divide(p.project(basis.ring), divisors, basis.order)[1].is_zero()
 
 
 def eliminate(
@@ -340,9 +344,9 @@ def ideal_intersect(
     aux = fresh_name("t", a.ring)
     big = VarRing(list(a.ring.names) + [aux])
     t = Polynomial.var(big, aux)
-    gens = [t * g.lift(big) for g in a.generators]
-    gens += [(Polynomial.const(big, 1) - t) * g.lift(big) for g in b.generators]
-    big_order = MonomialOrder(a.order.kind, big, list(a.order.priority) + [aux])
+    gens = [t * g.project(big) for g in a.generators]
+    gens += [(Polynomial.const(big, 1) - t) * g.project(big) for g in b.generators]
+    big_order = MonomialOrder(a.order.kind, big, [*a.order.priority, aux], {aux})
     # the surviving subring is exactly the original ring
     return eliminate(IdealBasis(big, big_order, tuple(gens)), {aux}, budget)
 

@@ -31,7 +31,7 @@ def lift_polynomial_expectation(loop: LoopProgram, p: Polynomial) -> Polynomial:
     Assignments are folded in reverse order; a probabilistic assignment
     contributes the probability-weighted sum of its branch substitutions.
     """
-    top, den = _numerators(p.lift(loop.variables))
+    top, den = _numerators(p.project(loop.variables))
     nums, den = _lift(_statements(loop), top.terms, den)
     return Polynomial._make(top.ring, {e: Fraction(c, den) for e, c in nums.items()})
 

@@ -106,7 +106,7 @@ def _witness(p2p: P2PInstance, factor: int) -> LoopProgram:
     for i in range(k):
         init.append(s0)
         s0 *= old.init[i]
-    x_exprs = [e.lift(ring) for e in old.body[0].branches[0][1]]
+    x_exprs = [e.project(ring) for e in old.body[0].branches[0][1]]
     s_exprs = [Polynomial.var(ring, f"s{i + 1}") for i in range(k - 1)]
     s_exprs.append(
         Polynomial.var(ring, f"s{k - 1}") * Polynomial.var(ring, f"x{k - 1}") * factor
@@ -187,7 +187,7 @@ def p2p_to_spinv(p2p: P2PInstance) -> LoopProgram:
     lifted = tuple(
         Assignment(
             stmt.targets,
-            ((Fraction(1), tuple(e.lift(ring) for e in stmt.branches[0][1])),),
+            ((Fraction(1), tuple(e.project(ring) for e in stmt.branches[0][1])),),
         )
         for stmt in old.body
     )

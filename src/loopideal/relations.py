@@ -4,8 +4,9 @@ The relations ideal of exponential polynomials is computed by adjoining a
 counter symbol plus one symbol per column of one exponent table (the base
 magnitudes, and the sign when bases are negative), dividing out the
 binomial ideal of the columns' multiplicative relations, then eliminating
-the auxiliary symbols.  Transient prefixes are covered by intersecting
-with the maximal ideal of each prefix point in turn.
+the auxiliary symbols, a degrevlex block above the ring, so the ideal comes
+in the ring's degrevlex order.  Transient prefixes are covered by
+intersecting with the maximal ideal of each prefix point in turn.
 """
 
 from __future__ import annotations
@@ -94,12 +95,7 @@ def moment_ring(base_ring: VarRing, max_degree: int) -> MomentRing:
     return MomentRing(VarRing(names), base_ring, symbols)
 
 
-def _tail_ideal(
-    forms: list[ExpPoly],
-    ring: VarRing,
-    order: MonomialOrder,
-    budget: int,
-) -> IdealBasis:
+def _tail_ideal(forms: list[ExpPoly], ring: VarRing, budget: int) -> IdealBasis:
     """Relations among the tails, each read as it stands, for all n >= 0.
 
     Each column c, the base magnitudes |b| != 1 and then, when some base is
@@ -112,7 +108,8 @@ def _tail_ideal(
     parametrization, so eliminating the auxiliaries yields every for-all-n
     relation.  Past a transient of length T these are the same: n -> n + T,
     t_c -> c^T*t_c maps them to the shifted generators and each lattice
-    binomial to a multiple of itself.
+    binomial to a multiple of itself.  The auxiliaries, n first, form a
+    degrevlex block above `ring`, so the basis is in `ring`'s degrevlex order.
 
     The lattice enters as t^a+ - t^a- for each basis vector a, t_s^2 - 1
     for the sign; the lattice ideal is their saturation by the product of
@@ -158,7 +155,7 @@ def _tail_ideal(
     # the stems differ, so each fresh name only has to avoid the ring
     aux = [fresh_name("n", ring)] + [fresh_name(f"t{k + 1}", ring) for k in free]
     big = VarRing(aux + list(ring.names))
-    big_order = MonomialOrder(order.kind, big, aux + list(order.priority))
+    big_order = MonomialOrder("degrevlex", big, drop=aux)
 
     def monomial(*exps):
         """The product of the t^exps, as `big`'s exponents after n."""
@@ -196,9 +193,7 @@ def relations_ideal(
         raise ArityMismatch(
             f"{len(forms)} forms for {ring.arity} names"
         )
-    order = MonomialOrder("degrevlex", ring)
-
-    result = _tail_ideal(forms, ring, order, budget)
+    result = _tail_ideal(forms, ring, budget)
     for n in range(max((len(f.transient) for f in forms), default=0)):
         result = _meet_point(result, [f.eval(n) for f in forms], budget)
     return result

@@ -611,6 +611,67 @@ def test_block_order_is_told_from_plain():
         plain.eliminating({"w"})
 
 
+def _reference_less(kind, ring, prio, drop, a, b):
+    """a < b in the block order: the `drop` block by degrevlex in priority
+    order first, then the rest by `kind` in priority order."""
+
+    def key(e):
+        top = [e[ring.index(nm)] for nm in prio if nm in drop]
+        low = [e[ring.index(nm)] for nm in prio if nm not in drop]
+        grevlex = lambda v: (sum(v), *(-x for x in reversed(v)))  # noqa: E731
+        return (grevlex(top) if drop else ()) + (tuple(low) if kind == "lex" else grevlex(low))
+
+    return key(a) < key(b)
+
+
+def test_block_order_built_at_once_matches_eliminating():
+    rng = random.Random(433)
+    for _ in range(60):
+        ring = VarRing(["a", "b", "c", "d", "e"][: rng.randint(3, 5)])
+        kind = rng.choice(["lex", "degrevlex"])
+        prio = rng.sample(ring.names, ring.arity)
+        drop = frozenset(rng.sample(ring.names, rng.randint(0, ring.arity - 1)))
+        other = frozenset(rng.sample(ring.names, rng.randint(0, ring.arity - 1)))
+        direct = MonomialOrder(kind, ring, prio, drop)
+        orders = [
+            MonomialOrder(kind, ring, prio).eliminating(drop),
+            MonomialOrder(kind, ring, prio, other).eliminating(drop),
+        ]
+        monos = [tuple(rng.randint(0, 5) for _ in ring.names) for _ in range(25)]
+        for order in orders:
+            assert order == direct and hash(order) == hash(direct)
+            assert order.drop == direct.drop == drop
+            assert order.layout(8)._units == direct.layout(8)._units
+            assert [order.key(e) for e in monos] == [direct.key(e) for e in monos]
+        for a in monos:
+            for b in monos:
+                assert (direct.key(a) < direct.key(b)) == _reference_less(kind, ring, prio, drop, a, b)
+        assert (direct == MonomialOrder(kind, ring, prio)) == (not drop)
+
+
+def test_project_changes_ring_and_keeps_its_own():
+    ring, big = VarRing(["x", "y"]), VarRing(["z", "y", "w", "x"])
+    p = poly_parse("3*x^2*y - 1/2*y + 7", ring)
+    assert p.project(ring) is p
+    up = p.project(big)
+    assert up.ring == big and up == poly_parse("3*x^2*y - 1/2*y + 7", big)
+    assert up.project(ring) == p
+    assert poly_parse("y - 2", big).project(VarRing(["y"])) == poly_parse("y - 2", VarRing(["y"]))
+
+
+def test_constant_polynomials_hash_as_their_values():
+    ring = VarRing(["x", "y"])
+    for value in (0, 3, Q(-5, 7)):
+        c = Polynomial.const(ring, value)
+        assert c == value and hash(c) == hash(value)
+        assert value in {c} and c in {value}
+        assert {c: "poly"}[value] == "poly" and {value: "number"}[c] == "number"
+    assert Polynomial.zero(ring) in {0} and 0 in {Polynomial.zero(ring)}
+    p = poly_parse("x + 3", ring)
+    assert p not in {3} and p != 3
+    assert {p: 1}[poly_parse("3 + x", ring)] == 1
+
+
 def test_degrevlex_classic_comparison():
     ring = VarRing(["x", "y", "z"])
     order = MonomialOrder("degrevlex", ring)
@@ -630,7 +691,7 @@ def test_var_ring_validation():
     VarRing(["E[x*y]", "ok_name2"])
 
 
-XY, XZ = VarRing(["x", "y"]), VarRing(["x", "z"])
+XY, XZ, X = VarRing(["x", "y"]), VarRing(["x", "z"]), VarRing(["x"])
 
 
 @pytest.mark.parametrize(
@@ -651,9 +712,19 @@ XY, XZ = VarRing(["x", "y"]), VarRing(["x", "z"])
             ValueError,
             "zero divisor",
         ),
+        (
+            lambda: multivariate_divide(poly_parse("x*y + y", XY), [poly_parse("y", XY)], MonomialOrder("lex", X)),
+            ArityMismatch,
+            "not in the order's ring",
+        ),
+        (
+            lambda: multivariate_divide(poly_parse("x", X), [poly_parse("y", XY)], MonomialOrder("lex", X)),
+            ArityMismatch,
+            "not in the order's ring",
+        ),
     ],
     ids=["monomial-arity", "zero-lead", "across-rings", "negative-power", "two-image-rings",
-         "project", "zero-divisor"],
+         "project", "zero-divisor", "dividend-ring", "divisor-ring"],
 )
 def test_misuse_raises(call, error, match):
     with pytest.raises(error, match=match):

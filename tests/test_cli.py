@@ -411,6 +411,15 @@ def test_closure_of_a_huge_power_reaches_its_budget_in_seconds(capsys, tmp_path)
     assert json.loads(err)["error"] == "ClosureBudgetExceeded"
 
 
+def test_invariants_at_a_zero_budget_stop_in_buchberger(capsys):
+    loop = str(GOLDEN / "transient.loop")
+    code, out, err = _run(capsys, "invariants", "--loop", loop, "--degree", "2", "--budget", "0")
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "BudgetExceeded"
+    assert blob["detail"].startswith("Groebner computation stopped at its budget of 0 ")
+
+
 @pytest.mark.parametrize(
     "command, source, flag, value",
     [

@@ -141,8 +141,8 @@ def test_intersect_matches_sympy(order):
         out = ideal_intersect(a, b)
         # the intersection is t*a + (1 - t)*b with t eliminated
         t = Polynomial.var(BIG, "t")
-        gens = [t * g.lift(BIG) for g in a.generators]
-        gens += [(1 - t) * g.lift(BIG) for g in b.generators]
+        gens = [t * g.project(BIG) for g in a.generators]
+        gens += [(1 - t) * g.project(BIG) for g in b.generators]
         kept = [g.project(RING) for g in _free_part(gens, ["t"], BIG)]
         assert out.order == order
         assert _ours(out) == _sympy_basis(kept, order)

@@ -33,7 +33,7 @@ from loopideal import (
     restrict_to_order_one,
     simulate,
 )
-from loopideal import linalg, relations
+from loopideal import groebner, linalg, relations
 from loopideal.algebra import mono_value
 from loopideal.moments import degree_targets
 
@@ -246,14 +246,13 @@ def test_relations_transient_point():
 def _pointwise_relations(forms, ring):
     """The former transient step of `relations_ideal`: the tail ideal
     intersected with the point ideal of each transient index in turn."""
-    order = MonomialOrder("degrevlex", ring)
-    result = relations._tail_ideal(forms, ring, order, relations.DEFAULT_BUDGET)
+    result = relations._tail_ideal(forms, ring, relations.DEFAULT_BUDGET)
     for n in range(max(len(f.transient) for f in forms)):
         point = [
             Polynomial.var(ring, nm) - Polynomial.const(ring, f.eval(n))
             for nm, f in zip(ring.names, forms)
         ]
-        result = ideal_intersect(result, IdealBasis(ring, order, tuple(point), reduced=True))
+        result = ideal_intersect(result, IdealBasis(ring, result.order, tuple(point), reduced=True))
     return result
 
 
@@ -342,8 +341,7 @@ def test_tail_ideal_matches_one_symbol_per_magnitude():
     ]
     cases += [_seeded_tail_forms(rng) for _ in range(40)]
     for case, (forms, ring) in enumerate(cases):
-        order = MonomialOrder("degrevlex", ring)
-        got = relations._tail_ideal(forms, ring, order, relations.DEFAULT_BUDGET)
+        got = relations._tail_ideal(forms, ring, relations.DEFAULT_BUDGET)
         assert got.to_json() == _reference_tail_ideal(forms, ring).to_json(), (case, forms)
 
 
@@ -362,7 +360,7 @@ def test_tail_ideal_gives_a_defined_symbol_no_variable(monkeypatch):
     for bases, symbols in (([2, 4, 8], 1), ([2, Q(1, 2)], 2), ([Q(-1, 2), Q(1, 4)], 1), ([-1], 0)):
         forms = [ExpPoly((), ((Q(b), _upoly(1, 0, 2)),)) for b in bases]
         ring = VarRing(["a", "b", "c"][: len(bases)])
-        relations._tail_ideal(forms, ring, MonomialOrder("degrevlex", ring), relations.DEFAULT_BUDGET)
+        relations._tail_ideal(forms, ring, relations.DEFAULT_BUDGET)
         signs = any(b < 0 for b in bases)
         assert dropped.pop() == 1 + symbols + signs, bases
 
@@ -410,6 +408,22 @@ def test_relations_ideal_matches_pointwise_intersections():
         ring = VarRing(["a", "b"][:arity])
         got = relations_ideal(forms, ring)
         assert got.generators == _pointwise_relations(forms, ring).generators, (case, forms)
+
+
+def test_budget_reaches_every_groebner_run(monkeypatch):
+    # the transient loop's ideal is one tail elimination and one prefix point
+    budgets = []
+    run = groebner.buchberger
+
+    def recording(gens, order, budget=groebner.DEFAULT_BUDGET, drop=frozenset()):
+        budgets.append(budget)
+        return run(gens, order, budget, drop)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(relations, "buchberger", recording)
+    loop = parse_loop((Path(__file__).parent / "golden" / "transient.loop").read_text())
+    moment_invariant_ideal(loop, 2, budget=777)
+    assert budgets == [777, 777]
 
 
 def test_moment_invariant_ideal_two_walks(two_walks):

@@ -6,8 +6,12 @@ confirmed by exact deflation, yields an exponential polynomial
 `sum_i p_i(n) * base_i^n`, with the multiplicity of the root 0 becoming an
 explicit transient prefix.  The sequences of one moment system are solved
 together in ints, on their integer multiples e * D^n * v(n) (see
-`MomentSystem`): each keeps its own annihilator, but the roots are shared and
-every coefficient comes from one elimination; each is then mapped back.
+`MomentSystem`).  Each coordinate's minimal annihilator divides that of the
+whole vector sequence (Kauers and Zimmermann, "Computing the algebraic
+relations of C-finite sequences and multisequences", JSC 2008), so one
+running annihilator serves them all: only a coordinate it does not kill has
+its own annihilator found and split.  Every coefficient then comes from one
+elimination, and each form is mapped back.
 """
 
 from __future__ import annotations
@@ -76,13 +80,13 @@ class UniPoly:
 def minimal_recurrence(terms: list[Fraction], max_order: int) -> UniPoly:
     """Monic annihilator of least degree fitting every supplied term.
 
-    The terms are rationals (Fractions or ints).  One Berlekamp-Massey pass (Massey, "Shift-register synthesis and BCH
-    decoding", 1969) over the terms finds their linear complexity L and a
-    connection polynomial C with C(0) = 1; the annihilator is its
-    reciprocal x^L * C(1/x), so a root 0 of multiplicity L - deg C marks a
-    transient.  With at least 2*max_order + 2 terms an annihilator of degree
-    <= max_order is unique.  Raises NoRecurrenceFound as soon as L exceeds
-    max_order.
+    The terms are rationals (Fractions or ints).  One Berlekamp-Massey pass
+    (Massey, "Shift-register synthesis and BCH decoding", 1969) finds their
+    linear complexity L and a connection polynomial C with C(0) = 1; the
+    annihilator is x^L * C(1/x), whose root 0 of multiplicity L - deg C
+    marks a transient.  With at least 2*max_order + 2 terms, an annihilator
+    of degree <= max_order is unique.  Raises NoRecurrenceFound as soon as L
+    exceeds max_order.
 
     The pass runs in ints: the terms are scaled to a primitive integer
     vector, and C is kept as a primitive integer multiple, updated
@@ -296,16 +300,25 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     The first call solves every coordinate and keeps each form, or the error
     that refuses it, on the system.  The sequences are the integer ones
     w(n) = e * D^n * v(n) of the system's power iteration (see
-    `MomentSystem`), whose rational roots D*r are integers.  Each minimal
-    annihilator is deflated by the roots found so far, and only a
-    nonconstant remainder goes to `rational_roots`; a nonconstant rootless
-    cofactor means an irrational eigenvalue, refused with a typed error.
-    One `rref` fits every solvable coordinate to one ansatz: the columns
-    n^j * (D*r)^n of each root at its largest multiplicity, on the rows from
-    the largest multiplicity of the root 0 on, a confluent Vandermonde matrix
-    in distinct nonzero integers.  Each answer, on its own columns, is
-    verified against 2*order + 4 terms; its bases over D and coefficients
-    over e are v's.
+    `MomentSystem`), whose rational roots D*r are integers.  The coordinates
+    are walked from the highest symbol down, with a running annihilator
+    x^start * prod (x - r)^top[r] that holds each root at its largest
+    multiplicity so far.  A coordinate w that it kills on `order` windows
+    needs nothing more: the annihilator applied to w satisfies w's own monic
+    recurrence, of order <= `order`, so that many zeros make it zero.  Any
+    other coordinate has its minimal annihilator deflated by the roots found
+    so far, and only a nonconstant remainder goes to `rational_roots`; a
+    nonconstant rootless cofactor means an irrational eigenvalue, refused
+    with a typed error.  One `rref` fits every solvable coordinate to one
+    ansatz: the columns n^j * (D*r)^n of each root at its largest
+    multiplicity, on the rows from `start` on, a confluent Vandermonde matrix
+    in distinct nonzero integers.  Each answer is verified against
+    2*order + 4 terms on its own columns: those of its own annihilator, or,
+    for a coordinate the running one kills, each root up to its highest
+    power with a nonzero coefficient.  Its transient is as short as the
+    formula allows: the multiplicity of 0 in a minimal annihilator is the
+    least T from which the sequence is its exponential polynomial.  The
+    bases over D and coefficients over e are v's.
     """
     if system._forms is None:
         system._forms = _solve_all(system)
@@ -341,17 +354,31 @@ def _solve_all(system: MomentSystem) -> list:
     dens, vectors = zip(*islice(system._integer_powers(), count))
     e, scale = dens[0], dens[1] // dens[0]  # e and D
     seqs = list(zip(*vectors))
-    known, out = [], []
-    for terms in seqs:
+    # the running annihilator x^start * prod (x - r)^top[r], constant first;
+    # the highest symbols come first, as their annihilators are the largest
+    known, out, top, start, ann = [], [None] * order, {}, 0, [1]
+    for i in reversed(range(order)):
+        terms = seqs[i]
+        # `order` zeros of ann(E) w make it zero (see `solve_closed_form`)
+        if not any(sum(map(mul, ann, terms[n:])) for n in range(order)):
+            continue
         try:
-            out.append(_split(minimal_recurrence(list(terms), order), known, scale))
+            out[i] = mult0, roots = _split(minimal_recurrence(list(terms), order), known, scale)
         except (IrrationalEigenvalue, NoRecurrenceFound) as exc:
-            out.append(exc)
+            out[i] = exc
+            continue
+        start = max(start, mult0)
+        top |= {r: max(m, top.get(r, 0)) for r, m in roots.items()}
+        ann = [0] * start + [1]
+        for r, m in top.items():
+            for _ in range(m):
+                ann = [a - r * b for a, b in zip([0, *ann], [*ann, 0])]
+    # a coordinate that ann kills is fitted from `start` on, its roots read off its solution
+    out = [(start, None) if f is None else f for f in out]
     solved = [i for i, f in enumerate(out) if isinstance(f, tuple)]
     # the ansatz sum_{r,j} c_{r,j} n^j r^n, each root at its largest multiplicity,
     # one row per n, each column from the row before (its root times) or the
     # column before (times n)
-    top = {r: max((out[i][1].get(r, 0) for i in solved), default=0) for r in known}
     cols = [(r, j) for r in sorted(known) for j in range(top[r])]
     table = [[0**j for _, j in cols]]
     for n in range(1, count):
@@ -359,20 +386,31 @@ def _solve_all(system: MomentSystem) -> list:
         for k, (r, j) in enumerate(cols):
             row.append(row[-1] * n if j else table[-1][k] * r)
         table.append(row)
-    start = max((out[i][0] for i in solved), default=0)
+    columns = list(zip(*table))
     red, _ = linalg.rref([table[n] + [seqs[i][n] for i in solved] for n in range(start, start + len(cols))])
     for k, i in enumerate(solved):
         (mult0, roots), terms = out[i], seqs[i]
+        if roots is None:
+            # killed by ann: each root's multiplicity is one past its
+            # highest power with a nonzero coefficient
+            roots = {r: j + 1 for c, (r, j) in enumerate(cols) if red[c][len(cols) + k]}
         own = [c for c, (r, j) in enumerate(cols) if j < roots.get(r, 0)]
         sol = [red[c][len(cols) + k] for c in own]
-        # in ints: the rows times the solution's numerators over a common denominator
+        # in ints: the columns times the solution's numerators over a common denominator
         common = lcm(*(c.denominator for c in sol))
-        nums = [c.numerator * (common // c.denominator) for c in sol]
-        rows = ([table[n][c] for c in own] for n in range(mult0, count))
-        bad = [n for n, row in enumerate(rows, mult0) if sum(map(mul, row, nums)) != common * terms[n]]
-        if bad:
-            out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad[0]}")
+        values = [0] * count
+        for c, x in zip(own, sol):
+            num = x.numerator * (common // x.denominator)
+            values = [v + num * t for v, t in zip(values, columns[c])]
+        fits = [v == common * w for v, w in zip(values, terms)]
+        if not all(fits[mult0:]):
+            bad = fits.index(False, mult0)
+            out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad}")
             continue
+        # the multiplicity of 0 in the minimal annihilator is the least T
+        # from which the sequence is its exponential polynomial
+        while mult0 and fits[mult0 - 1]:
+            mult0 -= 1
         # `own` runs along the roots in order, and so along the bases as D > 0
         coeffs = (c / e for c in sol)
         tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in sorted(roots.items())]

@@ -27,6 +27,7 @@ from loopideal import (
     rational_roots,
     solve_closed_form,
 )
+from test_acceptance import _fuzz_affine_loop
 
 
 def _upoly(*coeffs):
@@ -658,27 +659,166 @@ def test_shared_solve_matches_the_per_symbol_reference():
     assert seen == {"transients of two lengths", "negative base", "repeated root", "irrational"}
 
 
-def test_one_system_takes_one_annihilator_per_coordinate_and_one_rref(monkeypatch):
-    calls = Counter()
+def _uncovered(system):
+    """How many coordinates, walked from the highest symbol down, a running
+    lcm of the minimal annihilators met so far does not annihilate."""
+    vectors = [system.vector_at(n) for n in range(2 * system.size + 4)]
+    running, passes = Counter(), 0
+    for j in reversed(range(system.size)):
+        roots, cofactor = rational_roots(minimal_recurrence([v[j] for v in vectors], system.size))
+        mults = Counter(dict(roots))
+        if cofactor.degree >= 1 or mults - running:
+            passes += 1
+            if cofactor.degree < 1:
+                running |= mults
+    return passes
 
-    def counted(module, name):
+
+def _counted(monkeypatch, *names):
+    calls = Counter()
+    for module, name in names:
         inner = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, inner=inner, name=name):
             calls[name] += 1
             return inner(*args)
 
         monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    counted(cfinite, "minimal_recurrence")
-    counted(linalg, "rref")
-    counted(linalg, "solve")
-    loop = parse_loop(_PAST_WINDOW_LOOPS[0])
+
+@pytest.mark.parametrize(
+    "text, passes, size", zip(_PAST_WINDOW_LOOPS, [3, 1], [10, 6]), ids=["reset", "swap"]
+)
+def test_one_system_takes_one_rref_and_an_annihilator_only_where_the_running_lcm_falls_short(
+    monkeypatch, text, passes, size
+):
+    loop = parse_loop(text)
     system = moment_closure(loop, degree_targets(loop.variables, 2))
+    assert (_uncovered(system), system.size) == (passes, size)
+    calls = _counted(monkeypatch, (cfinite, "minimal_recurrence"), (linalg, "rref"), (linalg, "solve"))
+    # the second round reads the forms the first one kept
     for _ in range(2):
         for j in range(system.size):
             solve_closed_form(system, j)
-    assert calls == {"minimal_recurrence": system.size, "rref": 1}
+        assert calls == {"minimal_recurrence": passes, "rref": 1}
+
+
+def _solve_each_coordinate(system):
+    """The closed forms as solved with one minimal annihilator per
+    coordinate: each goes through `minimal_recurrence` and `_split`, and is
+    checked on its own columns of the one shared `rref`."""
+    order = system.size
+    count = 2 * order + 4
+    dens, vectors = zip(*islice(system._integer_powers(), count))
+    e, scale = dens[0], dens[1] // dens[0]
+    seqs = list(zip(*vectors))
+    known, out = [], []
+    for terms in seqs:
+        try:
+            out.append(cfinite._split(minimal_recurrence(list(terms), order), known, scale))
+        except (IrrationalEigenvalue, NoRecurrenceFound) as exc:
+            out.append(exc)
+    solved = [i for i, f in enumerate(out) if isinstance(f, tuple)]
+    top = {r: max((out[i][1].get(r, 0) for i in solved), default=0) for r in known}
+    cols = [(r, j) for r in sorted(known) for j in range(top[r])]
+    table = [[r**n * n**j for r, j in cols] for n in range(count)]
+    start = max((out[i][0] for i in solved), default=0)
+    red, _ = linalg.rref([table[n] + [seqs[i][n] for i in solved] for n in range(start, start + len(cols))])
+    for k, i in enumerate(solved):
+        (mult0, roots), terms = out[i], seqs[i]
+        own = [c for c, (r, j) in enumerate(cols) if j < roots.get(r, 0)]
+        sol = [red[c][len(cols) + k] for c in own]
+        bad = [n for n in range(mult0, count) if sum(table[n][c] * x for c, x in zip(own, sol)) != terms[n]]
+        if bad:
+            out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad[0]}")
+            continue
+        coeffs = (c / e for c in sol)
+        tail = [(Q(r, scale), UniPoly(islice(coeffs, m))) for r, m in sorted(roots.items())]
+        transient = (Q(terms[n], dens[n]) for n in range(mult0))
+        out[i] = ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
+    return [f.to_json() if isinstance(f, ExpPoly) else (f.name, str(f)) for f in out]
+
+
+def _shift_reset_loop(rng):
+    """Three or four variables under a body that mixes shifts, constant
+    resets and affine updates, some with a second branch: transients of
+    several lengths per coordinate, zero tails, repeated and negative roots,
+    and coordinates that are zero throughout."""
+    names = ["x", "y", "z", "w"][: rng.choice([3, 4])]
+
+    def affine(target):
+        terms = [f"{rng.choice([0, 1, -1, 2, -2, 3, Q(1, 2)])}*{target}"]
+        terms += [f"{rng.choice([1, -1, 2])}*{v}" for v in names if v != target and rng.random() < 0.3]
+        return " + ".join(terms + [str(rng.choice([0, 0, 1, -1, Q(1, 3)]))])
+
+    body = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["shift", "reset", "affine"])
+        if kind == "shift":
+            chain = rng.sample(names, rng.randint(2, len(names)))
+            head = rng.choice([0, 1, -2, Q(1, 2)])
+            body.append(f"({', '.join(chain)}) = ({head}, {', '.join(chain[:-1])})")
+        elif kind == "reset":
+            body.append(f"{rng.choice(names)} = {rng.choice([0, 0, 1, -1, Q(1, 3)])}")
+        else:
+            target = rng.choice(names)
+            expr = affine(target)
+            if rng.random() < 0.3:
+                expr += f" [{rng.choice([Q(1, 2), Q(1, 3)])}] {affine(target)}"
+            body.append(f"{target} = {expr}")
+    init = "; ".join(f"{v} = {rng.choice([0, 0, 1, -1, 2, Q(1, 2)])}" for v in names)
+    return parse_loop(f"vars: {', '.join(names)}\ninit: {init}\nbody:\n" + "".join(f"  {s}\n" for s in body))
+
+
+def _fibonacci_rotations():
+    # _FIBONACCI with E[z] = 2^n first, in the middle and last
+    images = {"x": "y", "y": "x + y", "z": "2*z"}
+    for k in range(3):
+        names = ["z", "x", "y"][k:] + ["z", "x", "y"][:k]
+        body = f"({', '.join(names)}) = ({', '.join(images[v] for v in names)})"
+        yield f"vars: {', '.join(names)}\ninit: x = 0; y = 1; z = 1\nbody:\n  {body}\n"
+
+
+def test_running_annihilator_matches_one_annihilator_per_coordinate(monkeypatch):
+    rng = random.Random(42)
+    cases = [(_fuzz_affine_loop(rng), d) for _ in range(50) for d in (1, 2, 3)]
+    cases += [(parse_loop(text), d) for text in _PAST_WINDOW_LOOPS for d in (1, 2)]
+    cases += [(parse_loop(text), d) for text in _fibonacci_rotations() for d in (1, 2)]
+    rng = random.Random(34)
+    cases += [(_shift_reset_loop(rng), rng.choice([1, 2])) for _ in range(60)]
+    calls = _counted(monkeypatch, (cfinite, "minimal_recurrence"))
+    seen = set()
+    for case, (loop, degree) in enumerate(cases):
+        targets = degree_targets(loop.variables, degree)
+        want = _solve_each_coordinate(moment_closure(loop, targets))
+        system = moment_closure(loop, targets)
+        passes = _uncovered(system)
+        calls.clear()
+        got = [None] * system.size
+        for j in sorted(range(system.size), key=lambda j: (j * 7 + case) % system.size):
+            got[j] = _outcome(solve_closed_form, system, j)
+        assert got == want, (case, format_loop(loop), degree)
+        assert calls["minimal_recurrence"] == passes, (case, format_loop(loop), degree)
+        forms = [f for f in got if isinstance(f, dict)]
+        if len({len(f["transient"]) for f in forms} - {0}) > 1:
+            seen.add("transients of two lengths")
+        if any(f["transient"] and not f["tail"] for f in forms):
+            seen.add("zero tail")
+        if any(not f["transient"] and not f["tail"] for f in forms):
+            seen.add("zero throughout")
+        if any(t["base"].startswith("-") for f in forms for t in f["tail"]):
+            seen.add("negative base")
+        if any(len(t["coeffs"]) > 1 for f in forms for t in f["tail"]):
+            seen.add("repeated root")
+        if len(forms) < system.size:
+            seen.add("refused")
+        if passes < system.size:
+            seen.add("covered")
+    assert seen == {
+        "transients of two lengths", "zero tail", "zero throughout", "negative base",
+        "repeated root", "refused", "covered",
+    }
 
 
 def test_threads_solving_one_system_get_the_single_threaded_forms():

@@ -47,6 +47,12 @@ CASES = {
     "closed-forms-transient": (
         "closed-forms", "--loop", "transient.loop", "--degree", "2",
     ),
+    "closed-forms-shift": (
+        "closed-forms", "--loop", "shift.loop", "--degree", "2",
+    ),
+    "invariants-shift": (
+        "invariants", "--loop", "shift.loop", "--degree", "2",
+    ),
     "reduce-skolem-p2p": ("reduce-skolem-p2p", "--lrs", "rec.json"),
     "reduce-skolem-spinv": ("reduce-skolem-spinv", "--lrs", "rec.json"),
     "reduce-p2p-spinv": (

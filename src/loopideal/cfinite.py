@@ -10,8 +10,8 @@ together in ints, on their integer multiples e * D^n * v(n) (see
 whole vector sequence (Kauers and Zimmermann, "Computing the algebraic
 relations of C-finite sequences and multisequences", JSC 2008), so one
 running annihilator serves them all: only a coordinate it does not kill has
-its own annihilator found and split.  Every coefficient then comes from one
-elimination, and each form is mapped back.
+its own annihilator found and split.  One elimination then gives each
+coordinate its own exponential polynomial, and each form is mapped back.
 """
 
 from __future__ import annotations
@@ -312,12 +312,13 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     with a typed error.  One `rref` fits every solvable coordinate to one
     ansatz: the columns n^j * (D*r)^n of each root at its largest
     multiplicity, on the rows from `start` on, a confluent Vandermonde matrix
-    in distinct nonzero integers.  Each answer is verified against
-    2*order + 4 terms on its own columns: those of its own annihilator, or,
-    for a coordinate the running one kills, each root up to its highest
-    power with a nonzero coefficient.  Its transient is as short as the
-    formula allows: the multiplicity of 0 in a minimal annihilator is the
-    least T from which the sequence is its exponential polynomial.  The
+    in distinct nonzero integers.  It is invertible, so each solution is the
+    coordinate's own exponential polynomial padded with zeros: by minimality,
+    each of its roots has a coefficient of degree exactly multiplicity - 1,
+    so its roots are the solution's nonzero blocks.  Each answer is verified
+    against 2*order + 4 terms from `start` on, and its transient is as short
+    as the formula allows: the multiplicity of 0 in a minimal annihilator is
+    the least T from which the sequence is its exponential polynomial.  The
     bases over D and coefficients over e are v's.
     """
     if system._forms is None:
@@ -363,8 +364,8 @@ def _solve_all(system: MomentSystem) -> list:
         if not any(sum(map(mul, ann, terms[n:])) for n in range(order)):
             continue
         try:
-            out[i] = mult0, roots = _split(minimal_recurrence(list(terms), order), known, scale)
-        except (IrrationalEigenvalue, NoRecurrenceFound) as exc:
+            mult0, roots = _split(minimal_recurrence(list(terms), order), known, scale)
+        except IrrationalEigenvalue as exc:
             out[i] = exc
             continue
         start = max(start, mult0)
@@ -373,9 +374,7 @@ def _solve_all(system: MomentSystem) -> list:
         for r, m in top.items():
             for _ in range(m):
                 ann = [a - r * b for a, b in zip([0, *ann], [*ann, 0])]
-    # a coordinate that ann kills is fitted from `start` on, its roots read off its solution
-    out = [(start, None) if f is None else f for f in out]
-    solved = [i for i, f in enumerate(out) if isinstance(f, tuple)]
+    solved = [i for i, f in enumerate(out) if f is None]
     # the ansatz sum_{r,j} c_{r,j} n^j r^n, each root at its largest multiplicity,
     # one row per n, each column from the row before (its root times) or the
     # column before (times n)
@@ -389,31 +388,30 @@ def _solve_all(system: MomentSystem) -> list:
     columns = list(zip(*table))
     red, _ = linalg.rref([table[n] + [seqs[i][n] for i in solved] for n in range(start, start + len(cols))])
     for k, i in enumerate(solved):
-        (mult0, roots), terms = out[i], seqs[i]
-        if roots is None:
-            # killed by ann: each root's multiplicity is one past its
-            # highest power with a nonzero coefficient
-            roots = {r: j + 1 for c, (r, j) in enumerate(cols) if red[c][len(cols) + k]}
-        own = [c for c, (r, j) in enumerate(cols) if j < roots.get(r, 0)]
-        sol = [red[c][len(cols) + k] for c in own]
+        terms = seqs[i]
+        sol = [row[len(cols) + k] for row in red]
         # in ints: the columns times the solution's numerators over a common denominator
-        common = lcm(*(c.denominator for c in sol))
+        common = lcm(*(x.denominator for x in sol))
         values = [0] * count
-        for c, x in zip(own, sol):
-            num = x.numerator * (common // x.denominator)
-            values = [v + num * t for v, t in zip(values, columns[c])]
+        for x, column in zip(sol, columns):
+            if x:
+                num = x.numerator * (common // x.denominator)
+                values = [v + num * t for v, t in zip(values, column)]
         fits = [v == common * w for v, w in zip(values, terms)]
-        if not all(fits[mult0:]):
-            bad = fits.index(False, mult0)
+        if not all(fits[start:]):
+            bad = fits.index(False, start)
             out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad}")
             continue
         # the multiplicity of 0 in the minimal annihilator is the least T
         # from which the sequence is its exponential polynomial
+        mult0 = start
         while mult0 and fits[mult0 - 1]:
             mult0 -= 1
-        # `own` runs along the roots in order, and so along the bases as D > 0
-        coeffs = (c / e for c in sol)
-        tail = [(Fraction(r, scale), UniPoly(islice(coeffs, m))) for r, m in sorted(roots.items())]
+        # the blocks run along the roots in order, and so along the bases as D > 0;
+        # a block is zero exactly where the root is not the coordinate's
+        blocks = iter(sol)
+        tail = [(Fraction(r, scale), list(islice(blocks, top[r]))) for r in sorted(known)]
+        tail = [(b, UniPoly(x / e if x else x for x in c)) for b, c in tail if any(c)]
         transient = (Fraction(terms[n], dens[n]) for n in range(mult0))
-        out[i] = ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
+        out[i] = ExpPoly(tuple(transient), tuple(tail))
     return out

@@ -518,8 +518,8 @@ def test_solve_matches_pivot_reading():
 
 def test_closed_form_check_catches_a_dropped_base(monkeypatch):
     # z = 2^n + 3^n; with the root 3 dropped, the shared fit over the roots 1
-    # and 2 (of E[1] and E[x]) gives z's own column 2^n the coefficient 3,
-    # which disagrees with z at n = 0
+    # and 2 (of E[1] and E[x]) solves z's values 2 and 5 at n = 0 and 1 as
+    # -1 + 3*2^n, which the check over every row catches at n = 2 (z = 13)
     text = "vars: x, y, z\ninit: x = 1; y = 1; z = 2\nbody:\n  (x, y, z) = (2*x, 3*y, 2*x + 3*y)\n"
     system = moment_closure(parse_loop(text), [(0, 0, 1)])
     assert str(solve_closed_form(system, system.index((0, 0, 1)))) == "(1)*2^n + (1)*3^n"
@@ -532,7 +532,7 @@ def test_closed_form_check_catches_a_dropped_base(monkeypatch):
     monkeypatch.setattr(cfinite, "rational_roots", drop_three)
     # the first solve fills the system's cache, so the check needs a fresh one
     system = moment_closure(parse_loop(text), [(0, 0, 1)])
-    with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=0$"):
+    with pytest.raises(NoRecurrenceFound, match="disagrees with the sequence at n=2$"):
         solve_closed_form(system, system.index((0, 0, 1)))
 
 
@@ -660,15 +660,15 @@ def test_shared_solve_matches_the_per_symbol_reference():
 
 
 def _uncovered(system):
-    """How many coordinates, walked from the highest symbol down, a running
+    """The coordinates, walked from the highest symbol down, that a running
     lcm of the minimal annihilators met so far does not annihilate."""
     vectors = [system.vector_at(n) for n in range(2 * system.size + 4)]
-    running, passes = Counter(), 0
+    running, passes = Counter(), []
     for j in reversed(range(system.size)):
         roots, cofactor = rational_roots(minimal_recurrence([v[j] for v in vectors], system.size))
         mults = Counter(dict(roots))
         if cofactor.degree >= 1 or mults - running:
-            passes += 1
+            passes.append(j)
             if cofactor.degree < 1:
                 running |= mults
     return passes
@@ -695,7 +695,7 @@ def test_one_system_takes_one_rref_and_an_annihilator_only_where_the_running_lcm
 ):
     loop = parse_loop(text)
     system = moment_closure(loop, degree_targets(loop.variables, 2))
-    assert (_uncovered(system), system.size) == (passes, size)
+    assert (len(_uncovered(system)), system.size) == (passes, size)
     calls = _counted(monkeypatch, (cfinite, "minimal_recurrence"), (linalg, "rref"), (linalg, "solve"))
     # the second round reads the forms the first one kept
     for _ in range(2):
@@ -799,10 +799,13 @@ def test_running_annihilator_matches_one_annihilator_per_coordinate(monkeypatch)
         for j in sorted(range(system.size), key=lambda j: (j * 7 + case) % system.size):
             got[j] = _outcome(solve_closed_form, system, j)
         assert got == want, (case, format_loop(loop), degree)
-        assert calls["minimal_recurrence"] == passes, (case, format_loop(loop), degree)
+        assert calls["minimal_recurrence"] == len(passes), (case, format_loop(loop), degree)
         forms = [f for f in got if isinstance(f, dict)]
         if len({len(f["transient"]) for f in forms} - {0}) > 1:
             seen.add("transients of two lengths")
+        longest = max((len(f["transient"]) for f in forms), default=0)
+        if any(isinstance(got[j], dict) and len(got[j]["transient"]) < longest for j in passes):
+            seen.add("own annihilator, shorter transient")
         if any(f["transient"] and not f["tail"] for f in forms):
             seen.add("zero tail")
         if any(not f["transient"] and not f["tail"] for f in forms):
@@ -813,11 +816,11 @@ def test_running_annihilator_matches_one_annihilator_per_coordinate(monkeypatch)
             seen.add("repeated root")
         if len(forms) < system.size:
             seen.add("refused")
-        if passes < system.size:
+        if len(passes) < system.size:
             seen.add("covered")
     assert seen == {
         "transients of two lengths", "zero tail", "zero throughout", "negative base",
-        "repeated root", "refused", "covered",
+        "repeated root", "refused", "covered", "own annihilator, shorter transient",
     }
 
 

@@ -5,7 +5,9 @@ The key construction turns a linear recurrence u into a polynomial system
 whose coordinates are shifted, product-accumulated variants of u: every
 coordinate carries the running product of all previous values of the first
 coordinate, so the system reaches (and then stays at) the all-zero state
-exactly when u has a zero.
+exactly when u has a zero.  The defining identities of that construction
+hold for every n, proved by induction; a failed proof is located by
+simulation up to the horizon.
 """
 
 from __future__ import annotations
@@ -129,15 +131,49 @@ class WitnessReport:
         }
 
 
-def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
-    """Check the two defining identities of the reduction up to a horizon.
+def _implied(p, us) -> tuple:
+    """The state (x..., s...) with s_0 = p, x_i = s_i * us[i], s_{i+1} = s_i * x_i."""
+    xs, ss = [], [p]
+    for u in us:
+        xs.append(ss[-1] * u)
+        ss.append(ss[-1] * xs[-1])
+    return tuple(xs + ss[:-1])
 
-    For every n <= horizon and coordinate i:
+
+def _inductive(lrs: LRSInstance, loop: LoopProgram) -> bool:
+    """Whether the loop's state after n steps is _implied(P_n, u(n..n+k-1)).
+
+    P_n = prod_{l<n} x0(l).  Base: the initial state is _implied(1, u(0..k-1)).
+    Step: the update maps _implied(P, U) to _implied(P * x0, (U_1, ...,
+    U_{k-1}, sum a_i U_i)) as polynomials in the symbols P, U_0..U_{k-1}.
+    """
+    if not loop.deterministic or _implied(Fraction(1), lrs.init) != loop.init:
+        return False
+    ring = VarRing(["P"] + [f"U{i}" for i in range(lrs.order)])
+    p, *us = (Polynomial.var(ring, nm) for nm in ring.names)
+    state = _implied(p, us)
+    for stmt in loop.body:
+        values = dict(zip(stmt.targets, (e.eval(state) for e in stmt.branches[0][1])))
+        state = tuple(values.get(nm, v) for nm, v in zip(loop.variables.names, state))
+    shifted = us[1:] + [sum((a * u for a, u in zip(lrs.coeffs, us)), Polynomial.zero(ring))]
+    return state == _implied(p * p * us[0], shifted)
+
+
+def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
+    """Check the two defining identities of the reduction:
       x_i(n) == s_i(n) * u(n+i)
       s_i(n) == prod_{l<n} x0(l) * prod_{l<i} x_l(n)
+    for every n and coordinate i, proved by induction; a failed proof is
+    located by simulation up to the horizon, which lists each violation at
+    n <= horizon.  `first_zero` is the least n <= horizon with u(n) == 0,
+    or None.
     """
     k = lrs.order
-    states = simulate(augment_witness(skolem_to_p2p(lrs)), horizon)
+    loop = augment_witness(skolem_to_p2p(lrs))
+    first_zero = next((n for n, v in zip(range(horizon + 1), lrs_terms(lrs)) if v == 0), None)
+    if _inductive(lrs, loop):
+        return WitnessReport(horizon, (), first_zero)
+    states = simulate(loop, horizon)
     u = list(islice(lrs_terms(lrs), horizon + k + 1))
     violations = []
     prefix = Fraction(1)
@@ -156,7 +192,6 @@ def verify_witness_identities(lrs: LRSInstance, horizon: int) -> WitnessReport:
                      "rhs": str(expected_s)}
                 )
         prefix = expected[1]
-    first_zero = next((n for n in range(horizon + 1) if u[n] == 0), None)
     return WitnessReport(horizon, tuple(violations), first_zero)
 
 

@@ -1,8 +1,11 @@
 from fractions import Fraction as Q
+from itertools import islice
+from math import prod
 
 import pytest
 
-from loopideal import LRSInstance, P2PInstance, parse_loop
+from loopideal import LRSInstance, P2PInstance, parse_loop, simulate
+from loopideal.loops import lrs_terms
 
 TWO_WALKS = """\
 vars: x, y
@@ -58,3 +61,38 @@ def reach_46(xy_system):
 @pytest.fixture
 def reach_57(xy_system):
     return P2PInstance(xy_system, (Q(5), Q(7)))
+
+
+def _witness_violations(loop, lrs, horizon):
+    """Both witness identities of `loop` against u at every n <= horizon.
+
+    Simulates the loop and recomputes s_i(n) = prod_{l<n} x0(l) *
+    prod_{l<i} x_l(n) from its states; the violations are listed in the
+    order and form `verify_witness_identities` reports them.
+    """
+    k = lrs.order
+    states = simulate(loop, horizon)
+    u = list(islice(lrs_terms(lrs), horizon + k))
+    found = []
+    for n, st in enumerate(states):
+        for i in range(k):
+            xi, si = st[i], st[k + i]
+            s_direct = prod(before[0] for before in states[:n]) * prod(st[:i])
+            if xi != si * u[n + i]:
+                found.append(
+                    {"n": n, "i": i, "identity": "value", "lhs": str(xi),
+                     "rhs": str(si * u[n + i])}
+                )
+            if si != s_direct:
+                found.append(
+                    {"n": n, "i": i, "identity": "product", "lhs": str(si),
+                     "rhs": str(s_direct)}
+                )
+    return tuple(found)
+
+
+@pytest.fixture
+def witness_reference():
+    """The witness identities checked by simulation alone, independent of
+    `verify_witness_identities`: (loop, lrs, horizon) -> violations."""
+    return _witness_violations

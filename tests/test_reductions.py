@@ -1,8 +1,8 @@
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import islice
-from math import prod
 
 import pytest
 
@@ -86,7 +86,7 @@ def test_augment_witness_rejects_foreign_system(xy_system):
             augment_witness(P2PInstance(system, tuple(map(Q, target))))
 
 
-def test_witness_identities_report_a_wrong_witness(monkeypatch, lrs_order3):
+def test_witness_identities_report_a_wrong_witness(monkeypatch, lrs_order3, witness_reference):
     # the witness update s{k-1} * x{k-1} * 2 in place of s{k-1} * x{k-1}
     # breaks both identities
     monkeypatch.setattr(reductions, "augment_witness", lambda p2p: reductions._witness(p2p, 2))
@@ -102,26 +102,51 @@ def test_witness_identities_report_a_wrong_witness(monkeypatch, lrs_order3):
     fibonacci = LRSInstance((Q(1), Q(1)), (Q(1), Q(2)))
     for lrs, horizon in ((fibonacci, 5), (lrs_order3, 4)):
         k = lrs.order
-        states = simulate(reductions._witness(skolem_to_p2p(lrs), 2), horizon)
-        u = list(islice(lrs_terms(lrs), horizon + k))
-        expected = []
-        for n, st in enumerate(states):
-            for i in range(k):
-                xi, si = st[i], st[k + i]
-                s_direct = prod(before[0] for before in states[:n]) * prod(st[:i])
-                if xi != si * u[n + i]:
-                    expected.append(
-                        {"n": n, "i": i, "identity": "value", "lhs": str(xi),
-                         "rhs": str(si * u[n + i])}
-                    )
-                if si != s_direct:
-                    expected.append(
-                        {"n": n, "i": i, "identity": "product", "lhs": str(si),
-                         "rhs": str(s_direct)}
-                    )
+        expected = witness_reference(reductions._witness(skolem_to_p2p(lrs), 2), lrs, horizon)
         assert any(v["i"] == k - 1 > 0 and v["identity"] == "product" for v in expected)
         report = verify_witness_identities(lrs, horizon)
         assert report.violations == tuple(expected)
+
+
+def _doubled_witness(monkeypatch):
+    monkeypatch.setattr(reductions, "augment_witness", lambda p2p: reductions._witness(p2p, 2))
+
+
+def _wrong_initial_product(monkeypatch):
+    def doubled_last_product(p2p):
+        loop = augment_witness(p2p)
+        return replace(loop, init=loop.init[:-1] + (2 * loop.init[-1],))
+
+    monkeypatch.setattr(reductions, "augment_witness", doubled_last_product)
+
+
+def _shifted_coefficient(monkeypatch):
+    def shifted(lrs):
+        return skolem_to_p2p(LRSInstance(lrs.coeffs[:-1] + (lrs.coeffs[-1] + 1,), lrs.init))
+
+    monkeypatch.setattr(reductions, "skolem_to_p2p", shifted)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_doubled_witness, _wrong_initial_product, _shifted_coefficient]
+)
+def test_a_broken_construction_fails_the_proof(monkeypatch, mutate, lrs_order3, witness_reference):
+    # the proof reads the construction at call time, so it checks the broken
+    # one; it fails, and the simulation lists every violation up to the horizon
+    mutate(monkeypatch)
+    simulated = []
+    monkeypatch.setattr(
+        reductions, "simulate", lambda loop, n: simulated.append(n) or simulate(loop, n)
+    )
+    two_to_the_n = LRSInstance((Q(2),), (Q(1),))
+    fibonacci = LRSInstance((Q(1), Q(1)), (Q(1), Q(2)))
+    for lrs, horizon in ((two_to_the_n, 3), (fibonacci, 5), (lrs_order3, 4)):
+        loop = reductions.augment_witness(reductions.skolem_to_p2p(lrs))
+        assert not reductions._inductive(lrs, loop)
+        expected = witness_reference(loop, lrs, horizon)
+        assert expected
+        assert verify_witness_identities(lrs, horizon).violations == expected
+    assert simulated == [3, 5, 4]
 
 
 def test_witness_identities_order3(lrs_order3):
@@ -154,24 +179,53 @@ def test_witness_identities_zero_at_start():
     assert states[0][0] == 0
 
 
-def test_witness_identities_fuzzed():
+# the horizon to which tests simulate the witness loop: its states have
+# about 2^n bits at step n
+REFERENCE_HORIZON = 12
+
+
+def _no_simulation(loop, n):
+    raise AssertionError("the proof failed and fell back to simulation")
+
+
+def test_witness_identities_fuzzed(monkeypatch, witness_reference):
+    # proved at horizon 20 with no simulation; the reference checks the same
+    # identities and the zero correspondence by simulation to REFERENCE_HORIZON
+    monkeypatch.setattr(reductions, "simulate", _no_simulation)
     rng = random.Random(314)
     for _ in range(30):
-        k = rng.choice([1, 2, 3, 4])
+        k = rng.choice([1, 2, 3, 4, 5])
         coeffs = [Q(rng.choice([-2, -1, 1, 2]))]
         coeffs += [Q(rng.choice([-2, -1, 0, 1, 2])) for _ in range(k - 1)]
         init = [Q(rng.choice([-1, 0, 1])) for _ in range(k)]
         lrs = LRSInstance(tuple(coeffs), tuple(init))
         report = verify_witness_identities(lrs, 20)
         assert report.violations == ()
-        # zero correspondence at the tested horizon
-        states = simulate(augment_witness(skolem_to_p2p(lrs)), 20)
+        loop = augment_witness(skolem_to_p2p(lrs))
+        assert witness_reference(loop, lrs, REFERENCE_HORIZON) == ()
+        # x0(n) vanishes exactly from the first zero of u on, and then every x
+        states = simulate(loop, REFERENCE_HORIZON)
+        zero = REFERENCE_HORIZON + 1
         if report.first_zero is not None:
-            for n in range(report.first_zero + 1, 21):
-                assert all(v == 0 for v in states[n][: k])
-        else:
-            for n in range(21):
-                assert states[n][0] != 0
+            zero = min(zero, report.first_zero)
+        assert [n for n, st in enumerate(states) if st[0] == 0] == list(range(zero, len(states)))
+        assert all(v == 0 for st in states[zero + 1:] for v in st[:k])
+
+
+def test_witness_identities_beyond_simulation():
+    # the states at n = 1000 have about 2^1000 bits; the proof covers them
+    def past_guard(*_):
+        raise AssertionError("verify_witness_identities ran past its 5 s guard")
+
+    fibonacci = LRSInstance((Q(1), Q(1)), (Q(1), Q(2)))
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.alarm(5)
+    try:
+        report = verify_witness_identities(fibonacci, 1000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report == reductions.WitnessReport(1000, (), None)
 
 
 def test_p2p_to_spinv_flag_loop(reach_46):

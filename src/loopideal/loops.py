@@ -7,11 +7,15 @@ assignment draws its branch independently.
 
 Simulation and distribution enumeration share one exact stepper that runs
 in Python ints (`_integer_steps`); `Fraction`s appear only in what it hands
-back.
+back.  The stepper runs each statement as Python code generated for it: a
+partial evaluation of the integer Horner interpreter at that statement's
+expressions.  The code's text holds no constant and no name from the loop,
+only the statement's shape, and is compiled once per shape per process.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -210,63 +214,103 @@ def format_loop(loop: LoopProgram) -> str:
 # are equal exactly when their rational states are.
 
 def _compile(p: Polynomial):
-    """p as (L, tops, tree), evaluated by `_value`.
+    """p as (L, tops, tree), the input of `_statement_code`.
 
     With L the lcm of p's coefficient denominators and D_i p's top degree in
     variable i, p = N / (L * prod d_i^D_i) at a state, where N is the
     homogenized integer Horner value of L*p.  `tops` lists the used
-    variables' (2*i, D_i); `tree` is an int for a constant p, else the node
-    (2*i, coefficients) of the last used variable i, whose coefficients,
-    highest power first, are nodes of the variables before it or ints.  The
-    outermost variable is multiplied the fewest times, and in the reduction
-    witness systems the later coordinates hold the largest values.
+    variables' (i, D_i); `tree` is an int for a constant p, else the node
+    (i, coefficients) of the last used variable i, whose D_i + 1
+    coefficients, highest power first, are nodes of the variables before it
+    or ints.  The outermost variable is multiplied the fewest times, and in
+    the reduction witness systems the later coordinates hold the largest
+    values.
     """
     scale = lcm(*(c.denominator for c in p.terms.values()))
     used = [i for i in range(p.ring.arity) if any(e[i] for e in p.terms)]
-    tops = [(2 * i, max(e[i] for e in p.terms)) for i in used]
+    tops = [(i, max(e[i] for e in p.terms)) for i in used]
 
     def nest(terms, level):
         if level < 0:
             return sum(a for _, a in terms)  # one term at most
-        i, top = used[level], tops[level][1]
+        i, top = tops[level]
         groups = [[] for _ in range(top + 1)]
         for e, a in terms:
             groups[top - e[i]].append((e, a))
-        return (2 * i, tuple(nest(g, level - 1) if g else 0 for g in groups))
+        return (i, tuple(nest(g, level - 1) if g else 0 for g in groups))
 
     terms = [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
     return scale, tops, nest(terms, len(used) - 1)
 
 
-def _horner(node, state) -> int:
-    """acc = acc*n + c_k*d^(D - k) over the powers k = D, ..., 0 of one
-    variable n/d, each c_k a node of the variables before it."""
-    slot, coeffs = node
-    n = state[slot]
-    d = state[slot + 1]
-    acc = 0
-    for j, c in enumerate(coeffs):
-        if type(c) is tuple:
-            c = _horner(c, state)
-        if j and c and d != 1:
-            c *= d**j
-        acc = acc * n + c
-    return acc
+def _power(base: str, i: int, e: int) -> str:
+    return "" if e == 0 else f"*{base}{i}" if e == 1 else f"*{base}{i}**{e}"
 
 
-def _value(form, state) -> tuple[int, int]:
-    """A compiled expression's value at an integer state, in lowest terms."""
-    scale, tops, tree = form
-    num = tree if type(tree) is int else _horner(tree, state)
-    den = scale
-    for slot, top in tops:
-        d = state[slot + 1]
-        if d != 1:
-            den *= d**top
-    if den == 1:
-        return num, 1
-    g = gcd(num, den)
-    return num // g, den // g
+def _statement_code(arity: int, weights, updates) -> tuple[str, list[int]]:
+    """The source of `make(k0, k1, ...)`, which returns one statement's
+    `run(dist, new)`, and the ints that `make` takes.
+
+    `run` adds to `new` the successors of every integer state in `dist`, the
+    states in order and each one's branches in order: branch b, of weight
+    weights[b], sets each variable i of updates[b] to its `_compile` form.
+    A state unpacks into locals n<i>, d<i>.  A Horner node with several
+    nonzero coefficients sums into temporaries t<j>, one statement per
+    coefficient, so that no expression nests deeper as the degree grows;
+    each target's value a<i>/b<i> is then divided by its gcd.  Every int of
+    the forms and every weight is an argument of `make`, so the text
+    depends only on the shape: the arity, the targets, and each form's used
+    variables, top degrees and zero coefficients.
+    """
+    consts: list[int] = []
+    lines: list[str] = []
+
+    def const(c: int) -> str:
+        consts.append(c)
+        return f"k{len(consts) - 1}"
+
+    def horner(node) -> str:
+        # a name or a product, so that the caller can multiply it on the right
+        if type(node) is int:
+            return const(node)
+        i, coeffs = node
+        acc = last = None
+        for j, c in enumerate(coeffs):
+            if c:
+                term = horner(c) + _power("d", i, j)
+                if acc is not None:
+                    t = f"t{len(lines)}"
+                    lines.append(f"{t} = {acc}{_power('n', i, j - last)} + {term}")
+                    term = t
+                acc, last = term, j
+        return acc + _power("n", i, len(coeffs) - 1 - last)
+
+    for weight, update in zip(weights, updates):
+        key = [f"n{i}, d{i}" for i in range(arity)]
+        for i, (scale, tops, tree) in update:
+            lines.append(f"a{i} = {horner(tree)}")
+            lines.append(f"b{i} = {const(scale)}" + "".join(_power("d", j, top) for j, top in tops))
+            lines.append(f"if b{i} != 1: g = gcd(a{i}, b{i}); a{i} //= g; b{i} //= g")
+            key[i] = f"a{i}, b{i}"
+        lines.append(f"key = ({', '.join(key)})")
+        lines.append(f"new[key] = get(key, 0) + m*{const(weight)}")
+    head = [
+        f"def make({', '.join(f'k{j}' for j in range(len(consts)))}):",
+        "    def run(dist, new):",
+        "        get = new.get",
+        f"        for ({', '.join(f'n{i}, d{i}' for i in range(arity))}), m in dist.items():",
+    ]
+    return "\n".join(head + [" " * 12 + line for line in lines] + ["    return run\n"]), consts
+
+
+@functools.cache
+def _factory(source: str):
+    """The `make` that a `_statement_code` source defines.  Each distinct
+    text is compiled once per process, so statements of one shape share one
+    code object."""
+    namespace = {"gcd": gcd}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 def _integer_steps(
@@ -275,35 +319,29 @@ def _integer_steps(
     """(masses, total) after 0, 1, 2, ... iterations: each integer state's
     mass is masses[state] / total.
 
-    Each statement's branch expressions are compiled once (`_compile`) and
-    its probabilities scaled to integer weights over their lcm, which
-    multiplies the running denominator `total` once per statement.
+    Each statement runs as one generated `run` (`_statement_code`) that
+    steps the whole distribution.  Its branch expressions are compiled once
+    (`_compile`) and its probabilities scaled to integer weights over their
+    lcm, which multiplies the running denominator `total` once per
+    statement.
     """
     steps = []
     for stmt in loop.body:
         scale = lcm(*(pr.denominator for pr, _ in stmt.branches))
-        slots = [2 * loop.variables.index(nm) for nm in stmt.targets]
-        branches = [
-            (
-                pr.numerator * (scale // pr.denominator),
-                [(slot, _compile(p)) for slot, p in zip(slots, exprs)],
-            )
-            for pr, exprs in stmt.branches
+        weights = [pr.numerator * (scale // pr.denominator) for pr, _ in stmt.branches]
+        targets = [loop.variables.index(nm) for nm in stmt.targets]
+        updates = [
+            [(i, _compile(p)) for i, p in zip(targets, exprs)] for _, exprs in stmt.branches
         ]
-        steps.append((scale, branches))
+        source, consts = _statement_code(loop.variables.arity, weights, updates)
+        steps.append((scale, _factory(source)(*consts)))
     dist = {tuple(x for v in loop.init for x in (v.numerator, v.denominator)): 1}
     total = 1
     while True:
         yield dist, total
-        for scale, branches in steps:
+        for scale, run in steps:
             new: dict[tuple[int, ...], int] = {}
-            for state, mass in dist.items():
-                for weight, updates in branches:
-                    nxt = list(state)
-                    for slot, form in updates:
-                        nxt[slot], nxt[slot + 1] = _value(form, state)
-                    nxt = tuple(nxt)
-                    new[nxt] = new.get(nxt, 0) + mass * weight
+            run(dist, new)
             if len(new) > support_cap:
                 raise SupportBudgetExceeded(
                     f"distribution support exceeded {support_cap} states"

@@ -24,6 +24,7 @@ from loopideal import (
     simulate,
     skolem_to_p2p,
 )
+from loopideal import loops
 from loopideal.algebra import Polynomial, VarRing
 from loopideal.loops import Assignment, LoopProgram, lrs_terms
 
@@ -241,27 +242,60 @@ def _reference_distributions(loop, support_cap):
 
 
 def _random_loop(rng):
-    """1-3 variables, 1-2 statements with tuple targets in random order, 1-3
-    branches with probabilities over 12, expressions of degree <= 3 whose
-    coefficients have denominators 1, 2, 3 and 7 (some are zero)."""
-    arity = rng.randint(1, 3)
-    ring = VarRing("xyz"[:arity])
-    monos = [e for e in product(range(4), repeat=arity) if sum(e) <= 3]
+    """1-4 variables, 1-4 statements with tuple targets in random order, 1-3
+    branches with probabilities over 12, some of them constant.  The
+    expressions read a random subset of the variables, possibly none, and
+    their coefficients have denominators 1, 2, 3 and 7 (some are zero).  Each
+    statement has degree <= 3 and the degrees multiply to at most 9, so the
+    values stay small over the compared steps."""
+    arity = rng.randint(1, 4)
+    ring = VarRing("wxyz"[:arity])
+    read = rng.sample(range(arity), rng.randint(0, arity))
+    budget = 9
 
     def rational():
         return Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
 
-    def expr():
-        return Polynomial(ring, {rng.choice(monos): rational() for _ in range(rng.randint(1, 3))})
-
     body = []
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(1, min(3, budget))
+        budget //= degree
+        monos = [
+            e for e in product(range(degree + 1), repeat=arity)
+            if sum(e) <= degree and all(e[i] == 0 for i in range(arity) if i not in read)
+        ]
         targets = rng.sample(ring.names, rng.randint(1, arity))
         cuts = sorted(rng.sample(range(1, 12), rng.randint(1, 3) - 1))
         weights = [b - a for a, b in zip([0, *cuts], [*cuts, 12])]
-        branches = tuple((Q(w, 12), tuple(expr() for _ in targets)) for w in weights)
-        body.append(Assignment(tuple(targets), branches))
+        branches = []
+        for w in weights:
+            pool = monos if rng.random() < 0.8 else [(0,) * arity]
+            exprs = tuple(
+                Polynomial(ring, {rng.choice(pool): rational() for _ in range(rng.randint(1, 3))})
+                for _ in targets
+            )
+            branches.append((Q(w, 12), exprs))
+        body.append(Assignment(tuple(targets), tuple(branches)))
     return LoopProgram(ring, tuple(rational() for _ in range(arity)), tuple(body))
+
+
+def _with_new_constants(loop, rng):
+    """The loop with the same targets, branch count and monomials, but fresh
+    nonzero coefficients, probabilities and initial values."""
+
+    def nonzero():
+        return Q(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 2, 3, 7)))
+
+    body = []
+    for stmt in loop.body:
+        cuts = sorted(rng.sample(range(1, 12), len(stmt.branches) - 1))
+        weights = [b - a for a, b in zip([0, *cuts], [*cuts, 12])]
+        branches = tuple(
+            (Q(w, 12), tuple(Polynomial(p.ring, {e: nonzero() for e in p.terms}) for p in exprs))
+            for w, (_, exprs) in zip(weights, stmt.branches)
+        )
+        body.append(Assignment(stmt.targets, branches))
+    return LoopProgram(loop.variables, tuple(nonzero() for _ in loop.init), tuple(body))
 
 
 def _first_steps(steps, count):
@@ -275,14 +309,78 @@ def _first_steps(steps, count):
     return out
 
 
+def _assert_matches_the_fraction_stepper(loop):
+    for cap in (3, 400):
+        want = _first_steps(_reference_distributions(loop, cap), 4)
+        assert _first_steps(distributions(loop, cap), 4) == want, format_loop(loop)
+
+
 def test_distributions_match_the_fraction_stepper():
-    # same dicts in the same insertion order, which `simulate` relies on
+    # same dicts in the same insertion order, which `simulate` relies on; each
+    # loop's twin with other constants runs the code generated for the loop
     rng = random.Random(18)
+    seen = set()
     for _ in range(300):
         loop = _random_loop(rng)
-        for cap in (3, 400):
-            want = _first_steps(_reference_distributions(loop, cap), 4)
-            assert _first_steps(distributions(loop, cap), 4) == want, format_loop(loop)
+        _assert_matches_the_fraction_stepper(loop)
+        compiles = loops._factory.cache_info().misses
+        _assert_matches_the_fraction_stepper(_with_new_constants(loop, rng))
+        assert loops._factory.cache_info().misses == compiles
+        read = set()
+        for stmt in loop.body:
+            for _, exprs in stmt.branches:
+                if not any(any(e) for p in exprs for e in p.terms):
+                    seen.add("constant branch")
+                read.update(i for p in exprs for e in p.terms for i, k in enumerate(e) if k)
+        seen.add(f"arity {loop.variables.arity}")
+        seen.add(f"{len(loop.body)} statements")
+        if len(read) < loop.variables.arity:
+            seen.add("unread variable")
+    assert seen >= {
+        *(f"arity {k}" for k in range(1, 5)),
+        *(f"{k} statements" for k in range(1, 5)),
+        "constant branch",
+        "unread variable",
+    }
+
+
+def test_statements_of_one_shape_share_one_compile():
+    def loop(body):
+        return parse_loop(f"vars: x, y\ninit: x = 1/2; y = 3\nbody:\n  {body}\n")
+
+    loops._factory.cache_clear()
+    for body in (
+        "(x, y) = (3*x*y + 1/2, y - 1) [1/3] (x, 5*y^2)",
+        "(x, y) = (-2/7*x*y + 4, 3*y + 2) [3/4] (-1/2*x, -y^2)",  # other constants
+    ):
+        _assert_matches_the_fraction_stepper(loop(body))
+        assert loops._factory.cache_info().misses == 1
+    assert enumerate_distribution(loop(body), 1) == {
+        (Q(25, 7), Q(11)): Q(3, 4),
+        (Q(-1, 4), Q(-9)): Q(1, 4),
+    }
+    for compiles, body in enumerate(
+        [
+            "(y, x) = (3*x*y + 1/2, y - 1) [1/3] (x, 5*y^2)",  # other targets
+            "(x, y) = (3*x + 1/2, y - 1) [1/3] (x, 5*y^2)",  # other used variables
+        ],
+        start=2,
+    ):
+        _assert_matches_the_fraction_stepper(loop(body))
+        assert loops._factory.cache_info().misses == compiles
+
+
+def test_no_loop_text_reaches_the_generated_code():
+    # variables named like the generated code's own locals and helpers
+    loop = parse_loop(
+        "vars: s, mass, gcd, key, n0, d0, k0, a1, b1, t0, m, g, get, new, dist, make\n"
+        "init: s = 1/2; mass = 1; gcd = 2; key = -1; n0 = 3; d0 = 1/3; k0 = 0; a1 = 1;"
+        " b1 = 2; t0 = 3; m = 1; g = 2; get = 0; new = 1; dist = 2; make = 1/5\n"
+        "body:\n"
+        "  (s, key, m) = (s*mass + gcd, key^2, n0*d0) [1/3] (n0*d0, k0 + 1, get - 1)\n"
+        "  gcd = gcd*s + 1/2*a1*b1*t0*m*g*new*dist*make\n"
+    )
+    _assert_matches_the_fraction_stepper(loop)
 
 
 def test_sequential_semantics_matches_composed_map():

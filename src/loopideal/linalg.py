@@ -1,11 +1,11 @@
-"""Small exact linear algebra kit: fraction-free integer elimination and
-integer relations."""
+"""Small exact linear algebra kit: fraction-free integer elimination,
+integer relations and rational reconstruction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -63,6 +63,18 @@ def _primitive(row: list[int]) -> list[int]:
     """`row` divided by its content, the gcd of its entries."""
     k = gcd(*row)
     return [x // k for x in row] if k > 1 else row
+
+
+def rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The r/t with |r|, t <= sqrt(m/2) and r = a*t mod m, or None: the extended
+    Euclidean algorithm on m and a, stopped at the first remainder r within
+    the bound, gives the one candidate (Wang, Guy and Davenport, 1982)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and gcd(r1, t1) == 1 else None
 
 
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import repeat
 from math import comb, lcm
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -277,6 +278,9 @@ def restrict_to_order_one(
     return eliminate(basis, drop, budget)
 
 
+MODULUS = 2**61 - 1  # the prime of `empirical_relations`' first walk
+
+
 def empirical_relations(
     value_table: list[list[Fraction]],
     ring: VarRing,
@@ -291,13 +295,28 @@ def empirical_relations(
     A Buchberger-Moeller walk (EUROCAM 1982) takes the monomials smallest
     first in degrevlex, each from the one with one less power of its last
     variable, and skips those a lead divides.  Its column over the samples,
-    reduced fraction-free against the standard monomials' columns, is zero
-    for a lead m, giving m - sum c*s, and otherwise makes it standard.
-    When no standard monomial reaches degree min(degree, count), which
-    `degree >= count` ensures, the walk found every lead, and these
-    generators made monic are the reduced basis; otherwise `buchberger`
-    completes them.
+    reduced against the standard monomials' columns, is zero for a lead m,
+    giving m - sum c*s, and otherwise makes it standard.  When no standard
+    monomial reaches degree min(degree, count), which `degree >= count`
+    ensures, the walk found every lead, and these generators made monic are
+    the reduced basis; otherwise `buchberger` completes them.
+
+    The walk first reduces modulo the prime p = `MODULUS` (after Abbott,
+    Bigatti, Kreuzer and Robbiano, JSC 2000).  A column independent of the
+    standard columns mod p is so over Q, a minor nonzero mod p being
+    nonzero, and the exact walk makes it standard too.  At a zero residue
+    the c are reconstructed from their residues and m - sum c*s is checked
+    at every sample in integers; the standard columns being independent,
+    it is then the exact walk's one relation, and the output is the same.
+    If p divides a sample's denominator, or a c does not reconstruct or
+    fails its check, the walk reruns reducing fraction-free in integers.
     """
+    return _walk(value_table, ring, degree, budget, MODULUS) or _walk(value_table, ring, degree, budget, 0)
+
+
+def _walk(value_table: list[list[Fraction]], ring: VarRing, degree: int, budget: int, p: int) -> IdealBasis | None:
+    """`empirical_relations`, reducing mod p, or in integers for p = 0;
+    None where the reduction mod p fails."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if len(value_table) != ring.arity:
@@ -310,31 +329,44 @@ def empirical_relations(
     # monomial the walk reaches (none past degree count); scaling keeps the ideal
     top = min(degree, count)
     dens = [lcm(*(values[n].denominator for values in value_table)) for n in range(count)]
+    if p and any(d % p == 0 for d in dens):
+        return None
     one = mono_one(ring.arity)
     heap = [(order.key(one), one, [d**top for d in dens], 0)]
-    # per standard monomial: itself, a pivot row, and its reduced column
-    # followed by its combination of the standard monomials up to itself
+    # per standard monomial: itself, a pivot row, its column and its reduced
+    # column followed by its combination of the standard monomials up to itself
     standard, leads, gens = [], [], []
     while heap:
         _, m, col, last = heappop(heap)
         if any(map(mono_divides, leads, repeat(m))):
             continue
-        v = col + [0] * len(standard) + [1]
-        for _, pivot, row in standard:
-            if v[pivot]:
-                v = linalg._cleared(v, row, pivot)
+        v = ([c % p for c in col] if p else col) + [0] * len(standard) + [1]
+        # a row mod p has pivot 1; v is longer than every row
+        for _, pivot, _, row in standard:
+            if a := v[pivot]:
+                v = [(x - a * y) % p for x, y in zip(v, row)] + v[len(row) :] if p else linalg._cleared(v, row, pivot)
         pivot = next((i for i, x in enumerate(v[:count]) if x), None)
         if pivot is None:
-            monos = [s for s, _, _ in standard] + [m]
-            gens.append(Polynomial(ring, {s: Fraction(c, v[-1]) for s, c in zip(monos, v[count:])}))
+            coeffs = [linalg.rational_reconstruction(c, p) if p else Fraction(c, v[-1]) for c in v[count:]]
+            if p:
+                if None in coeffs:
+                    return None
+                scale = lcm(*(c.denominator for c in coeffs))
+                ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+                if any(sum(map(mul, ints, row)) for row in zip(*(s[2] for s in standard), col)):
+                    return None
+            gens.append(Polynomial(ring, dict(zip([s[0] for s in standard] + [m], coeffs))))
             leads.append(m)
             continue
-        standard.append((m, pivot, v))
+        if p:
+            inverse = pow(v[pivot], -1, p)
+            v = [x * inverse % p for x in v]
+        standard.append((m, pivot, col, v))
         for j in range(last, ring.arity) if sum(m) < top else ():
             child = m[:j] + (m[j] + 1,) + m[j + 1 :]
             step = [c * x.numerator // x.denominator for c, x in zip(col, value_table[j])]
             heappush(heap, (order.key(child), child, step, j))
-    if any(sum(s) == top for s, _, _ in standard):
+    if any(sum(s[0]) == top for s in standard):
         return buchberger(gens, order, budget)
     # leads come smallest first; a reduced basis lists them largest first
     return IdealBasis(ring, order, tuple(reversed(gens)), reduced=True)

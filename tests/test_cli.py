@@ -394,6 +394,23 @@ def test_closure_of_a_non_affine_loop_reaches_its_budget_in_seconds(capsys):
     assert json.loads(err)["error"] == "ClosureBudgetExceeded"
 
 
+def test_empirical_of_a_flag_loop_that_misses_is_fast(capsys):
+    # its flag's samples reach thousands of bits, and each monomial column
+    # is reduced modulo a prime, not by fraction-free integer elimination
+    def past_guard(*_):
+        raise AssertionError("empirical ran past its 5 s guard")
+
+    argv = ("--loop", str(GOLDEN / "flag.loop"), "--degree", "8", "--horizon", "120", "--format", "text")
+    previous = signal.signal(signal.SIGALRM, past_guard)
+    signal.alarm(5)
+    try:
+        code, out, err = _run(capsys, "empirical", *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out, err) == (0, "x - 2*g\ny - 3*g\n", "")
+
+
 def test_closure_of_a_huge_power_reaches_its_budget_in_seconds(capsys, tmp_path):
     def past_guard(*_):
         raise AssertionError("closed-forms ran past its 30 s guard")

@@ -28,6 +28,12 @@ CASES = {
     "empirical": (
         "empirical", "--loop", "flag.loop", "--degree", "3", "--horizon", "25",
     ),
+    "empirical-flag-d4": (
+        "empirical", "--loop", "flag.loop", "--degree", "4", "--horizon", "50",
+    ),
+    "empirical-large-coefficient": (
+        "empirical", "--loop", "large_coefficient.loop", "--degree", "2", "--horizon", "6",
+    ),
     "detect-zero": ("detect-zero", "--ideal", "flag_ideal.json"),
     "invariants-transient": (
         "invariants", "--loop", "transient.loop", "--degree", "2",

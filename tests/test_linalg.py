@@ -1,8 +1,10 @@
 """`linalg.rref`, `nullspace` and `solve` against sympy over QQ on random
 integer and rational matrices: tall, wide, all-zero, rank-deficient and
-with zero rows."""
+with zero rows; `rational_reconstruction` up to and past its bound."""
 
+import random
 from fractions import Fraction as Q
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,29 @@ def test_empty_inputs():
     assert linalg.nullspace([]) == []
     assert linalg.rref([[]]) == ([[]], [])
     assert linalg.rref([[0, 0], [0, 0]]) == ([[Q(0), Q(0)], [Q(0), Q(0)]], [])
+
+
+def test_rational_reconstruction_round_trips_up_to_the_bound():
+    # every r/t with |r|, t <= isqrt(m // 2) = 70 comes back from r/t mod m
+    m = 10007
+    for t in range(1, 71):
+        for r in range(-70, 71):
+            if gcd(r, t) == 1:
+                assert linalg.rational_reconstruction(r * pow(t, -1, m), m) == Q(r, t)
+    m, bound = 2**61 - 1, isqrt((2**61 - 1) // 2)
+    rng = random.Random(1982)
+    for r, t in [(bound, bound - 1), (-bound, 1), (1, bound)] + [
+        (rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(500)
+    ]:
+        assert linalg.rational_reconstruction(r * pow(t, -1, m), m) == Q(r, t)
+    assert linalg.rational_reconstruction(0, m) == 0
+    assert linalg.rational_reconstruction(m - 1, m) == -1
+
+
+def test_rational_reconstruction_is_none_past_the_bound():
+    for m in (7, 10007, 2**61 - 1):
+        bound = isqrt(m // 2)
+        for r, t in ((bound + 1, 1), (-bound - 1, 1), (1, bound + 1), (-1, bound + 1), (bound + 1, bound + 2)):
+            assert linalg.rational_reconstruction(r * pow(t, -1, m), m) is None, (m, r, t)
+    # at 7 only 0 and +-1 reconstruct
+    assert [linalg.rational_reconstruction(a, 7) for a in range(7)] == [0, 1] + [None] * 4 + [-1]

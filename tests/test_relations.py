@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -635,21 +635,109 @@ def _sample_value(rng, pool):
     return Q(rng.randint(-3, 3), rng.choice([1, 2, 3]))
 
 
+def _flag_table(rng, arity):
+    """Lines n -> a + s*n up to horizon 60, one of them replaced by a flag-like
+    running product of (a + s*k)^2 + c over k < n, which grows faster than
+    exponentially and, for c = 0, can reach 0."""
+    count = rng.randint(0, 61)
+    lines = [(Q(rng.randint(-5, 5), rng.choice([1, 1, 2])), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(arity)]
+    table = [[a + s * n for n in range(count)] for a, s in lines]
+    (a, s), c, f = lines[0], rng.choice([0, 1, 2, 5]), Q(rng.choice([1, 1, 3]))
+    flag = table[rng.randrange(arity)]
+    for n in range(count):
+        flag[n], f = f, f * ((a + s * n) ** 2 + c)
+    return table
+
+
+def _sample_table(rng, arity, count):
+    """`count` samples from a small pool, perhaps one repeated."""
+    pool = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] + [Q(10**12 + 7)]
+    points = [[_sample_value(rng, pool) for _ in range(arity)] for _ in range(count)]
+    if count > 2 and rng.random() < 0.3:
+        points[-1] = list(points[rng.randrange(count - 1)])
+    return [list(col) for col in zip(*points)] if points else [[] for _ in range(arity)]
+
+
 def test_empirical_matches_dense_reference_kernel():
-    """Random tables: 1-4 variables, 0-12 samples, some repeated, fractional
-    values and a 10^12-size one, degrees 1-5."""
+    """Random tables, degrees 1-5: 1-4 variables and 0-12 samples, some
+    repeated, fractional and one of size 10^12; then 1-5 variables and a
+    flag table of up to hundreds of bits, with at most 56 monomials."""
     rng = random.Random(1982)
-    for case in range(200):
-        arity = rng.randint(1, 4)
+    for case in range(300):
+        if case < 200:
+            arity = rng.randint(1, 4)
+            count, degree = rng.randint(0, 12), rng.randint(1, 5)
+            table = _sample_table(rng, arity, count)
+        else:
+            arity, degree = rng.randint(1, 5), rng.randint(1, 5)
+            while comb(arity + degree, degree) > 56:
+                degree -= 1
+            table = _flag_table(rng, arity)
         ring = VarRing([f"x{i}" for i in range(arity)])
-        count, degree = rng.randint(0, 12), rng.randint(1, 5)
-        pool = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] + [Q(10**12 + 7)]
-        points = [[_sample_value(rng, pool) for _ in range(arity)] for _ in range(count)]
-        if count > 2 and rng.random() < 0.3:
-            points[-1] = list(points[rng.randrange(count - 1)])
-        table = [list(col) for col in zip(*points)] if points else [[] for _ in range(arity)]
         got = empirical_relations(table, ring, degree)
         assert got.generators == _dense_empirical(table, ring, degree).generators, case
+
+
+def _spy_moduli(monkeypatch):
+    """The modulus of every walk `empirical_relations` runs, 0 for the walk
+    in integers."""
+    moduli, walk = [], relations._walk
+
+    def spy(*args):
+        moduli.append(args[-1])
+        return walk(*args)
+
+    monkeypatch.setattr(relations, "_walk", spy)
+    return moduli
+
+
+def test_empirical_falls_back_to_the_walk_in_integers(monkeypatch):
+    """The walk mod p reruns in integers, with the same output, for a prime
+    too small for the relation x - 2*g, a sample denominator divisible by p,
+    a coefficient past the reconstruction bound, and one that reconstructs
+    to 1 as 2^61 = 1 mod p but fails its check."""
+    flag = parse_loop((Path(__file__).parent / "golden" / "flag.loop").read_text())
+    states = simulate(flag, 25)
+    flag_table = [list(col) for col in zip(*states)]
+    moduli, p = _spy_moduli(monkeypatch), relations.MODULUS
+    for prime in (3, 5, 7):
+        moduli.clear()
+        monkeypatch.setattr(relations, "MODULUS", prime)
+        got = empirical_relations(flag_table, flag.variables, 3)
+        assert got.generators == _dense_empirical(flag_table, flag.variables, 3).generators
+        assert moduli == [prime, 0]
+    monkeypatch.setattr(relations, "MODULUS", p)
+    ring = VarRing(["x", "y"])
+    line = [Q(n) for n in range(8)]
+    for table in (
+        [[Q(n, p) for n in range(8)], [Q(3 * n + 1, p) for n in range(8)]],
+        [line, [12345678901234567891 * x for x in line]],
+        [line, [2**61 * x for x in line]],
+    ):
+        moduli.clear()
+        got = empirical_relations(table, ring, 2)
+        assert got.generators == _dense_empirical(table, ring, 2).generators
+        assert moduli == [p, 0]
+
+
+def test_empirical_mod_seven_matches_dense_reference_kernel(monkeypatch):
+    """At p = 7 only 0 and +-1 reconstruct, so more than half of the random
+    tables fall back (88 of 150); every output is the reference's either
+    way, and each way is taken at least 40 times."""
+    monkeypatch.setattr(relations, "MODULUS", 7)
+    moduli = _spy_moduli(monkeypatch)
+    rng, fallbacks = random.Random(2000), 0
+    for case in range(150):
+        arity, degree = rng.randint(1, 4), rng.randint(1, 4)
+        while comb(arity + degree, degree) > 35:
+            degree -= 1
+        ring = VarRing([f"x{i}" for i in range(arity)])
+        table = _flag_table(rng, arity) if rng.random() < 0.5 else _sample_table(rng, arity, rng.randint(0, 12))
+        moduli.clear()
+        got = empirical_relations(table, ring, degree)
+        assert got.generators == _dense_empirical(table, ring, degree).generators, case
+        fallbacks += moduli == [7, 0]
+    assert min(fallbacks, 150 - fallbacks) >= 40
 
 
 def test_empirical_full_walk_is_buchbergers_reduced_basis(monkeypatch):

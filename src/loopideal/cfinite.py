@@ -407,11 +407,12 @@ def _solve_all(system: MomentSystem) -> list:
         mult0 = start
         while mult0 and fits[mult0 - 1]:
             mult0 -= 1
-        # the blocks run along the roots in order, and so along the bases as D > 0;
-        # a block is zero exactly where the root is not the coordinate's
+        # the blocks run along the roots in order, and so along the bases as D > 0; a block
+        # is zero where the root is not the coordinate's, and past the coordinate's multiplicity
         blocks = iter(sol)
         tail = [(Fraction(r, scale), list(islice(blocks, top[r]))) for r in sorted(known)]
-        tail = [(b, UniPoly(x / e if x else x for x in c)) for b, c in tail if any(c)]
+        tail = [(b, c[: max(k for k, x in enumerate(c, 1) if x)]) for b, c in tail if any(c)]
+        tail = [(b, UniPoly(x / e if x else x for x in c)) for b, c in tail]
         transient = (Fraction(terms[n], dens[n]) for n in range(mult0))
         out[i] = ExpPoly(tuple(transient), tuple(tail))
     return out

@@ -29,16 +29,12 @@ from .algebra import (
     mono_divides,
     mono_one,
     mono_str,
+    multivariate_divide,
     poly_parse,
 )
 from .cfinite import ExpPoly, solve_closed_form
 from .errors import ArityMismatch, ClosureBudgetExceeded
-from .groebner import (
-    DEFAULT_BUDGET,
-    IdealBasis,
-    buchberger,
-    eliminate,
-)
+from .groebner import DEFAULT_BUDGET, IdealBasis, buchberger, eliminate
 from .loops import LoopProgram
 from .moments import DEFAULT_CLOSURE_BUDGET, degree_targets, moment_closure
 
@@ -187,8 +183,8 @@ def relations_ideal(
     `ring` has one variable per form.  The tail relations come from each
     tail's own parametrization, read for all n >= 0; each of the T indices
     before the longest transient then cuts them down to those vanishing at
-    its point, one `buchberger` run per point (`_meet_point`).  The basis
-    is in degrevlex order.
+    its point, read off the basis so far with no Groebner run
+    (`_meet_point`).  The basis is in degrevlex order.
     """
     if len(forms) != ring.arity:
         raise ArityMismatch(
@@ -196,31 +192,39 @@ def relations_ideal(
         )
     result = _tail_ideal(forms, ring, budget)
     for n in range(max((len(f.transient) for f in forms), default=0)):
-        result = _meet_point(result, [f.eval(n) for f in forms], budget)
+        result = _meet_point(result, [f.eval(n) for f in forms])
     return result
 
 
-def _meet_point(basis: IdealBasis, point: list[Fraction], budget: int) -> IdealBasis:
-    """Reduced basis of I ∩ m_p, for I the ideal of `basis` and m_p the
-    maximal ideal of `point`, in the same ring and order.
+def _meet_point(basis: IdealBasis, point: list[Fraction]) -> IdealBasis:
+    """Reduced basis of I ∩ m_p, I the ideal of the reduced `basis` G and m_p
+    the maximal ideal of `point`, read off G with no Groebner run, so no budget.
 
-    If every generator vanishes at p, I lies in m_p.  Otherwise take a
-    generator g0 with g0(p) != 0, the last such (the smallest lead), and
-    c_g = g(p)/g0(p).  The polynomials g - c_g*g0 for the other generators
-    g, and (x_j - p_j)*g0, lie in I and vanish at p.  They generate
-    I ∩ m_p: write f in it as sum h_g*g = sum_{g != g0} h_g*(g - c_g*g0) +
-    H*g0 with H = sum h_g*c_g.  Then 0 = f(p) = H(p)*g0(p), so H lies in
-    m_p and H*g0 in m_p*g0, which the (x_j - p_j)*g0 generate.
+    If every generator vanishes at p, I lies in m_p.  Else g0, the last one
+    with g0(p) != 0, has the smallest such lead L0.  Dividing by G writes an
+    f in I with lead below L0 by generators below L0, so f(p) = 0: L0 is no
+    lead of I ∩ m_p (take f - lc(f)*g0), and u*(g - c*g0), u*(x_i - p_i)*g0
+    give every other lead of I; the new corners are the other leads and each
+    w = x_i*L0 no other lead divides.  Each g - g(p)/g0(p)*g0 (g != g0) and
+    h - h(p)/g0(p)*g0 (h = w - NF_G(w)) is in I ∩ m_p, monic with its corner
+    as lead, and below it only G-standard monomials and L0, none a new lead:
+    the reduced basis (Marinari, Moeller and Mora, AAECC 1993).
     """
-    values = [g.eval(point) for g in basis.generators]
-    nonzero = [k for k, v in enumerate(values) if v]
-    if not nonzero:
+    gens, order, ring = basis.generators, basis.order, basis.ring
+    values = [g.eval(point) for g in gens]
+    if not (nonzero := [k for k, v in enumerate(values) if v]):
         return basis
     k0 = nonzero[-1]
-    g0, v0 = basis.generators[k0], values[k0]
-    gens = [g - g0 * (v / v0) for k, (g, v) in enumerate(zip(basis.generators, values)) if k != k0]
-    gens += [(Polynomial.var(basis.ring, nm) - x) * g0 for nm, x in zip(basis.ring.names, point)]
-    return buchberger(gens, basis.order, budget)
+    g0, v0, lead = gens[k0], values[k0], gens[k0].leading_term(order)[0]
+    others = [g.leading_term(order)[0] for g in gens[:k0] + gens[k0 + 1 :]]
+    out = [g - g0 * (v / v0) for k, (g, v) in enumerate(zip(gens, values)) if k != k0]
+    for i in range(ring.arity):
+        w = Polynomial.monomial(ring, lead[:i] + (lead[i] + 1,) + lead[i + 1 :])
+        if not any(mono_divides(m, *w.terms) for m in others):
+            h = w - multivariate_divide(w, list(gens), order)[1]
+            out.append(h - g0 * (h.eval(point) / v0))
+    out.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
+    return IdealBasis(ring, order, tuple(out), reduced=True)
 
 
 def closed_forms(loop: LoopProgram, degree: int) -> tuple[MomentRing, list[ExpPoly]]:

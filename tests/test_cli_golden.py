@@ -38,6 +38,9 @@ CASES = {
     "invariants-transient": (
         "invariants", "--loop", "transient.loop", "--degree", "2",
     ),
+    "invariants-two-point-transient": (
+        "invariants", "--loop", "two_point_transient.loop", "--degree", "2",
+    ),
     "invariants-three-bases": (
         "invariants", "--loop", "three_bases.loop", "--degree", "2",
     ),

@@ -7,10 +7,12 @@ assignment draws its branch independently.
 
 Simulation and distribution enumeration share one exact stepper that runs
 in Python ints (`_integer_steps`); `Fraction`s appear only in what it hands
-back.  The stepper runs each statement as Python code generated for it: a
-partial evaluation of the integer Horner interpreter at that statement's
-expressions.  The code's text holds no constant and no name from the loop,
-only the statement's shape, and is compiled once per shape per process.
+back, each value set from its lowest-terms pair with no second gcd
+(`_lowest`).  The stepper runs each statement as Python code generated for
+it: a partial evaluation of the integer Horner interpreter at that
+statement's expressions.  The code's text holds no constant and no name
+from the loop, only the statement's shape, and is compiled once per shape
+per process.
 """
 
 from __future__ import annotations
@@ -350,31 +352,37 @@ def _integer_steps(
             total *= scale
 
 
+def _lowest(n: int, d: int) -> Fraction:
+    """The `Fraction` n/d of a pair already in lowest terms with d > 0, set
+    slot by slot with no second gcd (as `Fraction._from_coprime_ints` does
+    on Python 3.12+).  Sound for the pairs of an integer state: the code of
+    `_statement_code` divides each value it sets by its gcd, its divisor is
+    a positive product, and a zero value becomes (0, 1)."""
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def _rational_distribution(masses, total) -> dict[State, Fraction]:
-    """The `Fraction` form of `_integer_steps`' (masses, total), each
-    distinct value and mass built once."""
-    values: dict[tuple[int, int], Fraction] = {}
-    probs: dict[int, Fraction] = {}
-    out = {}
-    for state, mass in masses.items():
-        key = []
-        for pair in zip(state[::2], state[1::2]):
-            v = values.get(pair)
-            if v is None:
-                v = values[pair] = Fraction(*pair)
-            key.append(v)
-        pr = probs.get(mass)
-        if pr is None:
-            pr = probs[mass] = Fraction(mass, total)
-        out[tuple(key)] = pr
-    return out
+    """The `Fraction` form of `_integer_steps`' (masses, total), in the
+    same order.  The states are transposed once into columns, each
+    variable's values are built by `_lowest` from its numerator and
+    denominator columns, and each distinct mass is built once as
+    `Fraction(mass, total)`; no Python loop runs per state."""
+    columns = list(zip(*masses))
+    values = [map(_lowest, n, d) for n, d in zip(columns[::2], columns[1::2])]
+    probs = {m: Fraction(m, total) for m in set(masses.values())}
+    return dict(zip(zip(*values), map(probs.__getitem__, masses.values())))
 
 
 def simulate(loop: LoopProgram, n: int) -> list[State]:
-    """States after 0..n iterations of a deterministic loop."""
+    """States after 0..n iterations of a deterministic loop, each read off
+    the one integer state of its step."""
     if not loop.deterministic:
         raise NotDeterministic("simulate requires a deterministic loop")
-    return [next(iter(dist)) for dist in islice(distributions(loop), max(n, 0) + 1)]
+    steps = islice(_integer_steps(loop, DEFAULT_SUPPORT_CAP), max(n, 0) + 1)
+    return [tuple(map(_lowest, s[::2], s[1::2])) for (s,), _ in steps]
 
 
 def distributions(

@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 from itertools import islice, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -309,10 +312,20 @@ def _first_steps(steps, count):
     return out
 
 
+def _assert_all_fractions(steps):
+    # `==` would let an int 3 stand in for Fraction(3)
+    for items in steps:
+        if items != "over budget":
+            for state, mass in items:
+                assert all(type(v) is Q for v in (*state, mass)), (state, mass)
+
+
 def _assert_matches_the_fraction_stepper(loop):
     for cap in (3, 400):
         want = _first_steps(_reference_distributions(loop, cap), 4)
-        assert _first_steps(distributions(loop, cap), 4) == want, format_loop(loop)
+        got = _first_steps(distributions(loop, cap), 4)
+        assert got == want, format_loop(loop)
+        _assert_all_fractions(got)
 
 
 def test_distributions_match_the_fraction_stepper():
@@ -342,6 +355,89 @@ def test_distributions_match_the_fraction_stepper():
         "constant branch",
         "unread variable",
     }
+
+
+def test_large_support_matches_the_fraction_stepper():
+    # 4,096 states at horizon 6, whose values have mixed denominators
+    loop = parse_loop((Path(__file__).parent / "golden" / "mixed.loop").read_text())
+    want = _first_steps(_reference_distributions(loop, loops.DEFAULT_SUPPORT_CAP), 7)
+    got = _first_steps(distributions(loop), 7)
+    assert [len(items) for items in got] == [4**n for n in range(7)]
+    assert got == want
+    _assert_all_fractions(got)
+
+
+def _first_branches(loop):
+    """The deterministic loop that keeps each statement's first branch."""
+    body = tuple(Assignment(stmt.targets, ((Q(1), stmt.branches[0][1]),)) for stmt in loop.body)
+    return LoopProgram(loop.variables, loop.init, body)
+
+
+def _assert_simulate_matches(loop, n):
+    states = simulate(loop, n)
+    assert states == [next(iter(d)) for d in islice(distributions(loop), n + 1)]
+    assert states == [next(iter(d)) for d in islice(_reference_distributions(loop, 1), n + 1)]
+    assert all(type(v) is Q for state in states for v in state)
+    return states
+
+
+def test_simulate_matches_the_distributions_and_the_fraction_stepper():
+    rng = random.Random(40)
+    zeros = 0
+    for _ in range(150):
+        loop = _first_branches(_random_loop(rng))
+        states = _assert_simulate_matches(loop, 4)
+        zeros += any(v == 0 for state in states[1:] for v in state)
+        assert simulate(loop, -1) == [loop.init]
+    assert zeros  # some value reaches 0 and is set as 0/1
+
+
+def test_simulate_through_a_cancelling_denominator_and_zero():
+    loop = parse_loop("vars: x, y\ninit: x = 3/4; y = 2\nbody:\n  x = 4/3*x*y\n  y = y - 1\n")
+    states = _assert_simulate_matches(loop, 4)
+    assert states == [
+        (Q(3, 4), Q(2)),
+        (Q(2), Q(1)),  # 4/3 * 3/4 * 2 cancels to 2/1
+        (Q(8, 3), Q(0)),
+        (Q(0), Q(-1)),
+        (Q(0), Q(-2)),
+    ]
+    assert [(v.numerator, v.denominator) for v in states[3]] == [(0, 1), (-1, 1)]
+    assert simulate(loop, -1) == [(Q(3, 4), Q(2))]
+
+
+def _coprime_pairs():
+    """0/1, +-1, integers and fractions past 2**64, and seeded pairs of up to
+    130 bits, about half of them with d = 1, each divided by its gcd."""
+    rng = random.Random(40)
+    pairs = [(0, 1), (1, 1), (-1, 1), (7, 1), (-7, 1), (2**64 + 1, 1), (-(2**64) - 1, 1)]
+    pairs += [(-1, 2**64 + 1), (3**50, 2**70), (-(2**65) - 3, 3**41)]
+    while len(pairs) < 60:
+        n = rng.randint(-(2 ** rng.randint(1, 130)), 2 ** rng.randint(1, 130))
+        pairs.append((n, rng.choice((1, rng.randint(1, 2 ** rng.randint(1, 130))))))
+    return [(n // gcd(n, d), d // gcd(n, d)) for n, d in pairs]
+
+
+@pytest.mark.parametrize("n, d", _coprime_pairs())
+def test_lowest_is_the_normalized_fraction(n, d):
+    q, want = loops._lowest(n, d), Q(n, d)
+    assert type(q) is Q
+    assert (q.numerator, q.denominator) == (n, d)
+    assert q == want
+    assert (hash(q), str(q), repr(q)) == (hash(want), str(want), repr(want))
+    for other in (Q(0), Q(1), Q(-5, 3), Q(2**70 + 1, 3), 2, -3):
+        assert q + other == want + other and other - q == other - want
+        assert q * other == want * other
+        assert (q < other, q >= other) == (want < other, want >= other)
+        if other:
+            assert q / other == want / other
+        if q:
+            assert other / q == other / want
+    assert q**2 == want**2 and -q == -want and abs(q) == abs(want)
+    assert {q: 1}[want] == 1
+    for twin in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+        assert type(twin) is Q
+        assert twin == want and hash(twin) == hash(want)
 
 
 def test_statements_of_one_shape_share_one_compile():

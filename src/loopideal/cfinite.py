@@ -10,21 +10,25 @@ together in ints, on their integer multiples e * D^n * v(n) (see
 whole vector sequence (Kauers and Zimmermann, "Computing the algebraic
 relations of C-finite sequences and multisequences", JSC 2008), so one
 running annihilator serves them all: only a coordinate it does not kill has
-its own annihilator found and split.  One elimination then gives each
-coordinate its own exponential polynomial, and each form is mapped back.
+its own annihilator found and split.  As the roots are known integers, each
+coordinate's exponential polynomial is then read off root by root, as in a
+partial fraction decomposition (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5): the rest of the running annihilator kills every other root's
+block, and each form is mapped back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
-from math import isqrt, lcm
-from operator import mul
+from itertools import accumulate, count, islice, starmap
+from math import gcd, isqrt, lcm
+from operator import add, eq, mul
 
 from . import linalg
 from .algebra import format_terms
 from .errors import IrrationalEigenvalue, NoRecurrenceFound, ToolkitError
+from .loops import _lowest
 from .moments import MomentSystem
 
 
@@ -38,6 +42,13 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _make(cls, coeffs: tuple) -> "UniPoly":
+        """Wrap an already clean coefficient tuple (Fractions, the last nonzero)."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @property
     def degree(self) -> int:
@@ -309,17 +320,25 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     other coordinate has its minimal annihilator deflated by the roots found
     so far, and only a nonconstant remainder goes to `rational_roots`; a
     nonconstant rootless cofactor means an irrational eigenvalue, refused
-    with a typed error.  One `rref` fits every solvable coordinate to one
-    ansatz: the columns n^j * (D*r)^n of each root at its largest
-    multiplicity, on the rows from `start` on, a confluent Vandermonde matrix
-    in distinct nonzero integers.  It is invertible, so each solution is the
-    coordinate's own exponential polynomial padded with zeros: by minimality,
-    each of its roots has a coefficient of degree exactly multiplicity - 1,
-    so its roots are the solution's nonzero blocks.  Each answer is verified
-    against 2*order + 4 terms from `start` on, and its transient is as short
-    as the formula allows: the multiplicity of 0 in a minimal annihilator is
-    the least T from which the sequence is its exponential polynomial.  The
-    bases over D and coefficients over e are v's.
+    with a typed error.  Every solvable coordinate is fitted to one ansatz:
+    the columns n^j * (D*r)^n of each root at its largest multiplicity, on
+    the K rows from `start` on, a confluent Vandermonde matrix in distinct
+    nonzero integers.  It is invertible, so each solution is the
+    coordinate's own exponential polynomial padded with zeros: by
+    minimality, each of its roots has a coefficient of degree exactly
+    multiplicity - 1, so its roots are the solution's nonzero blocks.  The
+    fit is read off root by root, in ints, from those K rows alone: for P
+    the annihilator without its x^start, the integer polynomial
+    R = P / (x - r)^m kills every block but that of the root r of
+    multiplicity m, so R(E) w on the m rows from `start` on holds r's block
+    alone.  A simple root's coefficient is one quotient, R(E) w at `start`
+    over R(r) * r^start; the blocks of all repeated roots go, block-
+    diagonally, to one `rref`.  So a system calls `rref` once if a root
+    repeats and not at all otherwise.  Each answer is verified against
+    2*order + 4 terms from `start` on, and its transient is as short as the
+    formula allows: the multiplicity of 0 in a minimal annihilator is the
+    least T from which the sequence is its exponential polynomial.  The
+    bases over D and coefficients over e are v's, one `Fraction` each.
     """
     if system._forms is None:
         system._forms = _solve_all(system)
@@ -361,7 +380,7 @@ def _solve_all(system: MomentSystem) -> list:
     for i in reversed(range(order)):
         terms = seqs[i]
         # `order` zeros of ann(E) w make it zero (see `solve_closed_form`)
-        if not any(sum(map(mul, ann, terms[n:])) for n in range(order)):
+        if not any(sum(map(mul, ann, terms[n : n + len(ann)])) for n in range(order)):
             continue
         try:
             mult0, roots = _split(minimal_recurrence(list(terms), order), known, scale)
@@ -375,10 +394,10 @@ def _solve_all(system: MomentSystem) -> list:
             for _ in range(m):
                 ann = [a - r * b for a, b in zip([0, *ann], [*ann, 0])]
     solved = [i for i, f in enumerate(out) if f is None]
-    # the ansatz sum_{r,j} c_{r,j} n^j r^n, each root at its largest multiplicity,
-    # one row per n, each column from the row before (its root times) or the
-    # column before (times n)
-    cols = [(r, j) for r in sorted(known) for j in range(top[r])]
+    roots = sorted(top)
+    # the columns n^j r^n of each root at its largest multiplicity, one row per n,
+    # each from the row before (its root times) or the column before (times n)
+    cols = [(r, j) for r in roots for j in range(top[r])]
     table = [[0**j for _, j in cols]]
     for n in range(1, count):
         row = []
@@ -386,18 +405,39 @@ def _solve_all(system: MomentSystem) -> list:
             row.append(row[-1] * n if j else table[-1][k] * r)
         table.append(row)
     columns = list(zip(*table))
-    red, _ = linalg.rref([table[n] + [seqs[i][n] for i in solved] for n in range(start, start + len(cols))])
+    # R(E), for R = P / (x - r)^top[r] and P = ann / x^start, kills every block but r's,
+    # so top[r] rows from `start` on give r's block alone: a division for a simple root,
+    # a small system for a repeated one; per column, each solved coordinate's
+    # coefficient over e is kept as a pair in lowest terms
+    sol, stacked, spots = [None] * len(cols), [], [c for c, (r, _) in enumerate(cols) if top[r] > 1]
+    c0 = 0
+    for r in roots:
+        m, kill = top[r], ann[start:]
+        for _ in range(m):
+            kill = list(accumulate(reversed(kill[1:]), lambda acc, c: acc * r + c))[::-1]
+        width, at = len(kill), len(stacked)
+        for t in range(start, start + m):
+            lhs = [sum(map(mul, kill, columns[c][t : t + width])) for c in range(c0, c0 + m)]
+            rhs = [sum(map(mul, kill, seqs[i][t : t + width])) for i in solved]
+            if m == 1:
+                sol[c0] = [_reduced(b, e * lhs[0]) for b in rhs]
+            else:
+                stacked.append([0] * at + lhs + [0] * (len(spots) - at - m) + rhs)
+        c0 += m
+    if stacked:
+        # every repeated root's block at once, block-diagonally
+        red, _ = linalg.rref(stacked)
+        for c, row in zip(spots, red):
+            sol[c] = [_reduced(x.numerator, x.denominator * e) for x in row[len(spots) :]]
+    bases = {r: Fraction(r, scale) for r in roots}
     for k, i in enumerate(solved):
-        terms = seqs[i]
-        sol = [row[len(cols) + k] for row in red]
-        # in ints: the columns times the solution's numerators over a common denominator
-        common = lcm(*(x.denominator for x in sol))
-        values = [0] * count
-        for x, column in zip(sol, columns):
-            if x:
-                num = x.numerator * (common // x.denominator)
-                values = [v + num * t for v, t in zip(values, column)]
-        fits = [v == common * w for v, w in zip(values, terms)]
+        terms, pairs = seqs[i], [s[k] for s in sol]
+        # in ints: the columns times the coefficients, each times e over a common denominator
+        common, values = lcm(*(d for _, d in pairs)), [0] * count
+        for (n, d), column in zip(pairs, columns):
+            if n:
+                values = list(map(add, values, map((e * n * (common // d)).__mul__, column)))
+        fits = list(map(eq, values, map(common.__mul__, terms)))
         if not all(fits[start:]):
             bad = fits.index(False, start)
             out[i] = NoRecurrenceFound(f"closed form disagrees with the sequence at n={bad}")
@@ -409,10 +449,19 @@ def _solve_all(system: MomentSystem) -> list:
             mult0 -= 1
         # the blocks run along the roots in order, and so along the bases as D > 0; a block
         # is zero where the root is not the coordinate's, and past the coordinate's multiplicity
-        blocks = iter(sol)
-        tail = [(Fraction(r, scale), list(islice(blocks, top[r]))) for r in sorted(known)]
-        tail = [(b, c[: max(k for k, x in enumerate(c, 1) if x)]) for b, c in tail if any(c)]
-        tail = [(b, UniPoly(x / e if x else x for x in c)) for b, c in tail]
+        tail, blocks = [], iter(pairs)
+        for r in roots:
+            block = list(islice(blocks, top[r]))
+            while block and not block[-1][0]:
+                block.pop()
+            if block:
+                tail.append((bases[r], UniPoly._make(tuple(starmap(_lowest, block)))))
         transient = (Fraction(terms[n], dens[n]) for n in range(mult0))
         out[i] = ExpPoly(tuple(transient), tuple(tail))
     return out
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d, for d != 0, as a pair in lowest terms with a positive denominator."""
+    g = gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .algebra import Polynomial, VarRing, _image, _memo, _used, mono_one
@@ -125,7 +125,9 @@ class MomentSystem:
 
     def _integer_powers(self) -> Iterator[tuple[int, list[int]]]:
         """(e * D^n, A^n u) for n = 0, 1, ...: the moment vector after n
-        iterations as integers over one denominator."""
+        iterations as integers over one denominator.  Each coordinate is
+        then an integer sequence whose rational eigenvalues D*r are
+        integers, which `cfinite` fits root by root in ints."""
         d = lcm(*(a.denominator for row in self.transition for _, a in row))
         den = lcm(*(x.denominator for x in self.initial))
         rows = [[(j, a.numerator * (d // a.denominator)) for j, a in row] for row in self.transition]
@@ -133,13 +135,6 @@ class MomentSystem:
         while True:
             yield den, vec
             vec, den = [sum(a * vec[j] for j, a in row) for row in rows], den * d
-
-    def vector_at(self, n: int) -> list[Fraction]:
-        """Moment vector after n iterations (sparse power iteration)."""
-        if n < 0:
-            raise ValueError("defined for n >= 0")
-        den, vec = next(islice(self._integer_powers(), n, None))
-        return [Fraction(x, den) for x in vec]
 
 
 def moment_closure(

@@ -30,6 +30,13 @@ body:
 """
 
 
+def vector_at(system, n):
+    """The moment vector of `system` after n iterations, read off its
+    integer power iteration."""
+    den, vec = next(islice(system._integer_powers(), n, None))
+    return [Q(x, den) for x in vec]
+
+
 @pytest.fixture
 def two_walks():
     """Two independent asymmetric random walks from the origin."""

@@ -47,6 +47,7 @@ from loopideal import (
     variety_is_finite,
     verify_witness_identities,
 )
+from conftest import vector_at
 
 TWO_WALKS = (
     "vars: x, y\ninit: x = 0; y = 0\nbody:\n"
@@ -293,10 +294,10 @@ def test_criterion_6_oracle_equivalence():
         # matrix-power predictions against the exact enumeration oracle
         for n in range(9):
             oracle = _moments_from_distribution(dists[n], system.symbols)
-            assert system.vector_at(n) == oracle, (trial, n)
+            assert vector_at(system, n) == oracle, (trial, n)
         # the standalone oracle entry point agrees too
         probe = mring.symbols[0]
-        assert expected_moment(loop, probe, 8) == system.vector_at(8)[
+        assert expected_moment(loop, probe, 8) == vector_at(system, 8)[
             system.index(probe)
         ]
 
@@ -338,7 +339,7 @@ def _certified_relations(loop, degree=2):
     system = moment_closure(loop, list(mring.symbols))
     count = comb(system.size + 2, 2)
     table = [
-        [system.vector_at(n)[system.index(sym)] for n in range(count)]
+        [vector_at(system, n)[system.index(sym)] for n in range(count)]
         for sym in mring.symbols
     ]
     return empirical_relations(table, mring.ring, 2)

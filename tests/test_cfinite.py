@@ -27,6 +27,7 @@ from loopideal import (
     rational_roots,
     solve_closed_form,
 )
+from conftest import TWO_WALKS, vector_at
 from test_acceptance import _fuzz_affine_loop
 
 
@@ -349,7 +350,7 @@ def test_closed_form_matches_sequence_everywhere(two_walks):
     for j in range(system.size):
         form = solve_closed_form(system, j)
         for n in range(2 * system.size + 4):
-            assert form.eval(n) == system.vector_at(n)[j]
+            assert form.eval(n) == vector_at(system, n)[j]
 
 
 def test_transient_from_constant_reset():
@@ -420,7 +421,7 @@ def test_closed_forms_hold_past_the_check_window(text):
             dense[i][j] = a
     vec = list(system.initial)
     for n in range(horizon + 1):
-        assert system.vector_at(n) == vec, n
+        assert vector_at(system, n) == vec, n
         assert [form.eval(n) for form in forms] == vec, n
         vec = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in dense]
 
@@ -580,7 +581,7 @@ def _reference_closed_form(system, symbol_index):
     """One coordinate solved on its own: its annihilator, `rational_roots`
     on all of it, and `linalg.solve` on its own ansatz, in Fractions."""
     order = system.size
-    terms = [system.vector_at(n)[symbol_index] for n in range(2 * order + 4)]
+    terms = [vector_at(system, n)[symbol_index] for n in range(2 * order + 4)]
     roots, cofactor = rational_roots(minimal_recurrence(terms, order))
     if cofactor.degree >= 1:
         raise IrrationalEigenvalue(
@@ -662,7 +663,7 @@ def test_shared_solve_matches_the_per_symbol_reference():
 def _uncovered(system):
     """The coordinates, walked from the highest symbol down, that a running
     lcm of the minimal annihilators met so far does not annihilate."""
-    vectors = [system.vector_at(n) for n in range(2 * system.size + 4)]
+    vectors = [vector_at(system, n) for n in range(2 * system.size + 4)]
     running, passes = Counter(), []
     for j in reversed(range(system.size)):
         roots, cofactor = rational_roots(minimal_recurrence([v[j] for v in vectors], system.size))
@@ -688,11 +689,15 @@ def _counted(monkeypatch, *names):
 
 
 @pytest.mark.parametrize(
-    "text, passes, size", zip(_PAST_WINDOW_LOOPS, [3, 1], [10, 6]), ids=["reset", "swap"]
+    "text, passes, size, rrefs",
+    # the reset and the swap have simple roots only; in the two walks the root 1 repeats
+    [(_PAST_WINDOW_LOOPS[0], 3, 10, 0), (_PAST_WINDOW_LOOPS[1], 1, 6, 0), (TWO_WALKS, 1, 6, 1)],
+    ids=["reset", "swap", "two-walks"],
 )
-def test_one_system_takes_one_rref_and_an_annihilator_only_where_the_running_lcm_falls_short(
-    monkeypatch, text, passes, size
+def test_rref_only_if_a_root_repeats_and_annihilators_only_past_the_lcm(
+    monkeypatch, text, passes, size, rrefs
 ):
+    # an annihilator only where the running lcm falls short
     loop = parse_loop(text)
     system = moment_closure(loop, degree_targets(loop.variables, 2))
     assert (len(_uncovered(system)), system.size) == (passes, size)
@@ -701,7 +706,7 @@ def test_one_system_takes_one_rref_and_an_annihilator_only_where_the_running_lcm
     for _ in range(2):
         for j in range(system.size):
             solve_closed_form(system, j)
-        assert calls == {"minimal_recurrence": passes, "rref": 1}
+        assert calls == Counter(minimal_recurrence=passes, rref=rrefs)
 
 
 def _solve_each_coordinate(system):
@@ -738,6 +743,64 @@ def _solve_each_coordinate(system):
         transient = (Q(terms[n], dens[n]) for n in range(mult0))
         out[i] = ExpPoly(tuple(transient), tuple((r, c) for r, c in tail if not c.is_zero()))
     return [f.to_json() if isinstance(f, ExpPoly) else (f.name, str(f)) for f in out]
+
+
+_JORDAN_EIGENVALUES = [1, -1, 2, -3, 7, 262147, -262147, 1000003, -1000003, 10**6, -(10**6)]
+
+
+def _jordan_system(rng):
+    """A system on a seeded upper-triangular integer transition: the unit
+    row, then in shuffled order a chain of one or two zeros on the diagonal
+    (the root 0, so `start` is 1 or 2) and up to three eigenvalues, each in
+    a chain of one to three equal diagonal entries.  Each chain links its
+    entries by nonzero superdiagonal ones, so that its length is the root's
+    multiplicity; other entries above the diagonal, and in the unit's
+    column, are sparse and small."""
+    blocks = [(0, rng.choice([1, 2]))]
+    blocks += [(v, rng.randint(1, 3)) for v in rng.sample(_JORDAN_EIGENVALUES, rng.randint(1, 3))]
+    rng.shuffle(blocks)
+    diagonal, linked = [1], [False]
+    for value, mult in blocks:
+        diagonal += [value] * mult
+        linked += [False] + [True] * (mult - 1)
+    size = len(diagonal)
+    transition = [[(0, Q(1))]]
+    for i in range(1, size):
+        row = {i: diagonal[i]}
+        if i + 1 < size and linked[i + 1]:
+            row[i + 1] = rng.choice([1, -1, 2])
+        for j in [0, *range(i + 1, size)]:
+            if j not in row and rng.random() < 0.3:
+                row[j] = rng.choice([1, -1, 2, -3])
+        transition.append([(j, Q(a)) for j, a in sorted(row.items()) if a])
+    initial = [Q(1)] + [Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(size - 1)]
+    return MomentSystem([(k,) for k in range(size)], transition, initial)
+
+
+def test_projection_fit_matches_the_vandermonde_fit_on_jordan_blocks():
+    rng = random.Random(41)
+    seen = set()
+    for case in range(80):
+        system = _jordan_system(rng)
+        want = _solve_each_coordinate(system)
+        assert [_outcome(solve_closed_form, system, j) for j in range(system.size)] == want, case
+        # and each form is the power iteration on every checked row
+        vectors = [vector_at(system, n) for n in range(2 * system.size + 4)]
+        repeated = set()
+        for j in range(system.size):
+            form = solve_closed_form(system, j)
+            assert [form.eval(n) for n, _ in enumerate(vectors)] == [v[j] for v in vectors], (case, j)
+            seen |= {f"transient {len(form.transient)}"} | {f"multiplicity {c.degree + 1}" for _, c in form.tail}
+            seen |= {"ladder prime" for b, _ in form.tail if abs(b) in (262147, 1000003)}
+            seen |= {"negative base" for b, _ in form.tail if b < 0}
+            repeated |= {b for b, c in form.tail if c.degree}
+        if len(repeated) > 1:
+            seen.add("two repeated roots in one rref")
+    assert seen >= {
+        "two repeated roots in one rref",
+        "transient 1", "transient 2", "multiplicity 1", "multiplicity 2", "multiplicity 3",
+        "ladder prime", "negative base",
+    }
 
 
 def _shift_reset_loop(rng):

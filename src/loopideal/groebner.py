@@ -9,6 +9,10 @@ signature-based algorithms for computing Groebner bases", JSC 2017).
 Its regular reduction and `multivariate_divide`, which membership and
 the final reduced form divide by, run one integer reduction loop,
 `algebra._reduce`; they differ only in the reducer each term is given.
+The signature loop looks that reducer up in an index keyed by the
+term's support: a lead divides a term only if its variables are among
+the term's (Bachmann and Schoenemann, "Monomial representations for
+Groebner bases computations", ISSAC 1998).
 Each element is stored once, as that reducer: its primitive integer form.
 The signature loop and the kernel run on packed monomials
 (`algebra.Layout`), one int each, with fields as wide as the inputs need
@@ -18,7 +22,8 @@ Bases are normalized to the unique reduced Groebner form (monic generators,
 no monomial of any generator divisible by another generator's leading
 monomial), which makes ideal equality and serialization canonical.  It is
 built in one pass over the elements, smallest lead first, each divided
-only by the smaller ones kept.
+only by the smaller ones kept, and only when one of their leads divides
+a term of its tail.
 """
 
 from __future__ import annotations
@@ -94,13 +99,21 @@ def _divides_any(syzygies: list, u: int, guards: int) -> bool:
     return False
 
 
-def _reducer(bound: int, reducers: list, guards: int, pbits: int, ibits: int, e: int):
+def _reducer(
+    bound: int, reducers: list, supports: list, index: dict, guards: int, ones: int,
+    pbits: int, ibits: int, e: int,
+):
     """The first element of `reducers` whose lead divides the packed term
     e and whose multiple with lead e has a signature below the one
     `bound` encodes, or None.
 
     `reducers` holds each basis element as (lead, lead coefficient, tail,
-    None, ratio) in insertion order, the reducer `_reduce` takes.
+    None, ratio) in insertion order, the reducer `_reduce` takes, and
+    `supports` the supports of their leads (`Layout.support`; `ones` is the
+    low bit of each field).  A lead divides e only if its support lies in
+    e's, so `index` maps e's support to [n, fits]: the elements among the
+    first n whose lead support lies in it, in order.  `fits` gains the
+    elements appended since, then is scanned as `reducers` would be.
     With K(m) = m >> pbits the order key of a packed monomial m as an int,
     `bound` is K(s) * 2**ibits + i for the signature u*e_i, s the packed
     u*lm(f_i); an element's ratio is the same with K(s) - K(lead) in place
@@ -108,8 +121,16 @@ def _reducer(bound: int, reducers: list, guards: int, pbits: int, ibits: int, e:
     below `bound - K(e) * 2**ibits`.
     """
     t = e | guards
+    key = (t - ones) & guards
+    entry = index.get(key)
+    if entry is None:
+        entry = index[key] = [0, []]
+    n, fits = entry
+    if n < len(reducers):
+        fits += [reducers[k] for k in range(n, len(reducers)) if supports[k] | key == key]
+        entry[0] = len(reducers)
     below = None
-    for r in reducers:
+    for r in fits:
         if (t - r[0]) & guards != guards:
             continue
         if below is None:
@@ -151,8 +172,11 @@ def buchberger(
     gives the multiple to reduce.  The reduction is regular: `algebra`'s
     integer kernel `_reduce`, the one `multivariate_divide` runs, with
     `_reducer` as its `pick`, so each term goes to the first element whose
-    multiple has a smaller signature, and the remainder's `_primitive_form`
-    is kept, its largest term the lead, as one (lead, lc, tail) record.
+    multiple has a smaller signature.  `_reducer` tests only the elements
+    whose lead's support lies in the term's, listed once per support and
+    extended as elements join, so it picks what a scan of every element
+    would.  The remainder's `_primitive_form` is kept, its largest term
+    the lead, as one (lead, lc, tail) record.
     If no element reduces that multiple's lead, an element already has this
     signature and lead, and the multiple is dropped before it is built.
     A zero result records its signature as a syzygy; any other result
@@ -172,8 +196,10 @@ def buchberger(
     depends on the width.
 
     The reduced basis takes the elements by ascending lead.  One goes when
-    a kept lead divides its lead; otherwise it is made monic and its
-    remainder by the kept ones (`multivariate_divide`) is kept.  A divisor
+    a kept lead divides its lead; otherwise it is made monic and kept,
+    divided by the kept ones (`multivariate_divide`) when one of their
+    leads divides a term of its tail.  Division changes only the terms a
+    lead divides, so an element with none is its own remainder.  A divisor
     is never larger than the monomial it divides, so no larger lead
     divides any of its terms, and the kept ones before it are already
     reduced (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -200,7 +226,9 @@ def buchberger(
         if _divides_any(leads, lm, guards):
             continue
         g = Polynomial._make(ring, {unpack(e): Fraction(c, lc) for e, c in ((lm, lc), *tail)})
-        kept.append(multivariate_divide(g, kept, order)[1])
+        if any(_divides_any(leads, e, guards) for e, _ in tail):
+            g = multivariate_divide(g, kept, order)[1]
+        kept.append(g)
         leads.append(lm)
     return IdealBasis(ring, order, tuple(reversed(kept)), reduced=True)
 
@@ -215,8 +243,9 @@ def _signature_basis(polys: list[Polynomial], budget: int, layout: Layout) -> li
 
     # per element: its reducer (lead, lead coefficient, tail, None, ratio),
     # which holds its terms, the support of its lead, and its signature
-    # (u, i); the unit monomial is 0
+    # (u, i); the unit monomial is 0; `index` is `_reducer`'s lead index
     reducers, supports, sigs = [], [], []
+    index, ones = {}, guards >> (layout.width - 1)
     by_index = [[] for _ in inputs]
     syzygies = [[] for _ in inputs]
     queue = [(f[0], i, 0) for i, f in enumerate(inputs)]
@@ -234,7 +263,7 @@ def _signature_basis(polys: list[Polynomial], budget: int, layout: Layout) -> li
             ):
                 best = k
         bound = ((s >> pbits) << ibits) + i
-        pick = partial(_reducer, bound, reducers, guards, pbits, ibits)
+        pick = partial(_reducer, bound, reducers, supports, index, guards, ones, pbits, ibits)
         if best is None:
             (lm, lc, tail), shift = inputs[i], 0
         else:

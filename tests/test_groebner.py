@@ -1,7 +1,10 @@
 import json
 import random
+from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from test_acceptance import _fuzz_affine_loop
 
 from loopideal import groebner, relations
 from loopideal import (
@@ -35,7 +38,8 @@ def signatures_reduced(monkeypatch):
     yields the signatures reduced per call, keyed by the call's reducers.
 
     `pick` is `groebner._reducer` bound to the signature (its packed key
-    and index in one int) and the call's reducer list."""
+    and index in one int), the call's reducer list, and the lead index
+    over it."""
     reduced = {}
     reduce = groebner._reduce
 
@@ -370,3 +374,158 @@ def test_basis_order_over_another_ring_is_refused():
     b = IdealBasis(XY, MonomialOrder("degrevlex", XY), (poly_parse("y", XY),), reduced=True)
     assert not ideal_member(poly_parse("x", XY), b)
     assert ideal_member(poly_parse("x*y + y", XY), b)
+
+
+def _scan_reducer(bound, reducers, guards, pbits, ibits, e):
+    """The plain scan that `groebner._reducer`'s lead index replaces: the
+    first element of `reducers` whose lead divides e and whose ratio is
+    below `bound - K(e) * 2**ibits`."""
+    t = e | guards
+    below = bound - ((e >> pbits) << ibits)
+    for r in reducers:
+        if (t - r[0]) & guards == guards and r[4] < below:
+            return r
+    return None
+
+
+def _scanning(bound, reducers, supports, index, guards, ones, pbits, ibits, e):
+    """`groebner._reducer`'s signature, answered by the plain scan."""
+    return _scan_reducer(bound, reducers, guards, pbits, ibits, e)
+
+
+def test_lead_index_picks_the_element_the_scan_picks():
+    rng = random.Random(42)
+    ring = VarRing(["a", "b", "c", "d"])
+    layout = MonomialOrder("degrevlex", ring).layout(8)
+    guards, pbits, ibits = layout.guards, layout.pbits, 4
+    ones = guards >> (layout.width - 1)
+    reducers, supports, index = [], [], {}
+    # per support: the element count at its first lookup
+    first_seen = {}
+    late = found = 0
+
+    def monomial():
+        return layout.pack(tuple(rng.choice([0, 0, 1, 2]) for _ in ring.names))
+
+    for _ in range(4000):
+        if rng.random() < 0.1:
+            lead = monomial()
+            reducers.append((lead, 1, [], None, rng.randrange(-60, 60)))
+            supports.append(layout.support(lead))
+            continue
+        e = monomial()
+        bound = ((e >> pbits) << ibits) + rng.randrange(-60, 60)
+        want = _scan_reducer(bound, reducers, guards, pbits, ibits, e)
+        got = groebner._reducer(bound, reducers, supports, index, guards, ones, pbits, ibits, e)
+        assert got is want
+        seen = first_seen.setdefault(layout.support(e), len(reducers))
+        if want is not None:
+            found += 1
+            # appended after this support's list was first built
+            late += any(r is want for r in reducers[seen:])
+    assert found > 500 and late > 100
+
+
+def _assert_indexed_runs_match(monkeypatch, work):
+    """Record each `buchberger` call that `work()` makes with the plain scan
+    in place of the lead index, then run it again with the index: the same
+    basis from the same number of `_reduce` calls.  Returns the records,
+    (gens, order, drop, basis, `_reduce` calls)."""
+    runs, reductions = [], [0]
+    plain, reduce = groebner.buchberger, groebner._reduce
+
+    def counting(work, guards, pick):
+        reductions[0] += 1
+        return reduce(work, guards, pick)
+
+    def recording(gens, order, budget=groebner.DEFAULT_BUDGET, drop=frozenset()):
+        reductions[0] = 0
+        basis = plain(gens, order, budget, drop)
+        runs.append((gens, order, drop, basis, reductions[0]))
+        return basis
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_reducer", _scanning)
+        m.setattr(groebner, "buchberger", recording)
+        m.setattr(relations, "buchberger", recording)
+        work()
+    for gens, order, drop, basis, count in runs:
+        reductions[0] = 0
+        # a budget of the scan's reductions: a run that needs more stops at once
+        assert buchberger(gens, order, count, drop).generators == basis.generators
+        assert reductions[0] == count
+    return runs
+
+
+def test_lead_index_runs_as_the_scan_on_intersections(monkeypatch):
+    rng = random.Random(17)
+    ring = VarRing(["x", "y", "z"])
+    pool = ["x^2 - y", "x*y - z", "y^2 - x*z + 1", "x*z - 2*y", "z^2 - x", "x + y - z", "y*z - x^2"]
+
+    def intersections():
+        for _ in range(10):
+            order = MonomialOrder("degrevlex", ring, rng.sample(ring.names, 3))
+            a, b = (_basis(rng.sample(pool, 2), ring, order) for _ in range(2))
+            ideal_intersect(a, b)
+
+    runs = _assert_indexed_runs_match(monkeypatch, intersections)
+    # one t-construction per intersection
+    assert len(runs) == 10
+    assert sum(count for *_, count in runs) > 150
+
+
+def test_lead_index_runs_as_the_scan_on_criterion_6_loops(monkeypatch):
+    rng = random.Random(42)
+    loops = [_fuzz_affine_loop(rng) for _ in range(50)]
+    # the loops with the most signature reductions at degree 2
+    picked = [loops[i] for i in (1, 3, 4, 9, 13, 16, 19, 32, 38, 43, 44, 45)]
+
+    def ideals():
+        for loop in picked:
+            moment_invariant_ideal(loop, 2)
+
+    runs = _assert_indexed_runs_match(monkeypatch, ideals)
+    assert sum(count for *_, count in runs) > 350
+
+
+def _always_dividing(reducers, layout, order):
+    """The reduced basis from the signature loop's elements when every kept
+    element is divided by the smaller kept ones, needed or not."""
+    kept, leads = [], []
+    for lm, lc, tail, *_ in sorted(reducers, key=itemgetter(0)):
+        if groebner._divides_any(leads, lm, layout.guards):
+            continue
+        terms = {layout.unpack(e): Fraction(c, lc) for e, c in ((lm, lc), *tail)}
+        kept.append(multivariate_divide(Polynomial(order.ring, terms), kept, order)[1])
+        leads.append(lm)
+    return tuple(reversed(kept))
+
+
+def test_reduced_pass_divides_only_what_a_kept_lead_reduces(monkeypatch):
+    rng = random.Random(3)
+    ring = VarRing(["x", "y", "z"])
+    pool = ["x^2 - y", "x*y - z", "y^2 - x*z + 1", "x*z - 2*y", "z^2 - x", "x + y + z - 1",
+            "x*y*z - 3", "y*z - x^2"]
+    elements, changed = [], []
+    signature_basis, divide = groebner._signature_basis, groebner.multivariate_divide
+
+    def recording(polys, budget, layout):
+        out = signature_basis(polys, budget, layout)
+        elements.append((out, layout))
+        return out
+
+    def dividing(p, divisors, order):
+        out = divide(p, divisors, order)
+        changed.append(out[1] != p)
+        return out
+
+    monkeypatch.setattr(groebner, "_signature_basis", recording)
+    monkeypatch.setattr(groebner, "multivariate_divide", dividing)
+    for _ in range(20):
+        order = MonomialOrder("degrevlex", ring, rng.sample(ring.names, 3))
+        basis = _basis(rng.sample(pool, 3), ring, order)
+        assert basis.generators == _always_dividing(*elements[-1], order)
+    # the signature loop left a tail term that a smaller kept lead divides,
+    # and each division the pass made changed its element
+    assert len(changed) >= 3 and all(changed)

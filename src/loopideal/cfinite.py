@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, starmap
+from itertools import accumulate, count, islice, repeat, starmap
 from math import gcd, isqrt, lcm
 from operator import add, eq, mul
 
@@ -153,11 +153,10 @@ def _deflate(ip: list[int], divisor: list[int]) -> list[int] | None:
     return None if any(rem) else out[::-1]
 
 
-def _peel(coeffs, roots) -> tuple[list[int], list[int]]:
-    """`coeffs` (rationals, constant first) as a primitive integer polynomial
-    with the root 0, then each of `roots`, divided out as often as it
-    divides, and the multiplicities of 0 and then of each of `roots`."""
-    ip = linalg._integer_row(coeffs)
+def _peel(ip: list[int], roots) -> tuple[list[int], list[int]]:
+    """The primitive integer polynomial `ip` (constant first) with the root 0,
+    then each of `roots`, divided out as often as it divides, and the
+    multiplicities of 0 and then of each of `roots`."""
     mults = [next(i for i, c in enumerate(ip) if c)]
     ip = ip[mults[0] :]
     for r in roots:
@@ -205,18 +204,11 @@ def _root_candidates(ip: list[int]) -> list[Fraction]:
             lifts = [x for x in range(p) if not _value_mod(s, x, p)]
             if all(_value_mod(ds, x, p) for x in lifts):
                 break
-    m, bound = p, abs(s[0])
-    while m <= 2 * bound * abs(s[-1]):
+    m, bounds = p, (abs(s[0]), abs(s[-1]))
+    while m <= 2 * bounds[0] * bounds[1]:
         m *= m
         lifts = [(x - _value_mod(s, x, m) * pow(_value_mod(ds, x, m), -1, m)) % m for x in lifts]
-    out = []
-    for x in lifts:
-        (r0, t0), (r1, t1) = (m, 0), (x, 1)
-        while r1 > bound:
-            q = r0 // r1
-            (r0, t0), (r1, t1) = (r1, t1), (r0 - q * r1, t0 - q * t1)
-        out.append(Fraction(r1, t1))
-    return out
+    return [c for x in lifts if (c := linalg.rational_reconstruction(x, m, bounds)) is not None]
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
@@ -233,17 +225,20 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
        num/den of s has den | s_d, so it reduces to a root mod p.
     3. Newton steps lift each to a root of s mod m, squaring m each step,
        until m > 2*|s_0|*|s_d|.
-    4. A root num/den has |num| <= |s_0| and 0 < den <= |s_d|.  As
-       m > (|s_0| + 1)*|s_d|, the half-extended Euclid algorithm on
-       (m, lifted root), stopped at the first remainder at most |s_0|, gives
-       that remainder over its cofactor as the only candidate (von zur
-       Gathen and Gerhard, Modern Computer Algebra, Thm. 5.26).
-    Each candidate is then confirmed, and its multiplicity counted, by
-    exact deflation of the whole integer polynomial.
+    4. A root num/den has |num| <= |s_0|, 0 < den <= |s_d| and den prime
+       to m, so it is the lifted root's rational reconstruction with the
+       bounds (|s_0|, |s_d|), which m > 2*|s_0|*|s_d| makes unique.  The
+       half-extended Euclid algorithm on (m, lifted root) gives one
+       candidate, and by von zur Gathen and Gerhard (Modern Computer
+       Algebra, Thm. 5.26(ii)) every such root is it up to sign; so a
+       candidate whose cofactor passes |s_d|, or shares a factor with its
+       remainder, is no root and is dropped.
+    Each other candidate is then confirmed, and its multiplicity counted,
+    by exact deflation of the whole integer polynomial.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    ip, (mult0,) = _peel(p.coeffs, [])
+    ip, (mult0,) = _peel(linalg._integer_row(p.coeffs), [])
     candidates = _root_candidates(ip)
     ip, (_, *mults) = _peel(ip, candidates)
     roots = sorted((r, m) for r, m in zip([Fraction(0), *candidates], [mult0, *mults]) if m)
@@ -332,13 +327,13 @@ def solve_closed_form(system: MomentSystem, symbol_index: int) -> ExpPoly:
     R = P / (x - r)^m kills every block but that of the root r of
     multiplicity m, so R(E) w on the m rows from `start` on holds r's block
     alone.  A simple root's coefficient is one quotient, R(E) w at `start`
-    over R(r) * r^start; the blocks of all repeated roots go, block-
-    diagonally, to one `rref`.  So a system calls `rref` once if a root
-    repeats and not at all otherwise.  Each answer is verified against
-    2*order + 4 terms from `start` on, and its transient is as short as the
-    formula allows: the multiplicity of 0 in a minimal annihilator is the
-    least T from which the sequence is its exponential polynomial.  The
-    bases over D and coefficients over e are v's, one `Fraction` each.
+    over R(r) * r^start; a root of multiplicity m > 1 has its m x m block
+    solved by its own `rref` on those m rows.  So a system calls `rref` once
+    per repeated root.  Each answer is verified against 2*order + 4 terms
+    from `start` on, and its transient is as short as the formula allows:
+    the multiplicity of 0 in a minimal annihilator is the least T from which
+    the sequence is its exponential polynomial.  The bases over D and
+    coefficients over e are v's, one `Fraction` each.
     """
     if system._forms is None:
         system._forms = _solve_all(system)
@@ -352,7 +347,7 @@ def _split(ann: UniPoly, known: list[int], scale: int) -> tuple[int, dict[int, i
     """The multiplicity of the root 0 of a monic integer annihilator, and of
     each nonzero root, all of which must be rational; the new ones are
     appended to `known`."""
-    ip, (mult0, *mults) = _peel(ann.coeffs, known)
+    ip, (mult0, *mults) = _peel(linalg._integer_row(ann.coeffs), known)
     roots = {r: m for r, m in zip(known, mults) if m}
     new, cofactor = rational_roots(UniPoly(ip)) if len(ip) > 1 else ([], UniPoly(ip))
     if (deg := cofactor.degree) >= 1:
@@ -395,40 +390,28 @@ def _solve_all(system: MomentSystem) -> list:
                 ann = [a - r * b for a, b in zip([0, *ann], [*ann, 0])]
     solved = [i for i, f in enumerate(out) if f is None]
     roots = sorted(top)
-    # the columns n^j r^n of each root at its largest multiplicity, one row per n,
-    # each from the row before (its root times) or the column before (times n)
-    cols = [(r, j) for r in roots for j in range(top[r])]
-    table = [[0**j for _, j in cols]]
-    for n in range(1, count):
-        row = []
-        for k, (r, j) in enumerate(cols):
-            row.append(row[-1] * n if j else table[-1][k] * r)
-        table.append(row)
-    columns = list(zip(*table))
     # R(E), for R = P / (x - r)^top[r] and P = ann / x^start, kills every block but r's,
     # so top[r] rows from `start` on give r's block alone: a division for a simple root,
-    # a small system for a repeated one; per column, each solved coordinate's
+    # its own `rref` for a repeated one; per column n^j r^n, each solved coordinate's
     # coefficient over e is kept as a pair in lowest terms
-    sol, stacked, spots = [None] * len(cols), [], [c for c, (r, _) in enumerate(cols) if top[r] > 1]
-    c0 = 0
+    columns, sol = [], []
     for r in roots:
         m, kill = top[r], ann[start:]
         for _ in range(m):
-            kill = list(accumulate(reversed(kill[1:]), lambda acc, c: acc * r + c))[::-1]
-        width, at = len(kill), len(stacked)
-        for t in range(start, start + m):
-            lhs = [sum(map(mul, kill, columns[c][t : t + width])) for c in range(c0, c0 + m)]
-            rhs = [sum(map(mul, kill, seqs[i][t : t + width])) for i in solved]
-            if m == 1:
-                sol[c0] = [_reduced(b, e * lhs[0]) for b in rhs]
-            else:
-                stacked.append([0] * at + lhs + [0] * (len(spots) - at - m) + rhs)
-        c0 += m
-    if stacked:
-        # every repeated root's block at once, block-diagonally
-        red, _ = linalg.rref(stacked)
-        for c, row in zip(spots, red):
-            sol[c] = [_reduced(x.numerator, x.denominator * e) for x in row[len(spots) :]]
+            kill = _deflate(kill, [-r, 1])
+        powers = list(accumulate(repeat(r, count - 1), mul, initial=1))
+        cols = [[n**j * x for n, x in enumerate(powers)] for j in range(m)]
+        rows = [
+            [sum(map(mul, kill, seq[t : t + len(kill)])) for seq in (*cols, *(seqs[i] for i in solved))]
+            for t in range(start, start + m)
+        ]
+        if m == 1:
+            ((lhs, *rhs),) = rows
+            sol.append([_reduced(b, e * lhs) for b in rhs])
+        else:
+            red, _ = linalg.rref(rows)
+            sol += [[_reduced(x.numerator, x.denominator * e) for x in row[m:]] for row in red]
+        columns += cols
     bases = {r: Fraction(r, scale) for r in roots}
     for k, i in enumerate(solved):
         terms, pairs = seqs[i], [s[k] for s in sol]

@@ -65,16 +65,22 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // k for x in row] if k > 1 else row
 
 
-def rational_reconstruction(a: int, m: int) -> Fraction | None:
-    """The r/t with |r|, t <= sqrt(m/2) and r = a*t mod m, or None: the extended
-    Euclidean algorithm on m and a, stopped at the first remainder r within
-    the bound, gives the one candidate (Wang, Guy and Davenport, 1982)."""
-    bound = isqrt(m // 2)
+def rational_reconstruction(a: int, m: int, bounds: tuple[int, int] | None = None) -> Fraction | None:
+    """The r/t in lowest terms with |r| <= N, 0 < t <= D and r = a*t mod m,
+    or None, for `bounds` (N, D), by default both isqrt(m // 2).
+
+    The extended Euclidean algorithm on m and a, stopped at the first
+    remainder r_j <= N, gives the one candidate r_j/t_j (Wang, Guy and
+    Davenport, 1982).  With 2*N*D < m, or the default bounds, every such
+    r/t is r_j/t_j up to sign (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Thm. 5.26(ii)), so a cofactor |t_j| past D or a common factor
+    of r_j and t_j means there is none."""
+    n_max, d_max = bounds or (isqrt(m // 2),) * 2
     r0, r1, t0, t1 = m, a % m, 0, 1
-    while r1 > bound:
+    while r1 > n_max:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return Fraction(r1, t1) if abs(t1) <= bound and gcd(r1, t1) == 1 else None
+    return Fraction(r1, t1) if abs(t1) <= d_max and gcd(r1, t1) == 1 else None
 
 
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

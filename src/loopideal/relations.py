@@ -355,8 +355,7 @@ def _walk(value_table: list[list[Fraction]], ring: VarRing, degree: int, budget:
             if p:
                 if None in coeffs:
                     return None
-                scale = lcm(*(c.denominator for c in coeffs))
-                ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+                ints = linalg._integer_row(coeffs)
                 if any(sum(map(mul, ints, row)) for row in zip(*(s[2] for s in standard), col)):
                     return None
             gens.append(Polynomial(ring, dict(zip([s[0] for s in standard] + [m], coeffs))))

@@ -305,6 +305,37 @@ def test_rational_roots_past_the_bad_primes():
 
 
 
+def test_rational_roots_past_equal_bounds():
+    # a root num/den of the square-free part s has |num| <= |s_0| and
+    # den <= |s_d|; here den passes |s_0|, or num passes |s_d|
+    cases = [
+        # s_0 = -10, s_d = 21
+        (_product(_upoly(-2, 7), _upoly(-1, 3), _upoly(-5, 1)), [(Q(2, 7), 1), (Q(1, 3), 1), (Q(5), 1)]),
+        # s_0 = -1, s_d = 143, each root repeated
+        (_product(*[_upoly(-1, 13)] * 3, *[_upoly(1, 11)] * 2), [(Q(-1, 11), 2), (Q(1, 13), 3)]),
+        # s_0 = 8633, s_d = 2
+        (_product(_upoly(-97, 1), _upoly(89, 2), _upoly(1, 0, 1)), [(Q(-89, 2), 1), (Q(97), 1)]),
+    ]
+    rng = random.Random(526)
+    for _ in range(200):
+        p, want = _upoly(rng.choice([1, -3, Q(2, 5)])), {}
+        for _ in range(rng.randint(1, 4)):
+            # one side of each root past every small value of the other
+            num, den = rng.randint(-6, 6) or 1, rng.randint(7, 60)
+            r = Q(num, den) if rng.random() < 0.5 else Q(den * rng.choice([1, -1]), abs(num))
+            m = rng.choice([1, 1, 2, 3])
+            want[r] = want.get(r, 0) + m
+            p = _product(p, *[_upoly(-r, 1)] * m)
+        if rng.random() < 0.3:
+            p = p * _upoly(5, 3, 2)
+        cases.append((p, sorted(want.items())))
+    for p, want in cases:
+        roots, cofactor = rational_roots(p)
+        assert roots == want, p
+        _check_cofactor(p, roots, cofactor)
+        assert cofactor.degree in (0, 2)
+
+
 def test_rational_roots_match_sympy():
     """Random products of linear factors den*L - num, some of large height
     and with multiplicity, and of random integer polynomials."""

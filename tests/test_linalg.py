@@ -1,6 +1,6 @@
 """`linalg.rref`, `nullspace` and `solve` against sympy over QQ on random
 integer and rational matrices: tall, wide, all-zero, rank-deficient and
-with zero rows; `rational_reconstruction` up to and past its bound."""
+with zero rows; `rational_reconstruction` up to and past its bounds."""
 
 import random
 from fractions import Fraction as Q
@@ -127,3 +127,25 @@ def test_rational_reconstruction_is_none_past_the_bound():
             assert linalg.rational_reconstruction(r * pow(t, -1, m), m) is None, (m, r, t)
     # at 7 only 0 and +-1 reconstruct
     assert [linalg.rational_reconstruction(a, 7) for a in range(7)] == [0, 1] + [None] * 4 + [-1]
+
+
+@pytest.mark.parametrize("bounds", [(11, 400), (400, 11)])
+def test_rational_reconstruction_with_unequal_bounds(bounds):
+    # 2*N*D = 8,800 < m; also (2*N + 1)*D and N*(2*D + 1) are below m, so
+    # nothing reconstructs from a fraction just past either bound
+    m, (top, bottom) = 10007, bounds
+    inside = [(r, t) for t in range(1, bottom + 1) for r in range(-top, top + 1) if gcd(r, t) == 1]
+    assert {(top, bottom), (-top, bottom), (top, 1), (1, bottom)} <= set(inside)
+    for r, t in inside:
+        assert linalg.rational_reconstruction(r * pow(t, -1, m), m, bounds) == Q(r, t)
+    past = [(r, t) for t in range(1, bottom + 1) for r in (top + 1, -top - 1) if gcd(r, t) == 1]
+    past += [(r, bottom + 1) for r in range(-top, top + 1) if gcd(r, bottom + 1) == 1]
+    for r, t in past:
+        assert linalg.rational_reconstruction(r * pow(t, -1, m), m, bounds) is None, (r, t)
+
+
+def test_rational_reconstruction_defaults_to_equal_bounds():
+    for m in (7, 10007):
+        bound = isqrt(m // 2)
+        for a in range(m):
+            assert linalg.rational_reconstruction(a, m) == linalg.rational_reconstruction(a, m, (bound, bound))
